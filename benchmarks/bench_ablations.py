@@ -19,11 +19,11 @@ from repro.passes import (
     PrecisionOptimizationPass,
 )
 from repro.resources import estimate_resources
-from repro.verilog import generate_verilog_impl as generate_verilog
+from repro.verilog import generate_verilog_impl
 
 
 def _resources(module, top):
-    return estimate_resources(generate_verilog(module, top=top).design)
+    return estimate_resources(generate_verilog_impl(module, top=top).design)
 
 
 @pytest.mark.table("ablation")
@@ -92,7 +92,7 @@ def test_hir_codegen_scales_with_pe_array(benchmark, size):
     """HIR code-generation time vs PE-array size (the paper's GEMM outlier)."""
     def run():
         artifacts = build_kernel("gemm", size=size)
-        return generate_verilog(artifacts.module, top=artifacts.top)
+        return generate_verilog_impl(artifacts.module, top=artifacts.top)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
     assert result.statistics["functions"] == 1

@@ -34,7 +34,7 @@ from repro.hls import HLSOptions, clear_schedule_memo, compile_program
 from repro.hls import scheduling as hls_scheduling
 from repro.kernels import build_kernel
 from repro.passes import optimization_pipeline
-from repro.verilog import generate_verilog_impl as generate_verilog
+from repro.verilog import generate_verilog_impl
 from repro.verilog.emitter import emit_design
 
 #: Paper-scale Table 6 kernel parameters.
@@ -68,7 +68,7 @@ def _compile_kernel(name, params, hls_options, legacy_pipeline=False):
     optimization_pipeline(verify_each=False,
                           legacy=legacy_pipeline).run(artifacts.module)
     hir_text = emit_design(
-        generate_verilog(artifacts.module, top=artifacts.top).design)
+        generate_verilog_impl(artifacts.module, top=artifacts.top).design)
     result = compile_program(artifacts.hls_program, artifacts.hls_function,
                              options=hls_options)
     seconds = time.perf_counter() - start

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from repro.kernels import build_kernel
-from repro.sim import run_design_impl as run_design
+from repro.sim import run_design_impl
 from repro.sim.engine import clear_compile_cache
-from repro.verilog import generate_verilog_impl as generate_verilog
+from repro.verilog import generate_verilog_impl
 
 #: Single-run speedup the compiled engine must deliver on GEMM (cold compile
 #: included); measured ~4x on the development machine, so 3x leaves margin.
@@ -41,11 +41,11 @@ VECTOR_MIN_SPEEDUP = float(os.environ.get("REPRO_VECTOR_MIN_SPEEDUP", "2.0"))
 def test_simulate_generated_design(benchmark, bench_recorder, kernel, params,
                                    engine):
     artifacts = build_kernel(kernel, **params)
-    design = generate_verilog(artifacts.module, top=artifacts.top).design
+    design = generate_verilog_impl(artifacts.module, top=artifacts.top).design
     inputs = artifacts.make_inputs(0)
 
     def run():
-        return run_design(
+        return run_design_impl(
             design,
             memories={name: (memref_type, inputs[name])
                       for name, memref_type in artifacts.interfaces.items()},

@@ -7,7 +7,7 @@ from repro.hls import compile_program
 from repro.kernels import transpose
 from repro.passes import optimization_pipeline
 from repro.resources import estimate_resources
-from repro.verilog import generate_verilog_impl as generate_verilog
+from repro.verilog import generate_verilog_impl
 
 SIZE = 16
 
@@ -20,8 +20,8 @@ def test_hir_design_point(benchmark, optimize):
         design = transpose.build_hir(SIZE)
         if optimize:
             optimization_pipeline(verify_each=False).run(design.module)
-        return estimate_resources(generate_verilog(design.module,
-                                                   top="transpose").design)
+        return estimate_resources(
+            generate_verilog_impl(design.module, top="transpose").design)
 
     report = benchmark(run)
     assert report.as_dict()["LUT"] > 0

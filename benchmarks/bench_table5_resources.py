@@ -12,7 +12,7 @@ from repro.evaluation import table5
 from repro.kernels import build_kernel
 from repro.passes import optimization_pipeline
 from repro.resources import estimate_resources
-from repro.verilog import generate_verilog_impl as generate_verilog
+from repro.verilog import generate_verilog_impl
 
 KERNELS = ["transpose", "stencil_1d", "histogram", "convolution", "fifo", "gemm"]
 
@@ -24,7 +24,7 @@ def test_hir_resource_estimation(benchmark, paper_params, kernel):
     def run():
         artifacts = build_kernel(kernel, **paper_params[kernel])
         optimization_pipeline(verify_each=False).run(artifacts.module)
-        design = generate_verilog(artifacts.module, top=artifacts.top).design
+        design = generate_verilog_impl(artifacts.module, top=artifacts.top).design
         return estimate_resources(design)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

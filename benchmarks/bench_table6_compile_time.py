@@ -12,14 +12,14 @@ from repro.evaluation import table6
 from repro.hls import compile_program
 from repro.kernels import build_kernel
 from repro.passes import optimization_pipeline
-from repro.verilog import generate_verilog_impl as generate_verilog
+from repro.verilog import generate_verilog_impl
 
 HIR_KERNELS = ["transpose", "stencil_1d", "histogram", "convolution", "gemm"]
 
 
 def _hir_compile(artifacts):
     optimization_pipeline(verify_each=False).run(artifacts.module)
-    return generate_verilog(artifacts.module, top=artifacts.top)
+    return generate_verilog_impl(artifacts.module, top=artifacts.top)
 
 
 @pytest.mark.table("table6")

@@ -32,10 +32,9 @@ documented precedence (highest wins):
    (``FlowConfig.from_env()`` snapshots all of them);
 5. **built-in default**.
 
-The pre-Flow entry points (``generate_verilog``, ``run_design``,
-``run_design_batch``, ``KernelArtifacts.generate_design``) remain as thin
-deprecation shims over the same implementations; a Flow with
-``pipeline="none"`` is byte- and trace-identical to that legacy path
+The stages are built on public cores — ``generate_verilog_impl``,
+``run_design_impl`` and ``run_design_batch_impl`` — and a Flow with
+``pipeline="none"`` is byte- and trace-identical to calling them directly
 (enforced by ``tests/flow/test_flow_golden.py``).
 """
 
@@ -75,6 +74,11 @@ T = TypeVar("T")
 #: Pass-pipeline choices accepted by :attr:`FlowConfig.pipeline`.
 PIPELINES: Tuple[str, ...] = ("optimize", "verify", "none", "legacy")
 
+#: Why :meth:`Flow.simulate` executed another engine than the one requested
+#: (the closed set behind the ``fallback_reason`` provenance key).
+FALLBACK_REASONS: Tuple[str, ...] = (
+    "no-static-steady-state", "external-models", "profiling", "compile-fault")
+
 #: Environment variables :meth:`FlowConfig.from_env` snapshots, mapped to the
 #: config field each one feeds.
 ENV_VARS: Dict[str, str] = {
@@ -110,7 +114,7 @@ class FlowConfig:
     engine: Optional[str] = None
     #: Pass pipeline run by :meth:`Flow.optimized`: "optimize" (the paper's
     #: full auto-opt pipeline), "verify" (schedule verification only),
-    #: "none" (byte-identical to the legacy generate_verilog path) or
+    #: "none" (byte-identical to calling generate_verilog_impl) or
     #: "legacy" (the seed pass implementations, kept as an oracle).
     pipeline: str = "optimize"
     #: Run the structural verifier on the source module in :meth:`Flow.hir`.
@@ -136,10 +140,6 @@ class FlowConfig:
     #: their results, so a cold process re-running a warm design skips the
     #: pass pipeline, emission and simulator codegen.
     store_dir: Optional[str] = None
-    #: Fall back from a failing compiled engine to the interpreted engine
-    #: (one retry; counted as ``flow.engine_fallback``).  Divergence findings
-    #: from the differential engine are never swallowed.
-    engine_fallback: bool = True
     #: Observability: enable the process tracer (:data:`repro.obs.TRACER`)
     #: for the duration of every stage build and simulation of this flow.
     trace: bool = False
@@ -325,7 +325,7 @@ class VerilogArtifact:
 
     ``text`` is emitted lazily on first access (and then cached), so the
     ``verilog`` stage's ``seconds`` measure code *generation* alone —
-    comparable with the legacy ``generate_verilog().seconds``.
+    comparable with ``generate_verilog_impl().seconds``.
     """
 
     def __init__(self, design: Any, statistics: Mapping[str, int]) -> None:
@@ -698,8 +698,8 @@ class Flow:
     def optimized(self) -> Artifact[ModuleOp]:
         """The module after the configured pass pipeline.
 
-        ``pipeline="none"`` returns the source module untouched (the legacy
-        ``generate_verilog`` behaviour); the optimizing pipelines run on a
+        ``pipeline="none"`` returns the source module untouched (what
+        ``generate_verilog_impl`` compiles); the optimizing pipelines run on a
         clone, so the source module is never mutated by a Flow.
         """
         parent = self.hir()
@@ -890,40 +890,24 @@ class Flow:
         plus the per-design engine compile cache).  ``profile`` (per-call;
         default :attr:`FlowConfig.profile`) collects a
         :class:`~repro.obs.simprofile.SimProfile` into ``outcome.profile``.
+
+        :meth:`_choose_engine` picks the executing engine before the run;
+        afterwards only an injected compile fault re-runs on
+        ``interpreted``, and every other error propagates.  Provenance names
+        the ``engine`` that ran, plus ``requested`` and ``fallback_reason``
+        when that differs from the request.
         """
+        from repro.resilience import InjectedFault
         from repro.sim.testbench import run_design_impl
         design_artifact = self.verilog()
-        engine_name = self.config.resolve_engine(engine)
-        steady = None
-        fallback_provenance: tuple = ()
-        if engine_name == "vector":
-            # The fused engine is tied to the static-timing analysis: a
-            # design whose schedule has no provable steady state executes on
-            # the (semantically identical) compiled engine instead, and the
-            # substitution is typed provenance rather than a silent swap.
-            from repro.sim.engine.vector import (VectorUnsupported,
-                                                 steady_state_of)
-            try:
-                steady = steady_state_of(self.optimized().value, self.top)
-            except VectorUnsupported as error:
-                from repro.resilience import bump
-                bump("flow.vector_fallback")
-                TRACER.count("flow.vector_fallback")
-                TRACER.event("flow.vector_fallback", cat="flow",
-                             flow=self.name, error=str(error))
-                engine_name = "compiled"
-                fallback_provenance = (
-                    ("fallback", "compiled"),
-                    ("fallback_reason", "no-static-steady-state"))
-        resolved = self._resolve_inputs(seed, inputs)
-        scalars = {**self.scalar_args, **(scalar_args or {})}
-        provenance = (("verilog", design_artifact.fingerprint),
-                      ("engine", engine_name), ("seed", str(seed))
-                      ) + fallback_provenance
+        requested = self.config.resolve_engine(engine)
         profiler = None
         if self.config.profile if profile is None else profile:
             from repro.obs.simprofile import SimProfiler
             profiler = SimProfiler()
+        engine_name, reason, steady = self._choose_engine(requested, profiler)
+        resolved = self._resolve_inputs(seed, inputs)
+        scalars = {**self.scalar_args, **(scalar_args or {})}
         # Persist generated simulator sources only for pure designs:
         # external models change elaboration in ways the design key cannot
         # see, so those compiles stay private to this process.
@@ -950,23 +934,30 @@ class Flow:
         with TRACER.activated(self.config.trace), \
                 TRACER.span("flow.simulate", cat="flow", flow=self.name,
                             engine=engine_name, seed=seed,
-                            fingerprint=design_artifact.fingerprint[:12]), \
+                            fingerprint=design_artifact.fingerprint[:12]
+                            ) as span, \
                 self.config.limits(), \
                 persist_compiled(store,
                                  self._design_key(design_artifact.fingerprint)):
+            if reason is not None:
+                self._note_substitution(requested, engine_name, reason)
             try:
                 run = run_engine(engine_name)
-            except Exception as error:
-                engine_name = self._fallback_engine(engine_name, error)
+            except InjectedFault:
+                # The one post-failure substitution: an injected
+                # engine-compile fault.  The interpreter compiles nothing,
+                # so it re-runs the design; every real failure propagates.
+                if engine_name == "interpreted":
+                    raise
+                engine_name, reason = "interpreted", "compile-fault"
+                self._note_substitution(requested, engine_name, reason)
+                span.set(engine=engine_name)
                 run = run_engine(engine_name)
-                provenance += (("fallback", "interpreted"),)
-        if getattr(run, "fallback", None):
-            # run_design_impl substituted the compiled engine mid-run (e.g.
-            # engine="vector" with external models or a profiler attached).
-            engine_name = run.engine or engine_name
-            provenance += (("fallback", "compiled"),
-                           ("fallback_reason", run.fallback))
         seconds = _time.perf_counter() - start
+        provenance = (("verilog", design_artifact.fingerprint),
+                      ("engine", engine_name), ("seed", str(seed)))
+        if engine_name != requested:
+            provenance += (("requested", requested), ("fallback_reason", reason))
         if run.profile is not None and self.graph is not None:
             run.profile.bind_stream_edges(
                 [edge.buffer_name for edge in self.graph.edges])
@@ -977,32 +968,36 @@ class Flow:
                         fingerprint=design_artifact.fingerprint,
                         provenance=provenance)
 
-    def _fallback_engine(self, engine_name: str, error: Exception) -> str:
-        """Decide the engine-fallback chain: compiled → interpreted.
+    def _choose_engine(self, requested: str, profiler
+                       ) -> Tuple[str, Optional[str], Any]:
+        """``(engine, reason, steady_state)`` for a ``requested`` engine.
 
-        Only compile-side failures (simulation/lowering errors, injected
-        faults) fall back, and only when the failing engine is not already
-        the interpreter.  A :class:`DivergenceError` is a *finding* of the
-        differential engine, and a :class:`SimulationTimeout` a property of
-        the design — never reasons to retry on another engine.  Anything
-        else — Flow misconfiguration, stimulus errors, MemoryError —
-        re-raises.
+        Only ``vector`` has capability gaps: its fused loop cannot call
+        external models or a per-cycle profiler, and it needs a static
+        steady state.  Each gap runs the semantically identical ``compiled``
+        engine with its reason.  Other names pass through unchanged.
         """
-        from repro.ir.errors import LoweringError, SimulationError
-        from repro.resilience import InjectedFault, bump
-        from repro.sim.engine.differential import DivergenceError
-        from repro.sim.engine.window import SimulationTimeout
-        if (not self.config.engine_fallback
-                or engine_name == "interpreted"
-                or isinstance(error, (DivergenceError, SimulationTimeout))
-                or not isinstance(error, (SimulationError, LoweringError,
-                                          InjectedFault))):
-            raise error
+        if requested != "vector":
+            return requested, None, None
+        if self.external_models:
+            return "compiled", "external-models", None
+        if profiler is not None:
+            return "compiled", "profiling", None
+        from repro.sim.engine.vector import VectorUnsupported, steady_state_of
+        try:
+            return "vector", None, steady_state_of(self.optimized().value,
+                                                   self.top)
+        except VectorUnsupported:
+            return "compiled", "no-static-steady-state", None
+
+    def _note_substitution(self, requested: str, engine: str,
+                           reason: str) -> None:
+        """Count one engine substitution and trace it with its reason."""
+        from repro.resilience import bump
         bump("flow.engine_fallback")
         TRACER.count("flow.engine_fallback")
         TRACER.event("flow.engine_fallback", cat="flow", flow=self.name,
-                     failed=engine_name, error=type(error).__name__)
-        return "interpreted"
+                     requested=requested, engine=engine, reason=reason)
 
     def simulate_batch(self, seeds: Optional[Iterable[int]] = None, *,
                        inputs_per_lane: Optional[Sequence[Mapping[str, Any]]] = None,
@@ -1114,6 +1109,7 @@ __all__ = [
     "Artifact",
     "BatchOutcome",
     "ENV_VARS",
+    "FALLBACK_REASONS",
     "Flow",
     "FlowConfig",
     "FlowError",

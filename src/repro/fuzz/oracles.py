@@ -73,7 +73,8 @@ ORACLES: Tuple[str, ...] = ("pipeline", "engines", "compose", "flow-cache",
 
 #: The seeded fault-plan matrix the ``faults`` oracle (and the CI chaos job)
 #: sweeps: every fault point of the store's publish/read path plus the
-#: engine-compile fallback, one plan at a time.
+#: engine-compile fault (the one post-failure engine substitution), one plan
+#: at a time.
 FAULT_PLAN_MATRIX: Tuple[str, ...] = (
     "store.write:io_error",
     "store.write:torn@2",
@@ -198,10 +199,7 @@ def check_engines(spec: ProgramSpec,
 
     Lane 0 runs the differential engine (interpreted + compiled in lockstep,
     plus its fused-run vector leg); every lane is then replayed through the
-    vector engine and the batched engine and compared bit-for-bit.  A vector
-    run that fell back to the compiled engine (``run.fallback``) is the
-    typed-unsupported path — the substitution itself is the behaviour under
-    test, so the comparison is skipped rather than failed.
+    vector engine and the batched engine and compared bit-for-bit.
     """
     from repro.ir.errors import SimulationError
     from repro.sim.engine.batch import run_design_batch_impl
@@ -256,8 +254,6 @@ def check_engines(spec: ProgramSpec,
         except SimulationError as error:
             return OracleFailure(
                 "engines", f"vector engine crashed (lane {lane}): {error}")
-        if replay.fallback is not None:
-            continue
         if replay.cycles != single.cycles:
             return OracleFailure(
                 "engines",

@@ -87,13 +87,6 @@ class KernelArtifacts:
             self._flow = Flow(self, config=FlowConfig(pipeline="none"))
         return self._flow
 
-    def generate_design(self):
-        """Deprecated: use ``artifacts.flow().design`` (or ``.verilog()``)."""
-        from repro._compat import warn_deprecated
-        warn_deprecated("KernelArtifacts.generate_design()",
-                        "artifacts.flow().design")
-        return self.flow().design
-
     def simulate(self, seed: int = 0, engine: Optional[str] = None,
                  drain_cycles: int = 16, max_cycles: int = 100000):
         """Compile (cached) and simulate one stimulus set.

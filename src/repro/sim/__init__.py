@@ -1,11 +1,11 @@
 """Cycle-accurate simulation of generated designs (RTL-simulation substitute).
 
 Several execution engines share one API: the interpreted reference simulator,
-the compiled event-driven engine (``run_design(..., engine="compiled")``) and
-the fused whole-run vector engine (``engine="vector"``, which enters the
+the compiled event-driven engine (``run_design_impl(..., engine="compiled")``)
+and the fused whole-run vector engine (``engine="vector"``, which enters the
 interpreter once per design rather than once per cycle);
-:func:`run_design_batch` additionally vectorizes one compiled design over N
-stimulus sets.  See :mod:`repro.sim.engine` for engine selection.  Runs that
+:func:`run_design_batch_impl` additionally vectorizes one compiled design over
+N stimulus sets.  See :mod:`repro.sim.engine` for engine selection.  Runs that
 never assert ``done`` raise :class:`SimulationTimeout` in every engine.
 """
 
@@ -22,7 +22,6 @@ from repro.sim.engine import (
     create_simulator,
     get_default_engine,
     last_drain_cycle,
-    run_design_batch,
     run_design_batch_impl,
     run_design_vector,
     set_cache_capacity,
@@ -32,7 +31,6 @@ from repro.sim.testbench import (
     InterfaceMemory,
     SimulationRun,
     flatten_tensor,
-    run_design,
     run_design_impl,
     unflatten_tensor,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "flatten_tensor",
     "get_default_engine",
     "last_drain_cycle",
-    "run_design",
-    "run_design_batch",
     "run_design_batch_impl",
     "run_design_impl",
     "run_design_vector",

@@ -1,4 +1,4 @@
-"""Pluggable simulation engines behind the ``Simulator``/``run_design`` API.
+"""Pluggable simulation engines behind the ``Simulator``/``run_design_impl`` API.
 
 Three engines execute the same elaborated design with the same cycle-level
 semantics:
@@ -17,18 +17,19 @@ semantics:
 
 The batched engine (:mod:`~repro.sim.engine.batch`) vectorizes N stimulus
 sets over one compiled design; it has its own entry point,
-:func:`~repro.sim.engine.batch.run_design_batch`, because its state is
+:func:`~repro.sim.engine.batch.run_design_batch_impl`, because its state is
 per-lane arrays rather than ints.
 
 A fourth name, ``vector`` (:mod:`~repro.sim.engine.vector`), is a *run-level*
 engine: it compiles the entire start-to-done run — prologue, steady state,
 drain — into one fused generated program, so there is no per-cycle simulator
 object to instantiate.  It is selectable everywhere a per-cycle engine is
-(``run_design``, ``REPRO_SIM_ENGINE``, ``FlowConfig``, ``--engine``) but not
-through :func:`create_simulator`; designs without a static steady state fall
-back to the compiled engine with typed provenance.
+(``run_design_impl``, ``REPRO_SIM_ENGINE``, ``FlowConfig``, ``--engine``) but
+not through :func:`create_simulator`.  :meth:`repro.flow.Flow.simulate` runs
+designs the fused program cannot execute (no static steady state, external
+models, profiling) on the compiled engine and records why in provenance.
 
-Select an engine per call (``run_design(..., engine="compiled")``), per
+Select an engine per call (``flow.simulate(seed, engine="compiled")``), per
 process (:func:`set_default_engine`) or per environment
 (``REPRO_SIM_ENGINE=compiled``).
 """
@@ -43,7 +44,6 @@ from repro.sim.engine.batch import (
     BatchedInterfaceMemory,
     BatchedSimulationRun,
     BatchedSimulator,
-    run_design_batch,
     run_design_batch_impl,
 )
 from repro.sim.engine.cache import (
@@ -79,7 +79,7 @@ _default_engine = os.environ.get("REPRO_SIM_ENGINE", "interpreted")
 
 
 def available_engines() -> list:
-    """Names accepted by ``run_design(..., engine=...)``."""
+    """Names accepted by ``run_design_impl(..., engine=...)``."""
     return sorted([*ENGINES, *RUN_ENGINES])
 
 
@@ -115,7 +115,7 @@ def create_simulator(
         if name in RUN_ENGINES:
             raise SimulationError(
                 f"engine '{name}' executes whole runs and has no per-cycle "
-                "simulator; use run_design(..., engine="
+                "simulator; use run_design_impl(..., engine="
                 f"{name!r}) instead of create_simulator")
         raise SimulationError(
             f"unknown simulation engine '{name}'; choose one of "
@@ -144,7 +144,6 @@ __all__ = [
     "get_default_engine",
     "last_drain_cycle",
     "lower_design",
-    "run_design_batch",
     "run_design_batch_impl",
     "run_design_vector",
     "set_cache_capacity",

@@ -7,10 +7,10 @@ once.  Clocked ``if`` statements become per-lane predicates (generated by
 :mod:`.codegen` in its vector dialect), and memories become ``(lanes, depth)``
 arrays with gather/scatter access.
 
-:func:`run_design_batch` is the batched counterpart of
-:func:`repro.sim.testbench.run_design`: it drives ``start``/``done`` per lane,
-models the external interface RAMs per lane, and stops committing a lane's
-memory traffic once that lane's drain window closes — reproducing the
+:func:`run_design_batch_impl` is the batched counterpart of
+:func:`repro.sim.testbench.run_design_impl`: it drives ``start``/``done`` per
+lane, models the external interface RAMs per lane, and stops committing a
+lane's memory traffic once that lane's drain window closes — reproducing the
 single-run protocol lane for lane.
 
 Caveat: lane values live in 64-bit integers, so intermediate (pre-mask)
@@ -281,7 +281,7 @@ class BatchedInterfaceMemory:
 
 @dataclass
 class BatchedSimulationRun:
-    """Outcome of :func:`run_design_batch` (per-lane arrays)."""
+    """Outcome of :func:`run_design_batch_impl` (per-lane arrays)."""
 
     lanes: int
     cycles: np.ndarray
@@ -317,8 +317,8 @@ def run_design_batch_impl(
     values may be scalars (shared) or per-lane arrays.  ``lanes`` is inferred
     from the first memory when omitted.  ``profiler`` is an optional
     :class:`repro.obs.simprofile.BatchSimProfiler`; the run then carries one
-    per-lane profile in ``BatchedSimulationRun.profiles``.  This is the
-    non-deprecated core that :meth:`repro.flow.Flow.simulate_batch` drives.
+    per-lane profile in ``BatchedSimulationRun.profiles``.  This is the core
+    that :meth:`repro.flow.Flow.simulate_batch` drives.
     """
     memories = memories or {}
     if lanes is None:
@@ -328,7 +328,7 @@ def run_design_batch_impl(
                 break
     if lanes is None:
         raise SimulationError(
-            "run_design_batch needs `lanes` when no memory provides "
+            "run_design_batch_impl needs `lanes` when no memory provides "
             "per-lane initial data"
         )
     simulator = BatchedSimulator(design, lanes, top=top,
@@ -364,7 +364,7 @@ def run_design_batch_impl(
                 done_seen |= newly_done
             # A lane commits memory traffic (and profiles events) until its
             # drain window closes, exactly like the single-lane loop in
-            # run_design.  done_seen/done_cycle are final for this cycle
+            # run_design_impl.  done_seen/done_cycle are final for this cycle
             # here, so hoisting the mask above clock_edge is
             # behaviour-preserving.
             active = ~done_seen | \
@@ -403,31 +403,9 @@ def run_design_batch_impl(
     )
 
 
-def run_design_batch(
-    design: Design,
-    memories: Optional[Dict[str, tuple]] = None,
-    scalar_inputs: Optional[Dict[str, object]] = None,
-    lanes: Optional[int] = None,
-    top: Optional[str] = None,
-    external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None,
-    max_cycles: int = 100000,
-    drain_cycles: int = 4,
-) -> BatchedSimulationRun:
-    """Deprecated shim over :func:`run_design_batch_impl`; use
-    ``repro.flow.Flow(...).simulate_batch(seeds)`` instead."""
-    from repro._compat import warn_deprecated
-    warn_deprecated("run_design_batch()", "Flow(...).simulate_batch(seeds)")
-    return run_design_batch_impl(
-        design, memories=memories, scalar_inputs=scalar_inputs, lanes=lanes,
-        top=top, external_models=external_models, max_cycles=max_cycles,
-        drain_cycles=drain_cycles,
-    )
-
-
 __all__ = [
     "BatchedInterfaceMemory",
     "BatchedSimulationRun",
     "BatchedSimulator",
-    "run_design_batch",
     "run_design_batch_impl",
 ]

@@ -2,7 +2,7 @@
 
 Drop-in replacement for the interpreted :class:`~repro.sim.verilog_sim.
 Simulator` (same ``set``/``get``/``step``/``memory`` surface, selected with
-``run_design(..., engine="compiled")``).  Two ideas make it fast:
+``run_design_impl(..., engine="compiled")``).  Two ideas make it fast:
 
 1. **Compilation** — the elaborated netlist is levelized once and every
    continuous assignment / clocked block is specialized into generated

@@ -3,9 +3,9 @@ lockstep and compare every signal and memory word after every phase.
 
 :class:`DifferentialSimulator` exposes the standard simulator surface
 (``set``/``get``/``eval_comb``/``clock_edge``/``step``/``memory``), so
-``run_design(..., engine="differential")`` drives *both* engines through the
-full testbench protocol — interface-memory sampling, drain cycles and all —
-and raises :class:`DivergenceError` at the first cycle where the compiled
+``run_design_impl(..., engine="differential")`` drives *both* engines through
+the full testbench protocol — interface-memory sampling, drain cycles and
+all — and raises :class:`DivergenceError` at the first cycle where the compiled
 engine's trace departs from the interpreted reference.
 """
 

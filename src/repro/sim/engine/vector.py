@@ -31,12 +31,13 @@ every other generated simulator source, so a warm run is a single call.
 :func:`steady_state_of` ties the engine to the static-timing analysis of
 :mod:`repro.graph.timing`: a design whose schedule is not statically
 analyzable (data-dependent bounds, external callees) has no provable steady
-state — :class:`VectorUnsupported` is raised and
-:meth:`repro.flow.Flow.simulate` falls back to the compiled engine with
-typed provenance.  When the analysis *does* succeed, the driver verifies the
-observed ``done`` cycle against the prediction, so a drifting static model
-is a loud :class:`~repro.ir.errors.SimulationError` rather than a silent
-mis-speedup.
+state and raises :class:`VectorUnsupported`.  :meth:`repro.flow.Flow.simulate`
+makes that check before the run and executes such designs on the compiled
+engine, with ``fallback_reason`` provenance.  When the analysis *does*
+succeed, :func:`run_design_vector` verifies the observed ``done`` cycle
+against the prediction, so a drifting static model is a loud
+:class:`~repro.ir.errors.SimulationError` that propagates to the caller
+rather than a silent mis-speedup.
 
 Bit-exactness versus the interpreted reference is enforced by the
 differential engine's vector leg (every ``engine="differential"`` run
@@ -72,7 +73,8 @@ class VectorUnsupported(SimulationError):
     Raised for external behavioural models and per-cycle profiling (both
     need Python callbacks inside the cycle loop) and by
     :func:`steady_state_of` when the schedule has no static steady state.
-    Callers fall back to the compiled engine with typed provenance.
+    No executor catches it: :meth:`repro.flow.Flow.simulate` checks the same
+    three gaps before the run and picks the compiled engine instead.
     """
 
 

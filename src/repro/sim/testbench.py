@@ -3,8 +3,9 @@
 A generated HIR module exposes each memref argument as an address/enable/data
 interface (Section 4.6).  :class:`InterfaceMemory` models the external RAM
 behind such an interface with single-cycle read latency, and
-:func:`run_design` drives the whole design from ``start`` to ``done`` — the
-reproduction's stand-in for RTL simulation of the synthesized accelerator.
+:func:`run_design_impl` drives the whole design from ``start`` to ``done`` —
+the reproduction's stand-in for RTL simulation of the synthesized
+accelerator.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class InterfaceMemory:
 
 @dataclass
 class SimulationRun:
-    """Outcome of :func:`run_design`."""
+    """Outcome of :func:`run_design_impl`."""
 
     cycles: int
     done: bool
@@ -112,13 +113,9 @@ class SimulationRun:
     #: The run's :class:`repro.obs.simprofile.SimProfile` when it was
     #: profiled (``run_design_impl(..., profiler=...)``).
     profile: Optional[object] = None
-    #: The engine that actually executed the run (may differ from the one
-    #: requested: ``engine="vector"`` on a design without a static steady
-    #: state executes as ``"compiled"``).
+    #: The engine that executed the run (always the one it was given:
+    #: engine substitution is decided by :meth:`repro.flow.Flow.simulate`).
     engine: Optional[str] = None
-    #: Why the requested engine was substituted, when it was (typed
-    #: provenance for the vector → compiled fallback).
-    fallback: Optional[str] = None
 
     def memory_array(self, name: str) -> np.ndarray:
         return self.memories[name].as_array()
@@ -149,31 +146,20 @@ def run_design_impl(
     optional :class:`repro.graph.timing.FunctionTiming` hint for the vector
     engine (the observed ``done`` cycle is verified against it).
 
-    A run that exhausts ``max_cycles`` without ``done`` raises
+    The named engine executes the run, or its error propagates: engine
+    substitution is decided once, by :meth:`repro.flow.Flow.simulate`.  A
+    run that exhausts ``max_cycles`` without ``done`` raises
     :class:`~repro.sim.engine.window.SimulationTimeout` — every engine shares
-    that contract.  This is the non-deprecated core that
-    :meth:`repro.flow.Flow.simulate` drives.
+    that contract.
     """
     name = engine or get_default_engine()
     if name == "vector":
-        from repro.sim.engine.vector import VectorUnsupported, run_design_vector
-        try:
-            return run_design_vector(
-                design, memories=memories, scalar_inputs=scalar_inputs,
-                top=top, external_models=external_models,
-                max_cycles=max_cycles, drain_cycles=drain_cycles,
-                steady_state=steady_state, profiler=profiler)
-        except VectorUnsupported as error:
-            # Typed fallback: the design (or run mode) has no fused-run
-            # execution; the compiled per-cycle engine is semantically
-            # identical, and the run records why it was substituted.
-            run = run_design_impl(
-                design, memories=memories, scalar_inputs=scalar_inputs,
-                top=top, external_models=external_models,
-                max_cycles=max_cycles, drain_cycles=drain_cycles,
-                engine="compiled", profiler=profiler)
-            run.fallback = str(error)
-            return run
+        from repro.sim.engine.vector import run_design_vector
+        return run_design_vector(
+            design, memories=memories, scalar_inputs=scalar_inputs,
+            top=top, external_models=external_models,
+            max_cycles=max_cycles, drain_cycles=drain_cycles,
+            steady_state=steady_state, profiler=profiler)
 
     simulator = create_simulator(design, top=top,
                                  external_models=external_models,
@@ -279,24 +265,3 @@ def _vector_leg(run: SimulationRun, design: Design, memories, scalar_inputs,
                 f"vector leg diverged on '{name}' access counts: "
                 f"{(other.reads, other.writes)} != "
                 f"{(memory.reads, memory.writes)}")
-
-
-def run_design(
-    design: Design,
-    memories: Optional[Dict[str, tuple]] = None,
-    scalar_inputs: Optional[Dict[str, int]] = None,
-    top: Optional[str] = None,
-    external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None,
-    max_cycles: int = 100000,
-    drain_cycles: int = 4,
-    engine: Optional[str] = None,
-) -> SimulationRun:
-    """Deprecated shim over :func:`run_design_impl`; use
-    ``repro.flow.Flow(...).simulate(...)`` instead."""
-    from repro._compat import warn_deprecated
-    warn_deprecated("run_design()", "Flow(...).simulate(...)")
-    return run_design_impl(
-        design, memories=memories, scalar_inputs=scalar_inputs, top=top,
-        external_models=external_models, max_cycles=max_cycles,
-        drain_cycles=drain_cycles, engine=engine,
-    )

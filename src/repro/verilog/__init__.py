@@ -33,7 +33,6 @@ from repro.verilog.codegen import (
     CodegenResult,
     FunctionLowering,
     VerilogCodeGenerator,
-    generate_verilog,
     generate_verilog_impl,
 )
 from repro.verilog.emitter import emit_design, emit_expr, emit_module
@@ -47,7 +46,7 @@ __all__ = [
     "Module", "NonBlockingAssign", "OUTPUT", "Port", "Ref", "RegDecl",
     "Ternary", "UnOp", "Wire", "const", "or_reduce", "ref",
     "CodegenOptions", "CodegenResult", "FunctionLowering",
-    "VerilogCodeGenerator", "generate_verilog", "generate_verilog_impl",
+    "VerilogCodeGenerator", "generate_verilog_impl",
     "emit_design", "emit_expr", "emit_module",
     "LoopController", "LoopSignals", "PulseGenerator",
     "MemAccess", "MemoryLowering", "interface_signals",

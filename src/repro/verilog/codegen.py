@@ -558,15 +558,6 @@ class VerilogCodeGenerator:
 def generate_verilog_impl(module: ModuleOp, top: Optional[str] = None,
                           options: Optional[CodegenOptions] = None,
                           ) -> CodegenResult:
-    """Run the code generator over ``module`` (the non-deprecated core that
+    """Run the code generator over ``module`` (the core that
     :meth:`repro.flow.Flow.verilog` is built on)."""
     return VerilogCodeGenerator(module, options).generate(top)
-
-
-def generate_verilog(module: ModuleOp, top: Optional[str] = None,
-                     options: Optional[CodegenOptions] = None) -> CodegenResult:
-    """Deprecated convenience wrapper; use
-    ``repro.flow.Flow(module, top=...).verilog()`` instead."""
-    from repro._compat import warn_deprecated
-    warn_deprecated("generate_verilog()", "Flow(module, top=...).verilog()")
-    return generate_verilog_impl(module, top=top, options=options)

@@ -90,6 +90,23 @@ class TestTable6:
         text = table6.render(quick_table6)
         assert "1112" in text
 
+    def test_best_of_repeats_a_slow_first_sample(self):
+        samples = iter([0.09, 0.02, 0.02])
+        assert table6._best_of(lambda: next(samples), repeats=3) == [0.02]
+
+    def test_best_of_interleaves_and_runs_long_samples_once(self):
+        calls = []
+
+        def sampler(label, seconds):
+            def measure():
+                calls.append(label)
+                return seconds
+            return measure
+
+        best = table6._best_of(sampler("hir", 0.02), sampler("hls", 5.0))
+        assert best == [0.02, 5.0]
+        assert calls == ["hir", "hls"] + ["hir"] * 4
+
 
 class TestFigures:
     def test_figure1_reproduced(self):

@@ -1,0 +1,185 @@
+"""Flow decides the executing simulation engine once, before the run.
+
+Only the fused ``vector`` engine has capability gaps (external models,
+profiling, no static steady state); those run on ``compiled`` with a typed
+``fallback_reason``.  After a failure, only an injected engine-compile fault
+re-runs on ``interpreted``.  Everything else is a finding and propagates:
+a static-timing mismatch, a timeout, an unknown engine name.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import repro.sim.engine.vector as vector_engine
+from repro.flow import FALLBACK_REASONS, Flow, FlowConfig
+from repro.ir.errors import SimulationError
+from repro.obs.tracer import TRACER
+from repro.resilience import (
+    FaultPlan,
+    install_plan,
+    resilience_counters,
+    set_plan,
+)
+from repro.sim import PipelinedMultiplierModel
+from repro.sim.engine import clear_compile_cache
+from repro.sim.engine.window import SimulationTimeout
+
+
+@pytest.fixture(autouse=True)
+def no_ambient_plan():
+    previous = set_plan(None)
+    try:
+        yield
+    finally:
+        set_plan(previous)
+
+
+def _matvec(**config):
+    return Flow.from_kernel("matvec", size=4,
+                            config=FlowConfig(store_dir="", **config))
+
+
+def _fallbacks():
+    return resilience_counters().get("flow.engine_fallback", 0)
+
+
+def _engine_keys(artifact):
+    provenance = dict(artifact.provenance)
+    return {key: provenance[key] for key in
+            ("engine", "requested", "fallback_reason") if key in provenance}
+
+
+class TestFindingsPropagate:
+    def test_steady_state_mismatch_raises(self, monkeypatch):
+        """An off-by-one static-timing prediction is a finding: the vector
+        run raises, naming both cycles, and nothing is substituted."""
+        real = vector_engine.steady_state_of
+
+        def off_by_one(module, top):
+            timing = real(module, top)
+            return dataclasses.replace(timing, done=timing.done + 1)
+
+        flow = _matvec()
+        predicted = real(flow.optimized().value, flow.top).done + 1
+        monkeypatch.setattr(vector_engine, "steady_state_of", off_by_one)
+        before = resilience_counters()
+        with pytest.raises(SimulationError) as excinfo:
+            flow.validate(seed=0, engine="vector")
+        message = str(excinfo.value)
+        assert f"predicted done at cycle {predicted}" in message
+        assert f"observed cycle {predicted - 1}" in message
+        assert resilience_counters() == before
+
+    def test_unknown_engine_name_raises(self):
+        before = resilience_counters()
+        with pytest.raises(SimulationError, match="vectr") as excinfo:
+            _matvec().simulate(seed=0, engine="vectr")
+        for name in ("compiled", "differential", "interpreted", "vector"):
+            assert name in str(excinfo.value)
+        assert resilience_counters() == before
+
+    @pytest.mark.parametrize("engine", ["compiled", "vector"])
+    def test_timeout_raises(self, engine):
+        before = resilience_counters()
+        with pytest.raises(SimulationTimeout):
+            _matvec().simulate(seed=0, engine=engine, max_cycles=5)
+        assert resilience_counters() == before
+
+
+class TestCompileFault:
+    @pytest.mark.parametrize("engine", ["compiled", "vector"])
+    def test_injected_compile_fault_runs_interpreted(self, engine):
+        baseline = _matvec().simulate(seed=0, engine="interpreted").value
+        clear_compile_cache()
+        before = _fallbacks()
+        with install_plan(FaultPlan.parse("engine.compile:error")):
+            outcome = _matvec().simulate(seed=0, engine=engine)
+        assert _engine_keys(outcome) == {"engine": "interpreted",
+                                         "requested": engine,
+                                         "fallback_reason": "compile-fault"}
+        assert outcome.value.engine == outcome.value.run.engine == "interpreted"
+        assert _fallbacks() == before + 1
+        assert outcome.value.run.cycles == baseline.run.cycles
+        for name, memory in baseline.run.memories.items():
+            assert outcome.value.run.memories[name].data == memory.data
+
+
+class _DoneMultiplier(PipelinedMultiplierModel):
+    """The two-stage multiplier of Figure 2, raising its ``done`` port."""
+
+    def __init__(self):
+        super().__init__(stages=2)
+
+    def clock(self, inputs):
+        return {**super().clock(inputs), "done": 1}
+
+
+def _external_model_flow():
+    from repro.evaluation.figures import build_mac
+    return Flow(build_mac(multiplier_stages=2), top="mac",
+                scalar_args={"a": 6, "b": 7, "c": 1},
+                external_models={"mult_2stage": _DoneMultiplier})
+
+
+def _dyn_bound_flow():
+    """A loop bounded by a runtime argument: no static steady state."""
+    from repro.hir.build import DesignBuilder
+    from repro.hir.types import MemrefType
+    from repro.ir.types import I32
+
+    design = DesignBuilder("dyn_design")
+    with design.func("dyn", [("n", I32), ("out", MemrefType((8,), I32,
+                                                           port="w"))],
+                     stable_args=("n",)) as f:
+        with f.for_loop(0, f.arg("n"), 1, time=f.time,
+                        iter_offset=1) as loop:
+            delayed = f.delay(loop.iv, 1, time=loop.time)
+            f.mem_write(delayed, f.arg("out"), [delayed],
+                        time=loop.time, offset=1)
+            f.yield_(loop.time, offset=1)
+        f.return_()
+    return Flow(design, scalar_args={"n": 8})
+
+
+class TestCapabilityGaps:
+    @pytest.mark.parametrize("build,kwargs,reason", [
+        (_matvec, {"profile": True}, "profiling"),
+        (_external_model_flow, {}, "external-models"),
+        (_dyn_bound_flow, {}, "no-static-steady-state"),
+    ], ids=["profiling", "external-models", "no-static-steady-state"])
+    def test_vector_gap_runs_compiled(self, build, kwargs, reason):
+        flow = build()
+        # Flows without a stimulus generator have no readable interfaces.
+        inputs = None if flow.make_inputs else {}
+        reference = flow.simulate(inputs=inputs, engine="interpreted").value.run
+        before = _fallbacks()
+        with TRACER.activated():
+            TRACER.clear()
+            outcome = flow.simulate(inputs=inputs, engine="vector", **kwargs)
+            events = [event["args"] for event in TRACER.events
+                      if event["name"] == "flow.engine_fallback"]
+        assert _engine_keys(outcome) == {"engine": "compiled",
+                                         "requested": "vector",
+                                         "fallback_reason": reason}
+        assert reason in FALLBACK_REASONS
+        assert outcome.value.run.engine == "compiled"
+        assert _fallbacks() == before + 1
+        assert events == [{"flow": flow.name, "requested": "vector",
+                           "engine": "compiled", "reason": reason}]
+        assert outcome.value.run.cycles == reference.cycles
+        assert outcome.value.run.results == reference.results
+        for name, memory in reference.memories.items():
+            assert np.array_equal(outcome.value.memory_array(name),
+                                  memory.as_array())
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
+                                        "differential"])
+    def test_requested_engine_carries_no_fallback_keys(self, engine):
+        before = resilience_counters()
+        outcome = _matvec().validate(seed=1, engine=engine)
+        assert outcome.value.ok
+        assert _engine_keys(outcome) == {"engine": engine}
+        assert outcome.value.run.engine == engine
+        assert resilience_counters() == before

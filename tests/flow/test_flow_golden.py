@@ -1,15 +1,12 @@
-"""Golden equivalence: the Flow API vs the legacy entry points.
+"""Golden equivalence: the Flow API vs the ``*_impl`` cores it is built on.
 
 The acceptance bar of the Flow redesign: for every registered kernel, a
 ``Flow`` with ``pipeline="none"`` produces byte-identical Verilog text and
-trace-identical simulations to the legacy ``generate_verilog`` +
-``run_design`` path, and the legacy entry points keep working behind
-``DeprecationWarning`` shims.  A second sweep proves the optimizing
+trace-identical simulations to calling ``generate_verilog_impl`` +
+``run_design_impl`` directly.  A second sweep proves the optimizing
 pipelines are clone-faithful: optimizing a Flow-internal clone emits the
-same bytes as the legacy optimize-in-place flow.
+same bytes as optimizing the module in place.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -31,40 +28,36 @@ SMALL = {
 }
 
 
-def legacy_verilog_text(module, top):
-    from repro.verilog import generate_verilog
+def core_verilog_text(module, top):
+    from repro.verilog import generate_verilog_impl
     from repro.verilog.emitter import emit_design
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return emit_design(generate_verilog(module, top=top).design)
+    return emit_design(generate_verilog_impl(module, top=top).design)
 
 
-def legacy_run(artifacts, seed, engine=None):
-    from repro.sim import run_design
-    from repro.verilog import generate_verilog
+def core_run(artifacts, seed, engine=None):
+    from repro.sim import run_design_impl
+    from repro.verilog import generate_verilog_impl
     inputs = artifacts.make_inputs(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        design = generate_verilog(artifacts.module, top=artifacts.top).design
-        run = run_design(
-            design,
-            memories={name: (memref_type, inputs[name])
-                      for name, memref_type in artifacts.interfaces.items()},
-            scalar_inputs=artifacts.scalar_args,
-            external_models=artifacts.external_models or None,
-            drain_cycles=16,
-            engine=engine,
-        )
+    design = generate_verilog_impl(artifacts.module, top=artifacts.top).design
+    run = run_design_impl(
+        design,
+        memories={name: (memref_type, inputs[name])
+                  for name, memref_type in artifacts.interfaces.items()},
+        scalar_inputs=artifacts.scalar_args,
+        external_models=artifacts.external_models or None,
+        drain_cycles=16,
+        engine=engine,
+    )
     return run, inputs
 
 
-def assert_trace_identical(legacy, flow_run):
-    assert legacy.done == flow_run.done
-    assert legacy.cycles == flow_run.cycles
-    assert legacy.results == flow_run.results
-    assert set(legacy.memories) == set(flow_run.memories)
-    for name in legacy.memories:
-        assert np.array_equal(legacy.memory_array(name),
+def assert_trace_identical(core, flow_run):
+    assert core.done == flow_run.done
+    assert core.cycles == flow_run.cycles
+    assert core.results == flow_run.results
+    assert set(core.memories) == set(flow_run.memories)
+    for name in core.memories:
+        assert np.array_equal(core.memory_array(name),
                               flow_run.memory_array(name)), name
 
 
@@ -73,17 +66,17 @@ class TestGoldenEquivalence:
     def test_verilog_bytes_identical(self, name):
         artifacts = build_kernel(name, **SMALL[name])
         flow = Flow(artifacts, config=FlowConfig(pipeline="none"))
-        assert flow.verilog_text == legacy_verilog_text(artifacts.module,
-                                                        artifacts.top)
+        assert flow.verilog_text == core_verilog_text(artifacts.module,
+                                                      artifacts.top)
 
     def test_simulation_trace_identical(self, name):
         artifacts = build_kernel(name, **SMALL[name])
-        legacy, legacy_inputs = legacy_run(artifacts, seed=5)
+        core, core_inputs = core_run(artifacts, seed=5)
         flow = Flow(artifacts, config=FlowConfig(pipeline="none"))
         outcome = flow.simulate(seed=5).value
-        for key in legacy_inputs:
-            assert np.array_equal(legacy_inputs[key], outcome.inputs[key])
-        assert_trace_identical(legacy, outcome.run)
+        for key in core_inputs:
+            assert np.array_equal(core_inputs[key], outcome.inputs[key])
+        assert_trace_identical(core, outcome.run)
 
     def test_optimizing_pipeline_is_clone_faithful(self, name):
         """Flow optimizes a clone; the bytes must match optimize-in-place."""
@@ -93,94 +86,45 @@ class TestGoldenEquivalence:
                     config=FlowConfig(pipeline="optimize"))
         flow_text = flow.verilog_text
         optimization_pipeline().run(artifacts.module)
-        assert flow_text == legacy_verilog_text(artifacts.module,
-                                                artifacts.top)
+        assert flow_text == core_verilog_text(artifacts.module,
+                                              artifacts.top)
 
     def test_artifact_helpers_match_flow(self, name):
-        """KernelArtifacts.simulate (now Flow-backed) still returns the
-        legacy trace."""
+        """KernelArtifacts.simulate (Flow-backed) returns the core trace."""
         artifacts = build_kernel(name, **SMALL[name])
-        legacy, _ = legacy_run(artifacts, seed=2)
+        core, _ = core_run(artifacts, seed=2)
         run, _ = artifacts.simulate(seed=2)
-        assert_trace_identical(legacy, run)
+        assert_trace_identical(core, run)
 
 
 class TestGoldenCompiledEngine:
     def test_compiled_engine_trace_identical(self):
         artifacts = build_kernel("gemm", size=2)
-        legacy, _ = legacy_run(artifacts, seed=3, engine="compiled")
+        core, _ = core_run(artifacts, seed=3, engine="compiled")
         flow = Flow(artifacts, config=FlowConfig(pipeline="none"))
         outcome = flow.simulate(seed=3, engine="compiled").value
-        assert_trace_identical(legacy, outcome.run)
+        assert_trace_identical(core, outcome.run)
 
     def test_batched_lanes_match_legacy_batch(self):
-        from repro.sim import run_design_batch
-        from repro.verilog import generate_verilog
+        from repro.sim import run_design_batch_impl
+        from repro.verilog import generate_verilog_impl
         artifacts = build_kernel("transpose", size=8)
         seeds = [0, 1, 2]
         inputs_per_lane = [artifacts.make_inputs(seed) for seed in seeds]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            design = generate_verilog(artifacts.module,
-                                      top=artifacts.top).design
-            legacy = run_design_batch(
-                design,
-                memories={name: (t, [inputs[name]
-                                     for inputs in inputs_per_lane])
-                          for name, t in artifacts.interfaces.items()},
-                drain_cycles=16,
-            )
+        design = generate_verilog_impl(artifacts.module,
+                                       top=artifacts.top).design
+        core = run_design_batch_impl(
+            design,
+            memories={name: (t, [inputs[name] for inputs in inputs_per_lane])
+                      for name, t in artifacts.interfaces.items()},
+            drain_cycles=16,
+        )
         flow = Flow(artifacts, config=FlowConfig(pipeline="none"))
         batch = flow.simulate_batch(seeds).value
-        assert np.array_equal(legacy.cycles, batch.run.cycles)
+        assert np.array_equal(core.cycles, batch.run.cycles)
         for lane in range(len(seeds)):
-            assert np.array_equal(legacy.memory_array("Co", lane),
+            assert np.array_equal(core.memory_array("Co", lane),
                                   batch.memory_array("Co", lane))
-
-
-class TestDeprecationShims:
-    """Every legacy entry point still works and says what replaced it."""
-
-    def test_generate_verilog_warns(self):
-        from repro.verilog import generate_verilog
-        artifacts = build_kernel("transpose", size=4)
-        with pytest.warns(DeprecationWarning, match="Flow"):
-            result = generate_verilog(artifacts.module, top=artifacts.top)
-        assert result.design.top == "transpose"
-
-    def test_run_design_warns(self):
-        from repro.sim import run_design
-        artifacts = build_kernel("transpose", size=4)
-        flow = Flow(artifacts, config=FlowConfig(pipeline="none"))
-        inputs = artifacts.make_inputs(0)
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            run = run_design(
-                flow.design,
-                memories={name: (t, inputs[name])
-                          for name, t in artifacts.interfaces.items()},
-                drain_cycles=16,
-            )
-        assert run.done
-
-    def test_run_design_batch_warns(self):
-        from repro.sim import run_design_batch
-        artifacts = build_kernel("transpose", size=4)
-        flow = Flow(artifacts, config=FlowConfig(pipeline="none"))
-        inputs = artifacts.make_inputs(0)
-        with pytest.warns(DeprecationWarning, match="simulate_batch"):
-            run = run_design_batch(
-                flow.design,
-                memories={name: (t, [inputs[name]])
-                          for name, t in artifacts.interfaces.items()},
-                drain_cycles=16,
-            )
-        assert run.done.all()
-
-    def test_generate_design_warns(self):
-        artifacts = build_kernel("transpose", size=4)
-        with pytest.warns(DeprecationWarning, match="flow"):
-            design = artifacts.generate_design()
-        assert design.top == "transpose"
 
 
 def test_every_registered_kernel_is_covered():

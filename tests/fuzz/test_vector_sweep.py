@@ -5,8 +5,8 @@ The ``engines`` oracle grew a vector leg (bit-exact cycles, outputs and
 interface counters, with a typed skip when no static steady state exists);
 this suite drives it across fixed seeds — 25 programs on tier-1, 250 on the
 ``slow`` tier — plus the composed scenarios from :func:`Flow.from_scenario`
-and an explicit data-dependent design that exercises the typed fallback to
-the compiled engine instead of the fused run.
+and an explicit data-dependent design that Flow runs on the compiled engine
+instead of the fused run, with typed provenance.
 
 Failures name the seed; replay with
 ``python -m repro fuzz --seed <N> --count 1``.
@@ -60,8 +60,8 @@ def test_composed_scenarios_are_bit_exact(scenario, parameters):
     flow = Flow.from_scenario(scenario, **parameters)
     reference = flow.simulate(seed=3, engine="interpreted")
     vector = flow.simulate(seed=3, engine="vector")
-    assert dict(vector.provenance).get("fallback") is None, scenario
-    assert vector.value.engine == "vector", scenario
+    assert "fallback_reason" not in dict(vector.provenance), scenario
+    assert vector.value.engine == vector.value.run.engine == "vector", scenario
     assert vector.value.run.cycles == reference.value.run.cycles
     assert vector.value.run.results == reference.value.run.results
     for name, memory in reference.value.run.memories.items():
@@ -72,8 +72,8 @@ def test_composed_scenarios_are_bit_exact(scenario, parameters):
 
 class TestNoSteadyStateFallback:
     """A data-dependent schedule has no static steady state: asking for the
-    vector engine must produce a *typed* fall back to the compiled run, with
-    provenance saying so — never a crash, never wrong data."""
+    vector engine must run on the compiled engine, with provenance saying
+    so — never a crash, never wrong data."""
 
     def build_flow(self):
         from repro.hir.build import DesignBuilder
@@ -98,8 +98,9 @@ class TestNoSteadyStateFallback:
         outcome = self.build_flow().simulate(inputs={}, engine="vector")
         provenance = dict(outcome.provenance)
         assert provenance["engine"] == "compiled"
-        assert provenance["fallback"] == "compiled"
+        assert provenance["requested"] == "vector"
         assert provenance["fallback_reason"] == "no-static-steady-state"
+        assert outcome.value.run.engine == "compiled"
         assert outcome.value.run.memories["out"].data == list(range(8))
 
     def test_steady_state_of_raises_typed_error(self):

@@ -109,10 +109,10 @@ class TestGeneratedRTLStructure:
     def test_stencil_dsp_parity_with_hir(self):
         """Both compilers instantiate the same number of multipliers (Table 5)."""
         from repro.passes import optimization_pipeline
-        from repro.verilog import generate_verilog
+        from repro.verilog import generate_verilog_impl
         hls_result = compile_program(stencil1d.build_hls(32), "stencil_1d")
         artifacts = stencil1d.build(32)
         optimization_pipeline(verify_each=False).run(artifacts.module)
-        hir_design = generate_verilog(artifacts.module, top="stencil_1d").design
+        hir_design = generate_verilog_impl(artifacts.module, top="stencil_1d").design
         assert (estimate_resources(hls_result.design).as_dict()["DSP"]
                 == estimate_resources(hir_design).as_dict()["DSP"] == 6)

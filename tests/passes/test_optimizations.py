@@ -297,13 +297,13 @@ class TestPipelines:
 
     def test_optimized_transpose_still_computes_transpose(self):
         from repro.kernels import transpose
-        from repro.verilog import generate_verilog
-        from repro.sim import run_design
+        from repro.verilog import generate_verilog_impl
+        from repro.sim import run_design_impl
         artifacts = transpose.build(8)
         optimization_pipeline(verify_each=False).run(artifacts.module)
-        design = generate_verilog(artifacts.module, top="transpose").design
+        design = generate_verilog_impl(artifacts.module, top="transpose").design
         inputs = artifacts.make_inputs(5)
-        run = run_design(design, memories={
+        run = run_design_impl(design, memories={
             name: (t, inputs[name]) for name, t in artifacts.interfaces.items()})
         assert np.array_equal(run.memory_array("Co"), np.asarray(inputs["Ai"]).T)
 

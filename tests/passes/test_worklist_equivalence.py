@@ -12,7 +12,7 @@ from repro.ir import PassManager, print_module
 from repro.ir.rewriter import PatternRewriter, RewritePattern
 from repro.kernels import build_kernel
 from repro.passes import optimization_pipeline
-from repro.verilog import generate_verilog
+from repro.verilog import generate_verilog_impl
 from repro.verilog.emitter import emit_design
 
 KERNEL_PARAMS = {
@@ -34,14 +34,15 @@ def test_worklist_pipeline_matches_legacy_bit_for_bit(kernel):
                           legacy=True).run(legacy_artifacts.module)
     legacy_ir = print_module(legacy_artifacts.module)
     legacy_verilog = emit_design(
-        generate_verilog(legacy_artifacts.module,
-                         top=legacy_artifacts.top).design)
+        generate_verilog_impl(legacy_artifacts.module,
+                              top=legacy_artifacts.top).design)
 
     fast_artifacts = build_kernel(kernel, **params)
     optimization_pipeline(verify_each=False).run(fast_artifacts.module)
     fast_ir = print_module(fast_artifacts.module)
     fast_verilog = emit_design(
-        generate_verilog(fast_artifacts.module, top=fast_artifacts.top).design)
+        generate_verilog_impl(fast_artifacts.module,
+                              top=fast_artifacts.top).design)
 
     assert fast_ir == legacy_ir
     assert fast_verilog == legacy_verilog

@@ -4,12 +4,12 @@
 from repro.kernels import build_kernel
 from repro.sim.engine import clear_compile_cache, compile_cache_size
 from repro.sim.engine.cache import compiled_artifacts
-from repro.verilog import generate_verilog
+from repro.verilog import generate_verilog_impl
 
 
 def _design(size):
     artifacts = build_kernel("transpose", size=size)
-    return generate_verilog(artifacts.module, top=artifacts.top).design
+    return generate_verilog_impl(artifacts.module, top=artifacts.top).design
 
 
 class TestCompileCacheEviction:

@@ -19,7 +19,7 @@ from repro.sim import (
     available_engines,
     create_simulator,
     get_default_engine,
-    run_design,
+    run_design_impl,
     set_default_engine,
 )
 from repro.verilog import (
@@ -245,15 +245,15 @@ class TestBatchedEngine:
 
 class TestRunDesignEngineParity:
     def test_run_design_engine_kwarg(self):
-        """run_design(engine=...) is accepted and produces equal runs."""
+        """run_design_impl(engine=...) is accepted and produces equal runs."""
         artifacts = build_kernel("fifo", depth=64)
-        design = artifacts.generate_design()
+        design = artifacts.flow().design
         inputs = artifacts.make_inputs(0)
         memories = {name: (memref_type, inputs[name])
                     for name, memref_type in artifacts.interfaces.items()}
-        runs = {engine: run_design(design, memories=memories,
-                                   scalar_inputs=artifacts.scalar_args,
-                                   drain_cycles=16, engine=engine)
+        runs = {engine: run_design_impl(design, memories=memories,
+                                        scalar_inputs=artifacts.scalar_args,
+                                        drain_cycles=16, engine=engine)
                 for engine in ("interpreted", "compiled")}
         assert runs["interpreted"].cycles == runs["compiled"].cycles
         out = runs["interpreted"].memories["dout"].data

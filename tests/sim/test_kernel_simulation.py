@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernels import build_kernel
 from repro.passes import optimization_pipeline
-from repro.sim import run_design
-from repro.verilog import generate_verilog
+from repro.sim import run_design_impl
+from repro.verilog import generate_verilog_impl
 
 SMALL_PARAMS = {
     "transpose": {"size": 8},
@@ -29,9 +29,9 @@ def compile_and_run(name, params, seed=1, optimize=False, drain_cycles=16):
     artifacts = build_kernel(name, **params)
     if optimize:
         optimization_pipeline(verify_each=False).run(artifacts.module)
-    design = generate_verilog(artifacts.module, top=artifacts.top).design
+    design = generate_verilog_impl(artifacts.module, top=artifacts.top).design
     inputs = artifacts.make_inputs(seed)
-    run = run_design(
+    run = run_design_impl(
         design,
         memories={arg: (memref_type, inputs[arg])
                   for arg, memref_type in artifacts.interfaces.items()},

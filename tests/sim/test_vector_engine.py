@@ -3,8 +3,8 @@
 Bit-exactness versus the interpreted reference — cycle counts, result
 ports, memory contents and interface access counters — over every
 registered kernel, plus the engine's API surface: the run-level-only
-contract (no per-cycle simulator), the typed
-:class:`VectorUnsupported` fallback to the compiled engine, the steady-state
+contract (no per-cycle simulator), the typed :class:`VectorUnsupported`
+refusal (which Flow turns into a compiled run), the steady-state
 verification hook and the compile cache shared with the compiled engine.
 """
 
@@ -49,7 +49,6 @@ def run_kernel(artifacts, engine, seed=7):
 
 
 def assert_identical(reference, vector, label):
-    assert vector.fallback is None, (label, vector.fallback)
     assert vector.engine == "vector", label
     assert vector.cycles == reference.cycles, label
     assert vector.results == reference.results, label
@@ -86,23 +85,25 @@ def test_vector_has_no_per_cycle_simulator():
 
 
 def test_profiler_falls_back_to_compiled_with_typed_reason():
-    """Per-cycle profiling is unobservable from a fused run: the run must
-    execute on the compiled engine and carry the reason, not crash."""
+    """Per-cycle profiling is unobservable from a fused run: the sim layer
+    refuses it with a typed error, and Flow runs it on the compiled engine
+    with the reason in provenance."""
     from repro.obs.simprofile import SimProfiler
     artifacts = build_kernel("transpose", size=4)
     inputs = artifacts.make_inputs(1)
     design = artifacts.flow().design
     memories = {name: (memref_type, inputs.get(name))
                 for name, memref_type in artifacts.interfaces.items()}
-    with pytest.raises(VectorUnsupported):
-        run_design_vector(design, memories=memories,
-                          profiler=SimProfiler())
-    profiler = SimProfiler()
-    run = run_design_impl(design, memories=memories, engine="vector",
-                          profiler=profiler)
-    assert run.engine == "compiled"
-    assert "profil" in run.fallback
-    assert run.profile is not None
+    with pytest.raises(VectorUnsupported, match="profil"):
+        run_design_vector(design, memories=memories, profiler=SimProfiler())
+    with pytest.raises(VectorUnsupported, match="profil"):
+        run_design_impl(design, memories=memories, engine="vector",
+                        profiler=SimProfiler())
+    outcome = artifacts.flow().simulate(seed=1, engine="vector", profile=True)
+    provenance = dict(outcome.provenance)
+    assert provenance["engine"] == outcome.value.run.engine == "compiled"
+    assert provenance["fallback_reason"] == "profiling"
+    assert outcome.value.profile is not None
 
 
 def test_steady_state_hint_is_verified():

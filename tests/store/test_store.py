@@ -117,7 +117,8 @@ class TestCorruption:
 
     def test_wrong_kind_header_is_a_miss(self, store):
         path = store.put("ir", "k", b"payload")
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
         os.unlink(path)
         other = store.blob_path("verilog", "k")
         os.makedirs(os.path.dirname(other), exist_ok=True)

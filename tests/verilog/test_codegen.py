@@ -13,7 +13,7 @@ from repro.verilog import (
     MemoryDecl,
     RegDecl,
     emit_design,
-    generate_verilog,
+    generate_verilog_impl,
 )
 from repro.verilog.ast import AlwaysFF, Assign
 
@@ -22,41 +22,41 @@ class TestTable3Mapping:
     """Table 3: each HIR construct maps to the documented hardware."""
 
     def test_functions_become_modules(self):
-        result = generate_verilog(transpose.build_hir(4).module)
+        result = generate_verilog_impl(transpose.build_hir(4).module)
         assert "transpose" in result.design.modules
         module = result.design.module("transpose")
         port_names = {port.name for port in module.ports}
         assert {"clk", "rst", "start", "done"} <= port_names
 
     def test_memref_arguments_become_memory_interfaces(self):
-        result = generate_verilog(transpose.build_hir(4).module)
+        result = generate_verilog_impl(transpose.build_hir(4).module)
         ports = {p.name for p in result.design.module("transpose").ports}
         assert {"Ai_addr", "Ai_rd_en", "Ai_rd_data",
                 "Co_addr", "Co_wr_en", "Co_wr_data"} <= ports
 
     def test_for_loops_become_state_machines(self):
-        result = generate_verilog(transpose.build_hir(4).module)
+        result = generate_verilog_impl(transpose.build_hir(4).module)
         text = emit_design(result.design)
         assert "state machine for loop" in text
         # Two loops -> two iteration pulses.
         assert "loop_i_iter" in text and "loop_j_iter" in text
 
     def test_delay_becomes_shift_register(self):
-        result = generate_verilog(transpose.build_hir(4).module)
+        result = generate_verilog_impl(transpose.build_hir(4).module)
         module = result.design.module("transpose")
         shift_regs = [item for item in module.items
                       if isinstance(item, RegDecl) and "_sr" in item.name]
         assert shift_regs
 
     def test_local_alloc_becomes_ram(self):
-        result = generate_verilog(histogram.build_hir(16, 16).module)
+        result = generate_verilog_impl(histogram.build_hir(16, 16).module)
         module = result.design.module("histogram")
         memories = module.items_of_type(MemoryDecl)
         assert memories and memories[0].depth == 16
         assert memories[0].kind == "bram"
 
     def test_register_memref_becomes_registers(self):
-        result = generate_verilog(stencil1d.build_hir(16).module)
+        result = generate_verilog_impl(stencil1d.build_hir(16).module)
         module = result.design.module("stencil_1d")
         window_regs = [item for item in module.items
                        if isinstance(item, RegDecl) and item.name.startswith("W1")]
@@ -65,14 +65,14 @@ class TestTable3Mapping:
                     if m.name.startswith("W1")]
 
     def test_schedules_become_pulse_registers(self):
-        result = generate_verilog(transpose.build_hir(4).module)
+        result = generate_verilog_impl(transpose.build_hir(4).module)
         module = result.design.module("transpose")
         pulse_regs = [item for item in module.items
                       if isinstance(item, RegDecl) and "_d1" in item.name]
         assert pulse_regs
 
     def test_primitive_args_become_input_ports(self):
-        result = generate_verilog(stencil1d.build_hir(16).module)
+        result = generate_verilog_impl(stencil1d.build_hir(16).module)
         ports = {p.name: p for p in result.design.module("stencil_1d").ports}
         assert ports["w0"].direction == "input"
         assert ports["w0"].width == 32
@@ -84,41 +84,41 @@ class TestCallsAndExternals:
         return build_mac(multiplier_stages=2)
 
     def test_call_becomes_instance(self):
-        result = generate_verilog(self.build_mac_design(), top="mac")
+        result = generate_verilog_impl(self.build_mac_design(), top="mac")
         module = result.design.module("mac")
         instances = module.items_of_type(Instance)
         assert len(instances) == 1
         assert instances[0].module_name == "mult_2stage"
 
     def test_external_function_becomes_blackbox_shell(self):
-        result = generate_verilog(self.build_mac_design(), top="mac")
+        result = generate_verilog_impl(self.build_mac_design(), top="mac")
         shell = result.design.module("mult_2stage")
         assert shell.external
         port_names = {p.name for p in shell.ports}
         assert {"a", "b", "result0", "start"} <= port_names
 
     def test_function_results_become_output_ports(self):
-        result = generate_verilog(self.build_mac_design(), top="mac")
+        result = generate_verilog_impl(self.build_mac_design(), top="mac")
         module = result.design.module("mac")
         assert module.port("result0") is not None
         assert module.port("result0").width == 32
 
     def test_default_top_prefers_uncalled_function(self):
-        result = generate_verilog(self.build_mac_design())
+        result = generate_verilog_impl(self.build_mac_design())
         assert result.design.top == "mac"
 
 
 class TestCodegenOptions:
     def test_location_comments_emitted(self):
         options = CodegenOptions(emit_location_comments=True)
-        result = generate_verilog(transpose.build_hir(4).module, options=options)
+        result = generate_verilog_impl(transpose.build_hir(4).module, options=options)
         comments = [item.text for item in
                     result.design.module("transpose").items_of_type(Comment)]
         assert any("hir.mem_read" in text for text in comments)
 
     def test_location_comments_suppressed(self):
         options = CodegenOptions(emit_location_comments=False)
-        result = generate_verilog(transpose.build_hir(4).module, options=options)
+        result = generate_verilog_impl(transpose.build_hir(4).module, options=options)
         comments = [item.text for item in
                     result.design.module("transpose").items_of_type(Comment)]
         assert not any("hir.mem_read" in text for text in comments)
@@ -126,11 +126,11 @@ class TestCodegenOptions:
     def test_codegen_does_not_mutate_input(self):
         module = transpose.build_hir(4).module
         before = len(list(module.walk()))
-        generate_verilog(module)
+        generate_verilog_impl(module)
         assert len(list(module.walk())) == before
 
     def test_statistics(self):
-        result = generate_verilog(self.build_two_function_module())
+        result = generate_verilog_impl(self.build_two_function_module())
         assert result.statistics["functions"] == 2
         assert result.seconds > 0
 
@@ -146,11 +146,11 @@ class TestCodegenOptions:
     def test_empty_module_rejected(self):
         from repro.ir import ModuleOp
         with pytest.raises(LoweringError):
-            generate_verilog(ModuleOp("empty"))
+            generate_verilog_impl(ModuleOp("empty"))
 
     def test_every_signal_reference_is_declared(self):
         """No dangling references in generated designs (besides ports)."""
-        result = generate_verilog(transpose.build_hir(4).module)
+        result = generate_verilog_impl(transpose.build_hir(4).module)
         module = result.design.module("transpose")
         declared = {p.name for p in module.ports}
         for item in module.items:
