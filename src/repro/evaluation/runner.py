@@ -135,8 +135,9 @@ def render_compile_timing(quick: bool = False, jobs: int = 1,
 
     config = config or FlowConfig()
     size = 4 if quick else 16
-    flow = Flow.from_kernel("gemm", size=size,
-                            config=config.with_(pipeline="optimize"))
+    # Persistence off: a store hit would skip the pass pipeline reported here.
+    flow = Flow.from_kernel("gemm", size=size, config=config.with_(
+        pipeline="optimize", store_dir=""))
     flow.verilog()
 
     artifacts = flow.source

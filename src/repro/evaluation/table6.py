@@ -65,8 +65,9 @@ def measure_kernel(name: str,
     """
     params = params if params is not None else DEFAULT_PARAMS[name]
     artifacts = build_kernel(name, **params)
+    # Persistence off: time the pass pipeline, not blob reads and IR parses.
     hir_config = FlowConfig(pipeline="optimize", verify_each=False,
-                            verify_structure=False)
+                            verify_structure=False, store_dir="")
 
     def measure_hir() -> float:
         # A fresh Flow per repeat: the stage cache must not amortize what

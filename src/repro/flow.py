@@ -17,9 +17,10 @@ simulation — as lazy, cached, invalidation-aware stages::
 Every stage returns a typed :class:`Artifact` handle that remembers what it
 was built from (``fingerprint`` + ``provenance``), how long it took
 (``seconds``) and whether this access was served from the stage cache
-(``cached``).  Stages are keyed on a content fingerprint of the source
-module, so mutating the module after a compile transparently invalidates
-every downstream artifact — there is no stale-design hazard.
+(``cached``).  Stages are keyed on their provenance, which starts from a
+content fingerprint of the source module, so mutating the module after a
+compile transparently invalidates every downstream artifact — there is no
+stale-design hazard.
 
 Configuration lives in one place, :class:`FlowConfig`, with a single
 documented precedence (highest wins):
@@ -290,10 +291,12 @@ class Artifact(Generic[T]):
     """A stage result that remembers its provenance and cost.
 
     ``fingerprint`` identifies the exact inputs (module content + config)
-    the value was built from; ``provenance`` spells those inputs out;
-    ``seconds`` is always the time spent *building* the value — a handle
-    served from the stage cache keeps the original build time and reports
-    the (tiny) cache lookup separately in ``fetch_seconds``.
+    the value was built from; ``provenance`` spells those inputs out and is
+    the stage-cache key (a cached handle is served only while a rebuild
+    would carry the same provenance); ``seconds`` is always the time spent
+    *building* the value — a handle served from the stage cache keeps the
+    original build time and reports the (tiny) cache lookup separately in
+    ``fetch_seconds``.
     """
 
     stage: str
@@ -469,8 +472,8 @@ class Flow:
         external_models: Optional[Mapping[str, Callable]] = None,
         output_warmup: Optional[Mapping[str, int]] = None,
     ) -> None:
-        #: stage name -> (cache key, artifact)
-        self._stages: Dict[str, Tuple[tuple, Artifact]] = {}
+        #: stage name -> artifact (its provenance is the cache key)
+        self._stages: Dict[str, Artifact] = {}
         # Config must exist before compose() runs (stages consult it for
         # tracing); the DesignGraph branch below builds a stage in __init__.
         self.config = config or FlowConfig()
@@ -573,18 +576,26 @@ class Flow:
                 if isinstance(arg.type, MemrefType)}
 
     # -- stage cache --------------------------------------------------------
-    def _stage(self, stage: str, key: tuple, fingerprint: str,
+    def _stage(self, stage: str, fingerprint: str,
                provenance: Tuple[Tuple[str, str], ...],
-               build: Callable[[], Tuple[Any, float]]) -> Artifact:
+               build: Callable[[], Any], tier: Optional[tuple] = None
+               ) -> Artifact:
+        """The one stage runner: cache lookup, timing, span, hit/miss count.
+
+        ``provenance`` is the stage-cache key: a cached artifact is served
+        only while its provenance equals the new one.  ``tier`` — ``(kind,
+        store key, encode, decode, decode errors)`` — reads ``build()``
+        through the configured store (``ArtifactStore.read_through``).
+        """
         fetch_start = _time.perf_counter()
         cached = self._stages.get(stage)
-        if cached is not None and cached[0] == key:
+        if cached is not None and cached.provenance == provenance:
             _STAGE_STATS["hits"] += 1
             with TRACER.activated(self.config.trace):
                 TRACER.count("flow.stage.hit")
                 TRACER.event("flow.stage.hit", cat="flow", stage=stage,
                              fingerprint=fingerprint[:12])
-            return replace(cached[1], cached=True,
+            return replace(cached, cached=True,
                            fetch_seconds=_time.perf_counter() - fetch_start)
         _STAGE_STATS["misses"] += 1
         with TRACER.activated(self.config.trace):
@@ -593,11 +604,18 @@ class Flow:
                              flow=getattr(self, "name", ""),
                              fingerprint=fingerprint[:12],
                              provenance=dict(provenance)):
-                value, seconds = build()
+                start = _time.perf_counter()
+                store = None if tier is None else self.config.resolve_store()
+                if store is None:
+                    value = build()
+                else:
+                    kind, key, *codec = tier
+                    value = store.read_through(kind, key, build, *codec)
+                seconds = _time.perf_counter() - start
         artifact = Artifact(stage=stage, value=value, seconds=seconds,
                             fingerprint=fingerprint, provenance=provenance,
                             cached=False)
-        self._stages[stage] = (key, artifact)
+        self._stages[stage] = artifact
         return artifact
 
     def clear(self) -> None:
@@ -607,7 +625,7 @@ class Flow:
     def timings(self) -> Dict[str, float]:
         """Seconds spent building each currently cached stage."""
         return {stage: artifact.seconds
-                for stage, (_, artifact) in self._stages.items()}
+                for stage, artifact in self._stages.items()}
 
     # -- stages -------------------------------------------------------------
     def compose(self):
@@ -624,15 +642,8 @@ class Flow:
                 "DesignGraph; construct it with Flow.from_graph(...)"
             )
         fingerprint = self.graph.fingerprint()
-        key = (fingerprint,)
-        provenance = (("graph", fingerprint),)
-
-        def build():
-            start = _time.perf_counter()
-            artifacts = self.graph.build()
-            return artifacts, _time.perf_counter() - start
-
-        return self._stage("compose", key, fingerprint, provenance, build)
+        return self._stage("compose", fingerprint, (("graph", fingerprint),),
+                           self.graph.build)
 
     def _adopt_composed(self, artifacts: Any, fingerprint: str) -> None:
         """Point this flow at freshly composed artifacts (graph changed)."""
@@ -657,32 +668,23 @@ class Flow:
                     self, "_adopted_graph_fingerprint", None):
                 self._adopt_composed(composed.value, composed.fingerprint)
         fingerprint = module_fingerprint(self.module)
-        key = (fingerprint, self.config.verify_structure)
         provenance = (("module", fingerprint),
                       ("verify_structure", str(self.config.verify_structure)))
 
         def build():
-            start = _time.perf_counter()
             if self.config.verify_structure:
                 verify_structure(self.module)
-            return self.module, _time.perf_counter() - start
+            return self.module
 
-        return self._stage("hir", key, fingerprint, provenance, build)
+        return self._stage("hir", fingerprint, provenance, build)
 
     def verified(self):
         """Schedule-verification report for the source module (no raise)."""
         from repro.passes.schedule_verifier import verify_schedule
         parent = self.hir()
-        key = (parent.fingerprint,)
-        provenance = (("module", parent.fingerprint),)
-
-        def build():
-            start = _time.perf_counter()
-            report = verify_schedule(self.module)
-            return report, _time.perf_counter() - start
-
-        return self._stage("verified", key, parent.fingerprint, provenance,
-                           build)
+        return self._stage("verified", parent.fingerprint,
+                           (("module", parent.fingerprint),),
+                           lambda: verify_schedule(self.module))
 
     def _build_manager(self):
         from repro.passes.pipeline import (
@@ -704,49 +706,40 @@ class Flow:
         """
         parent = self.hir()
         pipeline = self.config.pipeline
-        key = (parent.fingerprint, pipeline, self.config.verify_each)
         provenance = (("module", parent.fingerprint),
                       ("pipeline", pipeline),
                       ("verify_each", str(self.config.verify_each)))
 
         def build():
-            start = _time.perf_counter()
             if pipeline == "none":
-                return self.module, _time.perf_counter() - start
+                return self.module
             if pipeline == "verify":
                 # Verification does not mutate; run it on the source module.
                 self._build_manager().run(self.module)
-                return self.module, _time.perf_counter() - start
+                return self.module
+            clone = self.module.clone()
+            manager = self._build_manager()
+            manager.run(clone)
+            self._pass_report = manager.timing_report()
+            return clone
+
+        tier = None
+        if pipeline not in ("none", "verify"):
             # Disk tier: an optimizing pipeline's output is a deterministic,
             # round-trippable function of (source content, pipeline config),
             # so a store hit replaces the whole pass pipeline with a parse.
             # Blobs are printed with_locations so the parsed module carries
             # the original source locations — Verilog regenerated from it is
             # byte-identical, location comments included.
-            store = self.config.resolve_store()
-            store_key = (f"{parent.fingerprint}-{pipeline}-"
-                         f"{int(self.config.verify_each)}")
-            if store is not None:
-                text = store.get_text("ir", store_key)
-                if text is not None:
-                    try:
-                        from repro.ir.parser import parse_module
-                        module = parse_module(text, filename="<store:ir>")
-                        return module, _time.perf_counter() - start
-                    except IRError:
-                        pass    # unparsable blob: rebuild (and re-publish)
-            clone = self.module.clone()
-            manager = self._build_manager()
-            manager.run(clone)
-            self._pass_report = manager.timing_report()
-            if store is not None:
-                from repro.ir.printer import print_module
-                store.put("ir", store_key,
-                          print_module(clone, with_locations=True))
-            return clone, _time.perf_counter() - start
-
-        return self._stage("optimized", key, parent.fingerprint, provenance,
-                           build)
+            from repro.ir.parser import parse_module
+            from repro.ir.printer import print_module
+            tier = ("ir", f"{parent.fingerprint}-{pipeline}-"
+                          f"{int(self.config.verify_each)}",
+                    lambda module: print_module(module, with_locations=True),
+                    lambda text: parse_module(text, filename="<store:ir>"),
+                    IRError)
+        return self._stage("optimized", parent.fingerprint, provenance,
+                           build, tier)
 
     def pass_report(self) -> Optional[str]:
         """Per-pass timing report of the last optimize run (None before)."""
@@ -763,14 +756,14 @@ class Flow:
         # pipeline is sound and avoids re-printing the clone per access.
         fingerprint = parent.fingerprint
         options = self.config.codegen_options()
-        key = (fingerprint, self.config.pipeline, self.config.verify_each,
-               self.top, options.emit_location_comments,
-               options.emit_assertions)
         provenance = (("optimized", fingerprint), ("top", self.top),
-                      ("pipeline", self.config.pipeline))
+                      ("pipeline", self.config.pipeline),
+                      ("verify_each", str(self.config.verify_each)),
+                      ("emit_location_comments",
+                       str(options.emit_location_comments)),
+                      ("emit_assertions", str(options.emit_assertions)))
 
         def build():
-            start = _time.perf_counter()
             result = generate_verilog_impl(parent.value, top=self.top,
                                            options=options)
             value = VerilogArtifact(design=result.design,
@@ -779,15 +772,12 @@ class Flow:
             # costs a checksum-verified read instead of a full emission.
             store = self.config.resolve_store()
             if store is not None:
-                store_key = self._design_key(fingerprint)
-                text = store.get_text("verilog", store_key)
-                if text is not None:
-                    value._text = text
-                else:
-                    store.put("verilog", store_key, value.text)
-            return value, _time.perf_counter() - start
+                value._text = store.read_through(
+                    "verilog", self._design_key(fingerprint),
+                    lambda: value.text)
+            return value
 
-        return self._stage("verilog", key, fingerprint, provenance, build)
+        return self._stage("verilog", fingerprint, provenance, build)
 
     def _design_key(self, fingerprint: str) -> str:
         """The persistent-store key for design-level artifacts: the module
@@ -803,34 +793,21 @@ class Flow:
         import json
         from repro.resources.model import ResourceReport, estimate_resources
         parent = self.verilog()
-        key = (parent.fingerprint,)
-        provenance = (("verilog", parent.fingerprint),)
+        names = ("lut", "ff", "dsp", "bram")
 
-        def build():
-            start = _time.perf_counter()
-            store = self.config.resolve_store()
-            store_key = self._design_key(parent.fingerprint)
-            if store is not None:
-                text = store.get_text("resources", store_key)
-                if text is not None:
-                    try:
-                        raw = json.loads(text)
-                        report = ResourceReport(
-                            lut=raw["lut"], ff=raw["ff"],
-                            dsp=raw["dsp"], bram=raw["bram"])
-                        return report, _time.perf_counter() - start
-                    except (ValueError, KeyError, TypeError):
-                        pass    # malformed blob: rebuild (and re-publish)
-            report = estimate_resources(parent.value.design)
-            if store is not None:
-                store.put("resources", store_key, json.dumps(
-                    {"lut": report.lut, "ff": report.ff,
-                     "dsp": report.dsp, "bram": report.bram},
-                    sort_keys=True))
-            return report, _time.perf_counter() - start
+        def decode(text: str) -> ResourceReport:
+            raw = json.loads(text)
+            return ResourceReport(**{name: raw[name] for name in names})
 
-        return self._stage("resources", key, parent.fingerprint, provenance,
-                           build)
+        tier = ("resources", self._design_key(parent.fingerprint),
+                lambda report: json.dumps(
+                    {name: getattr(report, name) for name in names},
+                    sort_keys=True),
+                decode, (ValueError, KeyError, TypeError))
+        return self._stage("resources", parent.fingerprint,
+                           (("verilog", parent.fingerprint),),
+                           lambda: estimate_resources(parent.value.design),
+                           tier)
 
     # -- simulation ---------------------------------------------------------
     @property
@@ -1091,7 +1068,7 @@ class Flow:
         """Human-readable summary of the stages built so far."""
         lines = [f"Flow '{self.name}' (top=@{self.top}, "
                  f"pipeline={self.config.pipeline})"]
-        for stage, (_, artifact) in self._stages.items():
+        for stage, artifact in self._stages.items():
             lines.append(f"  {stage:<10} [{artifact.fingerprint[:12]}] "
                          f"{artifact.seconds * 1e3:9.2f} ms  "
                          f"{type(artifact.value).__name__}")

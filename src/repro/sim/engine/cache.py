@@ -154,22 +154,13 @@ def persist_compiled(store, key: str):
 
 
 def _sourced(suffix: str, generate: Callable[[], str]) -> str:
-    """The generated source for ``suffix``, through the persist store.
-
-    A store hit skips generation entirely; a miss generates and publishes.
-    Store failures degrade to plain generation (the store never fails a
-    compile).
-    """
+    """The generated source for ``suffix``, read through the persist store
+    (:meth:`repro.store.ArtifactStore.read_through`, kind ``simsrc``)."""
     context = _PERSIST.get()
     if context is None:
         return generate()
     store, base = context
-    key = f"{base}-{suffix}"
-    text = store.get_text("simsrc", key)
-    if text is None:
-        text = generate()
-        store.put("simsrc", key, text)
-    return text
+    return store.read_through("simsrc", f"{base}-{suffix}", generate)
 
 
 def _elaborate(design: Design, top: Optional[str],

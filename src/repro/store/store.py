@@ -16,9 +16,10 @@ Robustness model (every clause is fault-injectable and tested):
 * **Checksums on read.**  Every blob carries a header with the SHA-256 of
   its payload; :meth:`get` verifies it on every read.  Bit-rot or torn
   bytes are detected, never served.
-* **Quarantine + rebuild.**  A corrupt blob is moved (atomically) into
-  ``quarantine/`` and the read reports a miss — the caller rebuilds from
-  source and re-publishes, so the store self-heals.
+* **Quarantine + rebuild.**  A corrupt blob — or one that passes its
+  checksum but fails to decode (:meth:`ArtifactStore.read_through`) — moves
+  atomically into ``quarantine/`` and the read reports a miss; the caller
+  rebuilds from source and re-publishes, so the store self-heals.
 * **Advisory locking.**  Writers serialize on a store-wide advisory lock
   with bounded exponential-backoff retry; a wedged writer cannot deadlock
   readers (reads are lockless — atomic publish makes them safe), and lock
@@ -40,7 +41,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.errors import IRError
 from repro.resilience.faults import InjectedFault, fault_point
@@ -100,6 +101,13 @@ _STORES: Dict[str, "ArtifactStore"] = {}
 def store_counters() -> Dict[str, int]:
     """A snapshot of the process-lifetime store counters."""
     return dict(_COUNTERS)
+
+
+def _bump(counter: str, delta: int = 1) -> None:
+    """Move one store counter, in-process and on the tracer."""
+    from repro.obs.tracer import TRACER
+    _COUNTERS[counter] += delta
+    TRACER.count(f"store.{counter}", delta)
 
 
 def reset_store_counters() -> None:
@@ -330,9 +338,8 @@ class ArtifactStore:
                 continue
             try:
                 os.replace(path, target)
-                _COUNTERS["quarantined"] += 1
+                _bump("quarantined")
                 from repro.obs.tracer import TRACER
-                TRACER.count("store.quarantined")
                 TRACER.event("store.quarantine", cat="store", kind=kind,
                              key=key[:16])
             except OSError:
@@ -349,7 +356,6 @@ class ArtifactStore:
         without persistence, so an unwritable or faulted store can never
         fail a build.
         """
-        from repro.obs.tracer import TRACER
         if isinstance(payload, str):
             payload = payload.encode("utf-8")
         path = self.blob_path(kind, key)
@@ -361,14 +367,12 @@ class ArtifactStore:
                     os.utime(path)
                     return path
                 atomic_write_bytes(path, self._encode(kind, payload))
-            _COUNTERS["writes"] += 1
-            TRACER.count("store.writes")
+            _bump("writes")
             return path
         except StoreLockTimeout:
             raise
         except (OSError, InjectedFault):
-            _COUNTERS["write_failures"] += 1
-            TRACER.count("store.write_failures")
+            _bump("write_failures")
             return None
 
     def get(self, kind: str, key: str) -> Optional[bytes]:
@@ -378,14 +382,11 @@ class ArtifactStore:
         quarantined first, so the following rebuild + :meth:`put` self-heals
         the store.  Reads are lockless (atomic publish).
         """
-        from repro.obs.tracer import TRACER
         payload = self._read_verified(kind, key, count=True)
         if payload is None:
-            _COUNTERS["misses"] += 1
-            TRACER.count("store.misses")
+            _bump("misses")
             return None
-        _COUNTERS["hits"] += 1
-        TRACER.count("store.hits")
+        _bump("hits")
         path = self.blob_path(kind, key)
         try:
             os.utime(path)          # LRU recency for gc
@@ -407,9 +408,7 @@ class ArtifactStore:
         payload = self._decode(kind, raw)
         if payload is None:
             if count:
-                _COUNTERS["corrupt"] += 1
-                from repro.obs.tracer import TRACER
-                TRACER.count("store.corrupt")
+                _bump("corrupt")
             self._quarantine(kind, key, path)
             return None
         return payload
@@ -417,6 +416,31 @@ class ArtifactStore:
     def get_text(self, kind: str, key: str) -> Optional[str]:
         payload = self.get(kind, key)
         return None if payload is None else payload.decode("utf-8")
+
+    def read_through(self, kind: str, key: str, build: Callable[[], Any],
+                     encode: Callable[[Any], str] = str,
+                     decode: Callable[[str], Any] = str,
+                     errors: Tuple[type, ...] = ()) -> Any:
+        """Decode the blob under ``(kind, key)``, or build and publish it.
+
+        A blob that passes its checksum but whose ``decode`` raises one of
+        ``errors`` is corrupt like any other: a counted miss, quarantined,
+        rebuilt and re-published.  Any other exception propagates — a
+        decoder bug is a finding, not a miss.
+        """
+        text = self.get_text(kind, key)
+        if text is not None:
+            try:
+                return decode(text)
+            except errors:
+                # The get counted a hit; re-count it as a corrupt miss.
+                _bump("hits", -1)
+                _bump("misses")
+                _bump("corrupt")
+                self._quarantine(kind, key, self.blob_path(kind, key))
+        value = build()
+        self.put(kind, key, encode(value))
+        return value
 
     def has(self, kind: str, key: str) -> bool:
         return os.path.exists(self.blob_path(kind, key))

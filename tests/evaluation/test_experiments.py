@@ -8,6 +8,7 @@ exactly, which diagnostics appear).
 import pytest
 
 from repro.evaluation import figures, paper_data, runner, table4, table5, table6
+from repro.store import store_counters
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,26 @@ class TestTable6:
         best = table6._best_of(sampler("hir", 0.02), sampler("hls", 5.0))
         assert best == [0.02, 5.0]
         assert calls == ["hir", "hls"] + ["hir"] * 4
+
+
+class TestCompileTimeBypassesTheStore:
+    """Compile-time measurements run with persistence off: a warm
+    ``REPRO_STORE_DIR`` must neither break them nor be what they time."""
+
+    @pytest.fixture(autouse=True)
+    def env_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+
+    def test_timing_breakdown_survives_a_warm_store(self):
+        for _ in range(2):          # the second run would hit the store
+            text = runner.render_compile_timing(quick=True)
+            assert "pass timing report" in text
+            assert "canonicalize" in text
+
+    def test_table6_hir_column_reads_no_store(self):
+        before = store_counters()
+        table6.measure_kernel("transpose")
+        assert store_counters() == before
 
 
 class TestFigures:

@@ -37,6 +37,7 @@ class TestStageCaching:
         provenance = dict(artifact.provenance)
         assert provenance["pipeline"] == "optimize"
         assert provenance["top"] == "transpose"
+        assert provenance["emit_assertions"] == "False"
         assert len(artifact.fingerprint) == 16
 
     def test_clear_drops_stages(self):

@@ -37,6 +37,17 @@ def _flow(store_root, **overrides):
     return Flow(build_kernel("matvec", size=4), config=config)
 
 
+def _artifacts(flow):
+    """Everything a session produces: Verilog, resources, a simulation."""
+    from repro.sim.engine import clear_compile_cache
+    clear_compile_cache()               # read simulator sources via the store
+    report = flow.resources().value
+    run = flow.simulate(seed=3, engine="compiled").value.run
+    return (flow.verilog().value.text,
+            (report.lut, report.ff, report.dsp, report.bram),
+            run.cycles, run.memory_array("y").tolist())
+
+
 class TestWarmStoreReproduction:
     def test_fresh_session_serves_identical_bytes(self, tmp_path):
         root = str(tmp_path / "store")
@@ -67,23 +78,42 @@ class TestWarmStoreReproduction:
         flow.verilog()
         assert flow.config.resolve_store() is None
 
-    def test_corrupt_ir_blob_rebuilds_identically(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["ir", "verilog", "resources", "simsrc"])
+    def test_corrupt_ir_blob_rebuilds_identically(self, tmp_path, kind):
         root = str(tmp_path / "store")
-        verilog = _flow(root).verilog().value.text
+        baseline = _artifacts(_flow(root))
 
         store = ArtifactStore(root)
-        ir_blobs = [info for info in store.iter_blobs() if info.kind == "ir"]
-        assert len(ir_blobs) == 1
-        with open(ir_blobs[0].path, "r+b") as handle:
+        blob = next(info for info in store.iter_blobs() if info.kind == kind)
+        with open(blob.path, "r+b") as handle:
             data = bytearray(handle.read())
             data[len(data) // 2] ^= 0xFF
             handle.seek(0)
             handle.write(data)
 
         quarantined_before = store_counters()["quarantined"]
-        assert _flow(root).verilog().value.text == verilog
+        assert _artifacts(_flow(root)) == baseline
         assert store_counters()["quarantined"] == quarantined_before + 1
         assert store.verify().ok            # self-healed on the rebuild
+
+    @pytest.mark.parametrize("kind, payload", [("ir", "this is not IR"),
+                                               ("resources", "{}")],
+                             ids=["ir", "resources"])
+    def test_undecodable_blob_rebuilds_identically(self, tmp_path, kind,
+                                                   payload):
+        root = str(tmp_path / "store")
+        baseline = _artifacts(_flow(root))
+
+        store = ArtifactStore(root)
+        (blob,) = [info for info in store.iter_blobs() if info.kind == kind]
+        store.put(kind, blob.key, payload)  # a valid checksum over garbage
+
+        before = store_counters()
+        assert _artifacts(_flow(root)) == baseline
+        after = store_counters()
+        assert after["quarantined"] == before["quarantined"] + 1
+        assert after["corrupt"] == before["corrupt"] + 1
+        assert store.get_text(kind, blob.key) != payload    # re-published
 
     def test_store_faults_never_fail_a_build(self, tmp_path):
         root = str(tmp_path / "store")

@@ -100,16 +100,23 @@ class TestInterruptCleanup:
 
 
 class TestProcessPoolCrash:
+    # The child suppresses the environment plan in its own (parent) process
+    # before compiling: only the forked pool workers re-read
+    # REPRO_FAULT_PLAN (dse._process_worker_init), so the serial recovery
+    # in the parent never injects.
     _CHILD = r"""
 import hashlib
 from repro.hls import HLSOptions, compile_program
 from repro.kernels import build_kernel
+from repro.resilience import resilience_counters, set_plan
 from repro.verilog.emitter import emit_design
+set_plan(None)
 artifacts = build_kernel("transpose", size=8)
 result = compile_program(artifacts.hls_program, artifacts.hls_function,
                          options=HLSOptions(jobs=2, executor="process",
                                             candidate_retries=2))
 print(hashlib.sha256(emit_design(result.design).encode()).hexdigest())
+print(resilience_counters().get("dse.degraded", 0))
 """
 
     def _run_child(self, fault_plan):
@@ -129,8 +136,13 @@ print(hashlib.sha256(emit_design(result.design).encode()).hexdigest())
     def test_sigkilled_worker_degrades_to_serial_identical(self):
         clean = self._run_child(None)
         assert clean.returncode == 0, clean.stderr
-        # Each forked worker self-installs the env plan; the 2nd candidate
-        # it evaluates SIGKILLs it, breaking the pool mid-sweep.
-        crashed = self._run_child("dse.candidate:crash@2")
+        clean_hash, clean_degraded = clean.stdout.split()
+        assert clean_degraded == "0"
+        # Each forked worker re-reads the env plan and SIGKILLs itself on
+        # its first candidate, breaking the pool; the sweep finishes
+        # serially in the parent.
+        crashed = self._run_child("dse.candidate:crash")
         assert crashed.returncode == 0, crashed.stderr
-        assert crashed.stdout.strip() == clean.stdout.strip()
+        crashed_hash, crashed_degraded = crashed.stdout.split()
+        assert crashed_hash == clean_hash
+        assert crashed_degraded == "1"

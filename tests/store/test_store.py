@@ -146,6 +146,73 @@ class TestCorruption:
         assert store.verify().ok        # quarantine emptied the objects dir
 
 
+class TestReadThrough:
+    """``read_through``: the one store tier every cached stage uses."""
+
+    @staticmethod
+    def _builder(value="built"):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return value
+        return build, calls
+
+    def test_miss_builds_and_publishes_once(self, store):
+        build, calls = self._builder()
+        writes = store_counters()["writes"]
+        assert store.read_through("ir", "k", build) == "built"
+        assert calls == [1]
+        assert store_counters()["writes"] == writes + 1
+        assert store.get_text("ir", "k") == "built"
+
+    def test_hit_decodes_without_building(self, store):
+        store.put("resources", "k", "41")
+        build, calls = self._builder(0)
+        value = store.read_through("resources", "k", build, decode=int)
+        assert value == 41 and calls == []
+
+    def test_bad_checksum_is_quarantined_and_rebuilt(self, store):
+        _flip_byte(store.put("ir", "k", "stale"))
+        build, calls = self._builder()
+        before = store_counters()
+        assert store.read_through("ir", "k", build) == "built"
+        after = store_counters()
+        assert calls == [1]
+        assert after["corrupt"] == before["corrupt"] + 1
+        assert after["quarantined"] == before["quarantined"] + 1
+        assert store.get_text("ir", "k") == "built"
+
+    def test_undecodable_blob_is_corrupt_rebuilt_and_republished(self, store):
+        store.put("resources", "k", "not a number")     # valid checksum
+        build, calls = self._builder(7)
+        before = store_counters()
+        value = store.read_through("resources", "k", build, decode=int,
+                                   errors=(ValueError,))
+        after = store_counters()
+        assert value == 7 and calls == [1]
+        assert after["corrupt"] == before["corrupt"] + 1
+        assert after["quarantined"] == before["quarantined"] + 1
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"]
+        assert after["writes"] == before["writes"] + 1
+        assert len(os.listdir(store.quarantine_dir)) == 1
+        # The re-published blob serves the next read.
+        assert store.read_through("resources", "k", build, decode=int,
+                                  errors=(ValueError,)) == 7
+        assert calls == [1]
+        assert store_counters()["hits"] == after["hits"] + 1
+
+    def test_unlisted_decode_error_propagates(self, store):
+        store.put("resources", "k", "not a number")
+        build, calls = self._builder(7)
+        with pytest.raises(ValueError):
+            store.read_through("resources", "k", build, decode=int,
+                               errors=(KeyError,))
+        assert calls == []
+        assert store.get_text("resources", "k") == "not a number"
+
+
 class TestFaultedPublication:
     def test_write_fault_degrades_to_unpersisted(self, store):
         before = store_counters()["write_failures"]
