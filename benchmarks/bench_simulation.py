@@ -29,6 +29,9 @@ GEMM_MIN_SPEEDUP = float(os.environ.get("REPRO_GEMM_MIN_SPEEDUP", "3.0"))
 #: the ISSUE floor is 2x.  CI can lower the bar via REPRO_VECTOR_MIN_SPEEDUP.
 VECTOR_MIN_SPEEDUP = float(os.environ.get("REPRO_VECTOR_MIN_SPEEDUP", "2.0"))
 
+#: Runs per side of the warm-store benchmark (the best one is recorded).
+REPEATS = 3
+
 
 @pytest.mark.table("simulation")
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector"])
@@ -191,3 +194,43 @@ def test_batched_engine_amortizes_stimulus_sweep(bench_recorder):
           f"{interpreted_per_run:.3f}s/run, batched {batched_per_run:.3f}s/run "
           f"({interpreted_per_run / batched_per_run:.1f}x per scenario)")
     assert batched_per_run < interpreted_per_run
+
+
+@pytest.mark.table("simulation")
+def test_warm_store_vector_simulate_on_gemm(bench_recorder, tmp_path):
+    """A cold process on a warm store.  A vector simulate into an empty
+    store is the cold side; then the in-memory compile cache is dropped and
+    a fresh Flow over the filled store simulates again.  The warm side's
+    simulator code comes from the store's ``simcode`` tier (marshal'd code
+    objects), so it neither generates nor ``compile()``-s Python; it still
+    re-lowers and re-elaborates the design.  Each side is the best of
+    ``REPEATS`` runs, so host-speed noise stays below the gate's
+    tolerance."""
+    from repro.flow import Flow, FlowConfig
+
+    def simulate(config):
+        clear_compile_cache()
+        flow = Flow(build_kernel("gemm", size=16), config=config)
+        start = time.perf_counter()
+        outcome = flow.simulate(seed=0, engine="vector")
+        seconds = time.perf_counter() - start
+        assert dict(outcome.provenance)["engine"] == "vector"
+        expected = flow.reference(outcome.value.inputs)["C"]
+        assert np.array_equal(outcome.value.memory_array("C"), expected)
+        return seconds, outcome.value.run.cycles
+
+    cold = [simulate(FlowConfig(store_dir=str(tmp_path / f"store{index}")))
+            for index in range(REPEATS)]
+    warm = [simulate(FlowConfig(store_dir=str(tmp_path / "store0")))
+            for _ in range(REPEATS)]
+    assert {cycles for _, cycles in cold + warm} == {cold[0][1]}
+    cold_seconds = min(seconds for seconds, _ in cold)
+    warm_seconds = min(seconds for seconds, _ in warm)
+    bench_recorder("store-warm/gemm-16-vector",
+                   cold_seconds=cold_seconds,
+                   warm_store_seconds=warm_seconds,
+                   warm_store_speedup=cold_seconds / warm_seconds,
+                   cycles=int(cold[0][1]))
+    print(f"\nGEMM 16x16 vector simulate, best of {REPEATS}: empty store "
+          f"{cold_seconds:.3f}s, warm store (fresh Flow, empty compile "
+          f"cache) {warm_seconds:.3f}s ({cold_seconds / warm_seconds:.1f}x)")

@@ -736,7 +736,8 @@ class Flow:
             tier = ("ir", f"{parent.fingerprint}-{pipeline}-"
                           f"{int(self.config.verify_each)}",
                     lambda module: print_module(module, with_locations=True),
-                    lambda text: parse_module(text, filename="<store:ir>"),
+                    lambda payload: parse_module(payload.decode(),
+                                                 filename="<store:ir>"),
                     IRError)
         return self._stage("optimized", parent.fingerprint, provenance,
                            build, tier)
@@ -795,8 +796,8 @@ class Flow:
         parent = self.verilog()
         names = ("lut", "ff", "dsp", "bram")
 
-        def decode(text: str) -> ResourceReport:
-            raw = json.loads(text)
+        def decode(payload: bytes) -> ResourceReport:
+            raw = json.loads(payload)
             return ResourceReport(**{name: raw[name] for name in names})
 
         tier = ("resources", self._design_key(parent.fingerprint),
@@ -885,7 +886,7 @@ class Flow:
         engine_name, reason, steady = self._choose_engine(requested, profiler)
         resolved = self._resolve_inputs(seed, inputs)
         scalars = {**self.scalar_args, **(scalar_args or {})}
-        # Persist generated simulator sources only for pure designs:
+        # Persist generated simulator code only for pure designs:
         # external models change elaboration in ways the design key cannot
         # see, so those compiles stay private to this process.
         store = None if self.external_models else self.config.resolve_store()

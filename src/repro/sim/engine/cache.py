@@ -23,12 +23,15 @@ simulators already built from the artifacts keep working.
 from __future__ import annotations
 
 import contextvars
+import importlib.util
+import marshal
 import os
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from types import CodeType
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.resilience.faults import fault_point
 from repro.sim.engine.codegen import (
@@ -128,20 +131,30 @@ class CompiledArtifacts:
     vector_runs: Dict[str, Callable] = field(default_factory=dict)
 
 
-#: When set (by :func:`persist_compiled`), generated simulator sources are
-#: loaded from / published to this ``(ArtifactStore, design key)`` pair, so a
-#: later process skips Python code generation for a design it has seen.
+#: When set (by :func:`persist_compiled`), generated simulator code objects
+#: are loaded from / published to this ``(ArtifactStore, design key)`` pair,
+#: so a later process skips code generation and ``compile()`` for a design it
+#: has seen.
 _PERSIST: "contextvars.ContextVar[Optional[Tuple[object, str]]]" = \
     contextvars.ContextVar("repro_sim_persist", default=None)
+
+#: The running interpreter's bytecode magic, folded into every ``simcode``
+#: key: a blob marshal'd by another bytecode version is never looked up.
+_BYTECODE = importlib.util.MAGIC_NUMBER.hex()
+
+#: What ``marshal.loads`` raises on bytes it cannot decode.
+_UNMARSHALABLE = (ValueError, EOFError, TypeError)
 
 
 @contextmanager
 def persist_compiled(store, key: str):
-    """Persist generated simulator sources under ``key`` for this block.
+    """Persist generated simulator code objects under ``key`` for this block.
 
     ``store`` is a :class:`repro.store.ArtifactStore` (or ``None`` for a
     no-op); ``key`` must fingerprint the design *content* (the Flow passes
-    its design key).  Sources are stored under kind ``simsrc``.
+    its design key).  Code objects are stored marshal'd under kind
+    ``simcode``, so a new process on a warm store neither generates nor
+    ``compile()``-s simulator code (:func:`compiled_program`).
     """
     if store is None:
         yield
@@ -153,14 +166,42 @@ def persist_compiled(store, key: str):
         _PERSIST.reset(token)
 
 
-def _sourced(suffix: str, generate: Callable[[], str]) -> str:
-    """The generated source for ``suffix``, read through the persist store
-    (:meth:`repro.store.ArtifactStore.read_through`, kind ``simsrc``)."""
+def _code_object(payload: bytes) -> CodeType:
+    code = marshal.loads(payload)
+    if not isinstance(code, CodeType):
+        raise TypeError(f"expected a code object, got {type(code).__name__}")
+    return code
+
+
+def compiled_program(top: Optional[str], name: str,
+                     generate: Callable[[], str],
+                     load: Callable[[Any], Tuple[CodeType, Any]]) -> Any:
+    """What ``load`` (a ``compile_*`` function) builds from one generated
+    module, read through the persist store's ``simcode`` tier.
+
+    A store hit execs the stored code object, generating and compiling
+    nothing; a miss (or no store) generates the source, compiles it in
+    ``load`` and publishes the marshal'd code object.  A checksum-valid blob
+    that does not unmarshal to a code object is corrupt
+    (:meth:`repro.store.ArtifactStore.read_through`).
+    """
+    fault_point("engine.compile")
     context = _PERSIST.get()
     if context is None:
-        return generate()
+        return load(generate())[1]
     store, base = context
-    return store.read_through("simsrc", f"{base}-{suffix}", generate)
+    tag = "top" if top is None else top
+    built: List[Any] = []
+
+    def build() -> CodeType:
+        code, value = load(generate())
+        built.append(value)
+        return code
+
+    code = store.read_through("simcode", f"{base}-{tag}-{name}-{_BYTECODE}",
+                              build, marshal.dumps, _code_object,
+                              _UNMARSHALABLE)
+    return built[0] if built else load(code)[1]
 
 
 def _elaborate(design: Design, top: Optional[str],
@@ -196,33 +237,45 @@ def base_artifacts(design: Design, top: Optional[str],
     return artifacts
 
 
+def step_artifacts(design: Design, top: Optional[str],
+                   external_models=None) -> CompiledArtifacts:
+    """:func:`base_artifacts` plus the scalar per-assignment step functions
+    — everything the fused vector engine runs besides its own program."""
+    artifacts = base_artifacts(design, top, external_models)
+    if artifacts.step_fns is None:
+        lowered = artifacts.lowered
+        artifacts.step_fns = compiled_program(
+            top, "comb-scalar", lambda: comb_source(lowered),
+            lambda source: compile_comb(lowered, source))
+    return artifacts
+
+
 def compiled_artifacts(design: Design, top: Optional[str], external_models,
                        vector: bool) -> CompiledArtifacts:
-    """Elaborate + compile ``design``, reusing cached artifacts when safe."""
+    """Elaborate + compile ``design`` for a per-cycle engine, reusing cached
+    artifacts when safe.
+
+    Each compiled slot is filled and checked on its own, so a compile that
+    raises leaves its slot empty for the next call to retry.
+    """
+    if not vector:
+        artifacts = step_artifacts(design, top, external_models)
+        if artifacts.clock_fn is None:
+            lowered = artifacts.lowered
+            artifacts.clock_fn = compiled_program(
+                top, "clock-scalar", lambda: clock_source(lowered),
+                lambda source: compile_clock(lowered, source))
+        return artifacts
     artifacts = base_artifacts(design, top, external_models)
-    tag = "top" if top is None else top
-    if vector:
-        if artifacts.comb_vector_fn is None:
-            fault_point("engine.compile")
-            lowered = artifacts.lowered
-            artifacts.comb_vector_fn = compile_comb_vector(
-                lowered, source=_sourced(f"{tag}-comb-vector",
-                                         lambda: comb_vector_source(lowered)))
-            artifacts.clock_vector_fn = compile_clock(
-                lowered, vector=True,
-                source=_sourced(f"{tag}-clock-vector",
-                                lambda: clock_source(lowered, vector=True)))
-    else:
-        if artifacts.step_fns is None:
-            fault_point("engine.compile")
-            lowered = artifacts.lowered
-            artifacts.step_fns = compile_comb(
-                lowered, source=_sourced(f"{tag}-comb-scalar",
-                                         lambda: comb_source(lowered)))
-            artifacts.clock_fn = compile_clock(
-                lowered, vector=False,
-                source=_sourced(f"{tag}-clock-scalar",
-                                lambda: clock_source(lowered, vector=False)))
+    lowered = artifacts.lowered
+    if artifacts.comb_vector_fn is None:
+        artifacts.comb_vector_fn = compiled_program(
+            top, "comb-vector", lambda: comb_vector_source(lowered),
+            lambda source: compile_comb_vector(lowered, source))
+    if artifacts.clock_vector_fn is None:
+        artifacts.clock_vector_fn = compiled_program(
+            top, "clock-vector", lambda: clock_source(lowered, vector=True),
+            lambda source: compile_clock(lowered, source))
     return artifacts
 
 
@@ -247,5 +300,5 @@ _register_stats()
 
 
 __all__ = ["CompiledArtifacts", "base_artifacts", "clear_compile_cache",
-           "compile_cache_size", "compiled_artifacts", "persist_compiled",
-           "set_cache_capacity"]
+           "compile_cache_size", "compiled_artifacts", "compiled_program",
+           "persist_compiled", "set_cache_capacity", "step_artifacts"]

@@ -28,7 +28,8 @@ out-of-bounds memory reads return 0 and out-of-bounds writes are dropped.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from types import CodeType
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -323,30 +324,32 @@ def _nba(updates: Dict[int, object], v: List[object], slot: int, predicate,
     updates[slot] = np.where(predicate, value, previous)
 
 
-def runtime_globals() -> Dict[str, object]:
-    """The globals dict every generated module executes under."""
-    return {
-        "_mr": _mr,
-        "_mrv": _mrv,
-        "_truth": _truth,
-        "_nba": _nba,
-        "_np": np,
-        "SimulationError": SimulationError,
-    }
-
-
 # --------------------------------------------------------------------------- #
 # Whole-netlist compilation
 # --------------------------------------------------------------------------- #
 
 
-def comb_source(lowered: LoweredDesign) -> str:
-    """Generate (without exec'ing) the scalar per-assignment step sources.
+def load_module(source: Union[str, CodeType],
+                **bindings: object) -> Tuple[CodeType, dict]:
+    """``(code, namespace)``: ``source`` compiled (unless it already is a
+    code object) and executed under the runtime helpers every generated
+    module calls, plus ``bindings``.
 
-    Source generation is a pure function of the lowered design, so the text
-    can be persisted (:mod:`repro.store` kind ``simsrc``) and exec'd by a
-    later process that skips generation entirely.
+    Only the ``compile_*`` functions (these three and
+    :func:`repro.sim.engine.vector.compile_vector_run`) call it; they return
+    the code object beside their callables so the compile cache can persist
+    it (:mod:`repro.store` kind ``simcode``).
     """
+    code = (source if isinstance(source, CodeType)
+            else compile(source, "<string>", "exec"))
+    namespace = {"_mr": _mr, "_mrv": _mrv, "_truth": _truth, "_nba": _nba,
+                 "_np": np, "SimulationError": SimulationError, **bindings}
+    exec(code, namespace)  # noqa: S102 - trusted generated code
+    return code, namespace
+
+
+def comb_source(lowered: LoweredDesign) -> str:
+    """Generate (without exec'ing) the scalar per-assignment step sources."""
     compiler = ExprCompiler(lowered, vector=False)
     builder = _SourceBuilder()
     for index, assign in enumerate(lowered.netlist.ordered):
@@ -358,21 +361,17 @@ def comb_source(lowered: LoweredDesign) -> str:
     return builder.source()
 
 
-def compile_comb(lowered: LoweredDesign,
-                 source: Optional[str] = None) -> List[Callable]:
+def compile_comb(lowered: LoweredDesign, source: Union[str, CodeType]
+                 ) -> Tuple[CodeType, List[Callable]]:
     """Compile each continuous assignment into its own step function.
 
+    ``source`` is a :func:`comb_source` text or its code object.
     ``step_fns[i](v, m)`` evaluates ordered assignment ``i`` and returns its
     new (masked) target value; the caller stores it and schedules fanout.
-    ``source`` skips generation and execs a previously generated (persisted)
-    :func:`comb_source` text instead.
     """
-    if source is None:
-        source = comb_source(lowered)
-    namespace = runtime_globals()
-    exec(source, namespace)  # noqa: S102 - trusted generated code
-    return [namespace[f"_a{index}"]
-            for index in range(len(lowered.netlist.ordered))]
+    code, namespace = load_module(source)
+    return code, [namespace[f"_a{index}"]
+                  for index in range(len(lowered.netlist.ordered))]
 
 
 def comb_vector_source(lowered: LoweredDesign) -> str:
@@ -392,14 +391,12 @@ def comb_vector_source(lowered: LoweredDesign) -> str:
     return builder.source()
 
 
-def compile_comb_vector(lowered: LoweredDesign,
-                        source: Optional[str] = None) -> Callable:
-    """Compile all continuous assignments into one vectorized full pass."""
-    if source is None:
-        source = comb_vector_source(lowered)
-    namespace = runtime_globals()
-    exec(source, namespace)  # noqa: S102 - trusted generated code
-    return namespace["_comb"]
+def compile_comb_vector(lowered: LoweredDesign, source: Union[str, CodeType]
+                        ) -> Tuple[CodeType, Callable]:
+    """Compile all continuous assignments into one vectorized full pass
+    (``source``: a :func:`comb_vector_source` text or its code object)."""
+    code, namespace = load_module(source)
+    return code, namespace["_comb"]
 
 
 def _emit_clock_stmt(builder: _SourceBuilder, compiler: ExprCompiler,
@@ -492,20 +489,18 @@ def clock_source(lowered: LoweredDesign, vector: bool = False) -> str:
     return builder.source()
 
 
-def compile_clock(lowered: LoweredDesign, vector: bool = False,
-                  source: Optional[str] = None) -> Callable:
+def compile_clock(lowered: LoweredDesign, source: Union[str, CodeType]
+                  ) -> Tuple[CodeType, Callable]:
     """Compile the clocked statements into one two-phase step function.
 
-    ``_clock(v, m)`` evaluates every right-hand side against the pre-edge
-    state and returns ``(reg_updates, mem_updates)`` for the caller to commit,
-    preserving non-blocking assignment semantics.  In the vector dialect,
-    ``if`` statements become per-lane predicates.
+    ``source`` is a :func:`clock_source` text (either dialect) or its code
+    object.  ``_clock(v, m)`` evaluates every right-hand side against the
+    pre-edge state and returns ``(reg_updates, mem_updates)`` for the caller
+    to commit, preserving non-blocking assignment semantics.  In the vector
+    dialect, ``if`` statements become per-lane predicates.
     """
-    if source is None:
-        source = clock_source(lowered, vector=vector)
-    namespace = runtime_globals()
-    exec(source, namespace)  # noqa: S102 - trusted generated code
-    return namespace["_clock"]
+    code, namespace = load_module(source)
+    return code, namespace["_clock"]
 
 
 __all__ = [
@@ -518,5 +513,5 @@ __all__ = [
     "compile_comb",
     "compile_comb_vector",
     "fold_expr",
-    "runtime_globals",
+    "load_module",
 ]

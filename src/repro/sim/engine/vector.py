@@ -25,8 +25,9 @@ that is event-driven on *both* sides of the clock:
   scalar and batched runners.
 
 The generated function is cached per ``(design, top, interface signature)``
-in the engine compile cache and persisted through :mod:`repro.store` like
-every other generated simulator source, so a warm run is a single call.
+in the engine compile cache and its code object persisted through
+:mod:`repro.store` like every other generated simulator module, so a warm run
+is a single call.
 
 :func:`steady_state_of` ties the engine to the static-timing analysis of
 :mod:`repro.graph.timing`: a design whose schedule is not statically
@@ -50,17 +51,17 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from types import CodeType
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ir.errors import SimulationError
 from repro.obs.tracer import TRACER
-from repro.resilience.faults import fault_point
-from repro.sim.engine.cache import _sourced, compiled_artifacts
+from repro.sim.engine.cache import compiled_program, step_artifacts
 from repro.sim.engine.codegen import (
     ExprCompiler,
     _SourceBuilder,
     _emit_clock_stmt,
-    runtime_globals,
+    load_module,
 )
 from repro.sim.engine.levelize import LoweredDesign
 from repro.sim.engine.window import SimulationTimeout, last_drain_cycle
@@ -177,8 +178,8 @@ def vector_run_source(lowered: LoweredDesign,
     straight-line code, inlines every clocked statement and the register/
     memory/interface commit, and drives the whole start-to-done protocol in
     one loop — no per-cycle Python calls at all.  Pure function of
-    ``(lowered, specs)``, so the text persists through the compile cache's
-    store tier like the per-cycle dialects.
+    ``(lowered, specs)``, so its code object persists through the compile
+    cache's store tier like the per-cycle dialects.
     """
     flat = lowered.flat
     slots = lowered.slots
@@ -369,14 +370,16 @@ def vector_run_source(lowered: LoweredDesign,
     return builder.source()
 
 
-def compile_vector_run(lowered: LoweredDesign, source: str) -> Callable:
-    """Exec a :func:`vector_run_source` text into the ``_vrun`` callable.
+def compile_vector_run(lowered: LoweredDesign, source: Union[str, CodeType]
+                       ) -> Tuple[CodeType, Callable]:
+    """Compile a :func:`vector_run_source` text (or exec its code object)
+    into ``(code, _vrun)``.
 
     The static tables the program indexes at run time — assignment targets,
     per-slot fanout, fanout-plus-driver mark lists, per-memory fanout and
     masks, clocked-process sensitivity — are rebuilt from ``lowered`` and
-    bound as globals, so the source text itself stays a pure function of the
-    design (and persists through the store).
+    bound as globals, so the code itself stays a pure function of the design
+    (and persists through the store).
     """
     marks = []
     for slot in range(len(lowered.slots.names)):
@@ -425,8 +428,8 @@ def compile_vector_run(lowered: LoweredDesign, source: str) -> Callable:
                 if slot is not None:
                     pslot[slot].update(group_of[pid])
 
-    namespace = runtime_globals()
-    namespace.update(
+    code, namespace = load_module(
+        source,
         _ldc=last_drain_cycle,
         _heapify=heapq.heapify,
         _heappush=heapq.heappush,
@@ -439,29 +442,28 @@ def compile_vector_run(lowered: LoweredDesign, source: str) -> Callable:
         _PSLOT=[tuple(sorted(pids)) for pids in pslot],
         _PMEM=[tuple(sorted(pids)) for pids in pmem],
     )
-    exec(source, namespace)  # noqa: S102 - trusted generated code
-    return namespace["_vrun"]
+    return code, namespace["_vrun"]
 
 
 def _cached_run(design: Design, top: Optional[str], memories):
     """``(artifacts, run_fn)`` through the engine compile cache + store.
 
-    Compiles the scalar per-assignment step functions first (shared with the
-    compiled engine — a warm compiled design pays only the fused-loop
-    codegen here, and vice versa), then the fused run program for this
-    interface signature.
+    Compiles only what the fused run calls: the scalar per-assignment step
+    functions (shared with the compiled engine — a warm compiled design pays
+    only the fused-loop codegen here, and vice versa), then the fused run
+    program for this interface signature.  The scalar clock program is never
+    built.
     """
     specs = _interface_specs(memories)
     signature = vector_signature(specs)
-    artifacts = compiled_artifacts(design, top, None, vector=False)
+    artifacts = step_artifacts(design, top)
     run_fn = artifacts.vector_runs.get(signature)
     if run_fn is None:
-        fault_point("engine.compile")
-        tag = "top" if top is None else top
         lowered = artifacts.lowered
-        source = _sourced(f"{tag}-run-vector-{signature}",
-                          lambda: vector_run_source(lowered, specs))
-        run_fn = compile_vector_run(lowered, source)
+        run_fn = compiled_program(
+            top, f"run-vector-{signature}",
+            lambda: vector_run_source(lowered, specs),
+            lambda source: compile_vector_run(lowered, source))
         artifacts.vector_runs[signature] = run_fn
     return artifacts, run_fn
 

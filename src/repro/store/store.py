@@ -1,11 +1,11 @@
 """A crash-safe, content-addressed, on-disk artifact store.
 
 ``ArtifactStore`` persists toolchain artifacts — optimized IR text, emitted
-Verilog, resource reports, compiled-simulator sources — keyed by ``(kind,
-key)`` where ``key`` folds in the content fingerprint of everything the
-artifact was built from.  It layers *under* the in-memory tiers (Flow stage
-cache, simulator compile cache, DSE memo): memory first, then disk, then
-build — and a disk hit is always re-verified.
+Verilog, resource reports, compiled-simulator code objects — keyed by
+``(kind, key)`` where ``key`` folds in the content fingerprint of everything
+the artifact was built from.  It layers *under* the in-memory tiers (Flow
+stage cache, simulator compile cache, DSE memo): memory first, then disk,
+then build — and a disk hit is always re-verified.
 
 Robustness model (every clause is fault-injectable and tested):
 
@@ -418,20 +418,22 @@ class ArtifactStore:
         return None if payload is None else payload.decode("utf-8")
 
     def read_through(self, kind: str, key: str, build: Callable[[], Any],
-                     encode: Callable[[Any], str] = str,
-                     decode: Callable[[str], Any] = str,
+                     encode: Callable[[Any], Any] = str,
+                     decode: Callable[[bytes], Any] = bytes.decode,
                      errors: Tuple[type, ...] = ()) -> Any:
         """Decode the blob under ``(kind, key)``, or build and publish it.
 
+        ``encode`` returns text or bytes (see :meth:`put`); ``decode``
+        receives the payload bytes (the default reads them as UTF-8 text).
         A blob that passes its checksum but whose ``decode`` raises one of
         ``errors`` is corrupt like any other: a counted miss, quarantined,
         rebuilt and re-published.  Any other exception propagates — a
         decoder bug is a finding, not a miss.
         """
-        text = self.get_text(kind, key)
-        if text is not None:
+        payload = self.get(kind, key)
+        if payload is not None:
             try:
-                return decode(text)
+                return decode(payload)
             except errors:
                 # The get counted a hit; re-count it as a corrupt miss.
                 _bump("hits", -1)

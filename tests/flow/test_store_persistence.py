@@ -7,6 +7,9 @@ a build.  The injected-compile-fault engine fallback rides the same
 contract: the run re-executes on the interpreter with identical results.
 """
 
+import marshal
+import types
+
 import numpy as np
 import pytest
 
@@ -40,7 +43,7 @@ def _flow(store_root, **overrides):
 def _artifacts(flow):
     """Everything a session produces: Verilog, resources, a simulation."""
     from repro.sim.engine import clear_compile_cache
-    clear_compile_cache()               # read simulator sources via the store
+    clear_compile_cache()               # read simulator code via the store
     report = flow.resources().value
     run = flow.simulate(seed=3, engine="compiled").value.run
     return (flow.verilog().value.text,
@@ -78,7 +81,7 @@ class TestWarmStoreReproduction:
         flow.verilog()
         assert flow.config.resolve_store() is None
 
-    @pytest.mark.parametrize("kind", ["ir", "verilog", "resources", "simsrc"])
+    @pytest.mark.parametrize("kind", ["ir", "verilog", "resources", "simcode"])
     def test_corrupt_ir_blob_rebuilds_identically(self, tmp_path, kind):
         root = str(tmp_path / "store")
         baseline = _artifacts(_flow(root))
@@ -124,6 +127,97 @@ class TestWarmStoreReproduction:
         with install_plan(plan):
             faulted = _flow(str(tmp_path / "other")).verilog().value.text
         assert faulted == baseline
+
+
+def _vector_run(store_root):
+    """A fresh session's vector run (compile cache cleared first)."""
+    from repro.sim.engine import clear_compile_cache
+    clear_compile_cache()
+    outcome = _flow(store_root).simulate(seed=3, engine="vector")
+    assert dict(outcome.provenance)["engine"] == "vector"
+    run = outcome.value.run
+    return run.cycles, run.memory_array("y").tolist()
+
+
+def _simcode_keys(store):
+    return sorted(info.key for info in store.iter_blobs()
+                  if info.kind == "simcode")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("generated simulator code on a warm store")
+
+
+class TestCodeTier:
+    """The ``simcode`` tier: marshal'd simulator code objects."""
+
+    def test_warm_store_generates_nothing(self, tmp_path, monkeypatch):
+        import repro.sim.engine.cache as cache
+        import repro.sim.engine.vector as vector
+        root = str(tmp_path / "store")
+        cold = _vector_run(root)
+        for owner, name in ((cache, "comb_source"), (cache, "clock_source"),
+                            (vector, "vector_run_source")):
+            monkeypatch.setattr(owner, name, _refuse)
+        assert _vector_run(root) == cold
+
+    @pytest.mark.parametrize("payload", [b"\xffnot marshal data",
+                                         marshal.dumps(7)],
+                             ids=["garbage", "int"])
+    def test_undecodable_code_blob_rebuilds_identically(self, tmp_path,
+                                                        payload):
+        root = str(tmp_path / "store")
+        cold = _vector_run(root)
+        store = ArtifactStore(root)
+        key = next(key for key in _simcode_keys(store) if "comb-scalar" in key)
+        store.put("simcode", key, payload)      # a valid checksum over junk
+
+        before = store_counters()
+        assert _vector_run(root) == cold
+        after = store_counters()
+        assert after["corrupt"] == before["corrupt"] + 1
+        assert after["quarantined"] == before["quarantined"] + 1
+        assert store.get("simcode", key) != payload     # re-published
+        assert _vector_run(root) == cold
+
+    def test_other_bytecode_version_is_a_plain_miss(self, tmp_path,
+                                                    monkeypatch):
+        import repro.sim.engine.cache as cache
+        root = str(tmp_path / "store")
+        store = ArtifactStore(root)
+        monkeypatch.setattr(cache, "_BYTECODE", "0bad0bad")
+        cold = _vector_run(root)
+        first = _simcode_keys(store)
+        assert first and all(key.endswith("-0bad0bad") for key in first)
+
+        monkeypatch.setattr(cache, "_BYTECODE", "0bad0bae")
+        monkeypatch.setattr(cache, "marshal", types.SimpleNamespace(
+            dumps=marshal.dumps, loads=_refuse))
+        before = store_counters()
+        assert _vector_run(root) == cold
+        assert store_counters()["corrupt"] == before["corrupt"]
+        assert len(_simcode_keys(store)) == 2 * len(first)
+
+    def test_vector_skips_the_clock_program(self, tmp_path, monkeypatch):
+        import repro.sim.engine.cache as cache
+        from repro.sim.engine import clear_compile_cache
+        root = str(tmp_path / "store")
+        store = ArtifactStore(root)
+        clear_compile_cache()
+        flow = _flow(root)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache, "clock_source", _refuse)
+            vector = flow.simulate(seed=3, engine="vector").value
+        assert vector.engine == "vector"
+        assert not any("clock-scalar" in key for key in _simcode_keys(store))
+
+        compiled = flow.simulate(seed=3, engine="compiled").value
+        assert any("clock-scalar" in key for key in _simcode_keys(store))
+        differential = flow.simulate(seed=3, engine="differential").value
+        for outcome in (compiled, differential):
+            assert outcome.run.cycles == vector.run.cycles
+            assert np.array_equal(outcome.memory_array("y"),
+                                  vector.memory_array("y"))
 
 
 class TestEngineFallback:

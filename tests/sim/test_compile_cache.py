@@ -1,5 +1,7 @@
 """Tests for the simulation engine's bounded compile cache (LRU eviction)."""
 
+import numpy as np
+import pytest
 
 from repro.kernels import build_kernel
 from repro.sim.engine import clear_compile_cache, compile_cache_size
@@ -73,3 +75,60 @@ class TestCompileCacheEviction:
             assert np.array_equal(run2.memory_array(name),
                                   np.asarray(reference))
         clear_compile_cache()
+
+
+class TestFailedCompileLeavesNoHalfEntry:
+    """A compile that raises leaves its slot empty, so the next run on the
+    same design recompiles it instead of calling a missing function."""
+
+    @staticmethod
+    def _fail_once(monkeypatch):
+        import repro.sim.engine.cache as cache
+        from repro.ir.errors import SimulationError
+        original = cache.clock_source
+        calls = []
+
+        def clock_source(lowered, vector=False):
+            calls.append(vector)
+            if len(calls) == 1:
+                raise SimulationError("injected clock codegen failure")
+            return original(lowered, vector=vector)
+
+        monkeypatch.setattr(cache, "clock_source", clock_source)
+        return calls
+
+    @staticmethod
+    def _flow():
+        from repro.flow import Flow, FlowConfig
+        return Flow(build_kernel("transpose", size=4),
+                    config=FlowConfig(store_dir=""))
+
+    def test_scalar_clock_failure_recompiles(self, monkeypatch):
+        from repro.ir.errors import SimulationError
+        clear_compile_cache()
+        clean = self._flow().simulate(seed=2, engine="compiled").value
+        clear_compile_cache()
+        flow = self._flow()
+        calls = self._fail_once(monkeypatch)
+        with pytest.raises(SimulationError, match="injected"):
+            flow.simulate(seed=2, engine="compiled")
+        again = flow.simulate(seed=2, engine="compiled").value
+        assert calls == [False, False]
+        assert again.run.cycles == clean.run.cycles
+        assert np.array_equal(again.memory_array("Co"),
+                              clean.memory_array("Co"))
+
+    def test_lane_clock_failure_recompiles(self, monkeypatch):
+        from repro.ir.errors import SimulationError
+        clear_compile_cache()
+        clean = self._flow().simulate_batch([2, 5]).value
+        clear_compile_cache()
+        flow = self._flow()
+        calls = self._fail_once(monkeypatch)
+        with pytest.raises(SimulationError, match="injected"):
+            flow.simulate_batch([2, 5])
+        again = flow.simulate_batch([2, 5]).value
+        assert calls == [True, True]
+        assert np.array_equal(again.run.cycles, clean.run.cycles)
+        assert np.array_equal(again.memory_array("Co"),
+                              clean.memory_array("Co"))

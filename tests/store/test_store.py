@@ -6,6 +6,7 @@ error), and the next publish heals it.  Faults during publication degrade
 to "not persisted", never to a torn blob.
 """
 
+import marshal
 import os
 
 import pytest
@@ -202,6 +203,33 @@ class TestReadThrough:
                                   errors=(ValueError,)) == 7
         assert calls == [1]
         assert store_counters()["hits"] == after["hits"] + 1
+
+    def test_binary_payload_round_trips_as_bytes(self, store):
+        payload = bytes(range(256))                 # not valid UTF-8
+        build, calls = self._builder(payload)
+        for _ in range(2):
+            assert store.read_through("simcode", "k", build, encode=bytes,
+                                      decode=bytes) == payload
+        assert calls == [1]
+        assert store.get("simcode", "k") == payload
+
+    @pytest.mark.parametrize("payload", [b"\xffgarbage", marshal.dumps(7)],
+                             ids=["garbage", "int"])
+    def test_undecodable_code_blob_is_corrupt_and_rebuilt(self, store,
+                                                          payload):
+        from repro.sim.engine.cache import _UNMARSHALABLE, _code_object
+        code = compile("x = 1", "<test>", "exec")
+        store.put("simcode", "k", payload)          # valid checksum
+        build, calls = self._builder(code)
+        before = store_counters()
+        value = store.read_through("simcode", "k", build, marshal.dumps,
+                                   _code_object, _UNMARSHALABLE)
+        after = store_counters()
+        assert value is code and calls == [1]
+        assert after["corrupt"] == before["corrupt"] + 1
+        assert after["quarantined"] == before["quarantined"] + 1
+        assert after["hits"] == before["hits"]
+        assert _code_object(store.get("simcode", "k")) == code
 
     def test_unlisted_decode_error_propagates(self, store):
         store.put("resources", "k", "not a number")
