@@ -558,8 +558,9 @@ def check_faults(spec: ProgramSpec,
     """Injected faults must never change what the toolchain produces.
 
     For every plan in :data:`FAULT_PLAN_MATRIX` the whole flow (optimize →
-    Verilog → compiled simulation, persisting through a fresh
-    :class:`repro.store.ArtifactStore`) runs twice over one store directory:
+    Verilog → a compiled and a vector simulation, persisting through a fresh
+    :class:`repro.store.ArtifactStore`, so every ``simcode`` program kind
+    rides the matrix) runs twice over one store directory:
 
     1. *under the fault plan* — the run must either raise a clean typed
        error (:class:`~repro.ir.errors.IRError` subclass or an
@@ -584,34 +585,39 @@ def check_faults(spec: ProgramSpec,
         """One cold toolchain session persisting into ``store_dir``."""
         flow = Flow(materialize(spec).module, top=program.top,
                     config=FlowConfig(pipeline="optimize", verify_each=False,
-                                      engine="compiled",
                                       store_dir=store_dir))
         verilog = flow.verilog().value.text
-        outcome = flow.simulate(inputs=dict(inputs), max_cycles=MAX_CYCLES,
-                                drain_cycles=16).value
-        if not outcome.run.done:
-            raise IRError(
-                f"design never pulsed done within {MAX_CYCLES} cycles")
-        memories = {name: np.asarray(outcome.memory_array(name)).copy()
-                    for name in program.output_names}
-        return verilog, outcome.run.cycles, memories
+        runs = []
+        for engine in ("compiled", "vector"):
+            outcome = flow.simulate(inputs=dict(inputs), engine=engine,
+                                    max_cycles=MAX_CYCLES,
+                                    drain_cycles=16).value
+            if not outcome.run.done:
+                raise IRError(
+                    f"design never pulsed done within {MAX_CYCLES} cycles")
+            runs.append((engine, outcome.run.cycles, {
+                name: np.asarray(outcome.memory_array(name)).copy()
+                for name in program.output_names}))
+        return verilog, runs
 
     def describe_mismatch(plan: str, label: str, result) -> Optional[str]:
-        verilog, cycles, memories = result
+        verilog, runs = result
         if verilog != base_verilog:
             return (f"plan '{plan}': {label} produced different Verilog:\n"
                     + _first_diff(base_verilog, verilog, "fault-free", label))
-        if cycles != base_cycles:
-            return (f"plan '{plan}': {label} simulation took {cycles} "
-                    f"cycles, fault-free run took {base_cycles}")
-        for name, expected in base_memories.items():
-            if not np.array_equal(memories[name], expected):
-                return (f"plan '{plan}': {label} output '{name}' differs "
-                        "from the fault-free run")
+        for (engine, cycles, memories), (_, base_cycles, base_memories) \
+                in zip(runs, base_runs):
+            if cycles != base_cycles:
+                return (f"plan '{plan}': {label} {engine} simulation took "
+                        f"{cycles} cycles, fault-free run took {base_cycles}")
+            for name, expected in base_memories.items():
+                if not np.array_equal(memories[name], expected):
+                    return (f"plan '{plan}': {label} {engine} output "
+                            f"'{name}' differs from the fault-free run")
         return None
 
     with tempfile.TemporaryDirectory(prefix="repro-faults-base-") as base_dir:
-        base_verilog, base_cycles, base_memories = run_session(base_dir)
+        base_verilog, base_runs = run_session(base_dir)
 
     for plan in plans:
         try:

@@ -18,6 +18,14 @@ design object does.  The least-recently-used design entries are evicted once
 the cache holds more than ``REPRO_SIM_CACHE_SIZE`` designs (default 64; 0
 disables caching entirely).  Eviction only drops the cache's references —
 simulators already built from the artifacts keep working.
+
+Under :func:`persist_compiled`, every generated program is also read through
+the artifact store's ``simcode`` tier as one marshal'd module code object
+(:func:`compiled_program`).  For the step functions and the fused run that
+module holds shapes plus an instance table
+(:mod:`repro.sim.engine.codegen`), and the ``compile_*`` loader that turns
+it into functions runs as the store's decoder, so a stored code object that
+is not the expected program counts as a corrupt blob.
 """
 
 from __future__ import annotations
@@ -142,7 +150,8 @@ _PERSIST: "contextvars.ContextVar[Optional[Tuple[object, str]]]" = \
 #: key: a blob marshal'd by another bytecode version is never looked up.
 _BYTECODE = importlib.util.MAGIC_NUMBER.hex()
 
-#: What ``marshal.loads`` raises on bytes it cannot decode.
+#: What ``marshal.loads`` raises on bytes it cannot decode, and what a
+#: ``compile_*`` loader raises on a code object that is not its program.
 _UNMARSHALABLE = (ValueError, EOFError, TypeError)
 
 
@@ -179,11 +188,14 @@ def compiled_program(top: Optional[str], name: str,
     """What ``load`` (a ``compile_*`` function) builds from one generated
     module, read through the persist store's ``simcode`` tier.
 
-    A store hit execs the stored code object, generating and compiling
+    A store hit loads the stored code object, generating and compiling
     nothing; a miss (or no store) generates the source, compiles it in
     ``load`` and publishes the marshal'd code object.  A checksum-valid blob
-    that does not unmarshal to a code object is corrupt
-    (:meth:`repro.store.ArtifactStore.read_through`).
+    that does not unmarshal to a code object, or whose code ``load``
+    rejects as not this program, is corrupt
+    (:meth:`repro.store.ArtifactStore.read_through`): quarantined, rebuilt
+    and re-published.  On a miss the same rejection propagates — it is a
+    code generation bug.
     """
     fault_point("engine.compile")
     context = _PERSIST.get()
@@ -191,17 +203,12 @@ def compiled_program(top: Optional[str], name: str,
         return load(generate())[1]
     store, base = context
     tag = "top" if top is None else top
-    built: List[Any] = []
-
-    def build() -> CodeType:
-        code, value = load(generate())
-        built.append(value)
-        return code
-
-    code = store.read_through("simcode", f"{base}-{tag}-{name}-{_BYTECODE}",
-                              build, marshal.dumps, _code_object,
-                              _UNMARSHALABLE)
-    return built[0] if built else load(code)[1]
+    return store.read_through(
+        "simcode", f"{base}-{tag}-{name}-{_BYTECODE}",
+        lambda: load(generate()),
+        lambda built: marshal.dumps(built[0]),
+        lambda payload: load(_code_object(payload)),
+        _UNMARSHALABLE)[1]
 
 
 def _elaborate(design: Design, top: Optional[str],

@@ -3,15 +3,28 @@
 Instead of walking the Verilog AST for every signal on every cycle (what the
 interpreted :class:`~repro.sim.verilog_sim.Simulator` does), the compiled
 engines translate each continuous assignment and each clocked block *once*
-into straight-line Python source, with slot indices, constant-folded
-subexpressions and bit masks baked in as literals, and ``exec`` the result.
-Two dialects are generated from the same AST:
+into straight-line Python source, with constant-folded subexpressions and bit
+masks baked in as literals, and ``exec`` the result.  Two dialects are
+generated from the same AST:
 
 * **scalar** — plain Python ints, exactly the interpreter's arithmetic; used
   by :class:`~repro.sim.engine.compiled.CompiledSimulator`.
 * **vector** — numpy ``int64`` lane arrays with predicated conditionals; used
   by :class:`~repro.sim.engine.batch.BatchedSimulator` to run N independent
   stimulus sets per step function call.
+
+Thousands of the scalar step functions are copies of a handful of bodies
+that differ only in the slots and memories they touch (a GEMM's
+multiply-accumulate cells).  So the per-assignment step functions
+(:func:`comb_source`) and the fused run's clocked processes
+(:func:`repro.sim.engine.vector.vector_run_source`) are generated as
+*shapes*: each distinct body once, with its slot and memory indices as
+trailing parameters, plus an instance table holding one ``shape id,
+indices...`` row per function.  The ``compile_*`` functions compile only the
+shapes and build every function from its shape's code object with the row's
+indices as parameter defaults (:func:`instantiate`), which run as fast
+locals.  The single-function programs (:func:`clock_source` and the vector
+dialect) keep their indices as literals.
 
 Deep expression trees (wide result multiplexers, ``or_reduce`` chains) would
 overflow CPython's parser nesting limit if rendered as one expression, so the
@@ -28,7 +41,7 @@ out-of-bounds memory reads return 0 and out-of-bounds writes are dropped.
 
 from __future__ import annotations
 
-from types import CodeType
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -133,15 +146,21 @@ class ExprCompiler:
 
     ``expression(expr, builder, indent)`` returns a source fragment for
     ``expr``; deep subtrees are spilled as temporary-variable statements
-    emitted through ``builder`` at the given indentation.
+    emitted through ``builder`` at the given indentation.  With ``shaped``,
+    slot and memory indices are not literals but the current function's
+    parameters ``_0``, ``_1``, ... (see :meth:`index`), so structurally equal
+    functions generate equal text.
     """
 
-    def __init__(self, lowered: LoweredDesign, vector: bool = False) -> None:
+    def __init__(self, lowered: LoweredDesign, vector: bool = False,
+                 shaped: bool = False) -> None:
         self.lowered = lowered
         self.vector = vector
         self._depths: Dict[int, int] = {}
         self._folds: Dict[int, Optional[int]] = {}
         self._temp_count = 0
+        self._params: Optional[Dict[Tuple[str, int], str]] = \
+            {} if shaped else None
 
     # -- helpers -----------------------------------------------------------------
     def _children(self, expr: Expr) -> List[Expr]:
@@ -168,8 +187,27 @@ class ExprCompiler:
         return f"_t{self._temp_count}"
 
     def new_scope(self) -> None:
-        """Reset temporary numbering (start of a new generated function)."""
+        """Start a new generated function: reset temporary numbering and,
+        when ``shaped``, the index parameters."""
         self._temp_count = 0
+        if self._params is not None:
+            self._params = {}
+
+    def index(self, space: str, value: int) -> str:
+        """Source for slot (``space="v"``) or memory (``"m"``) index
+        ``value``: the literal, or when ``shaped`` the parameter that holds
+        it (one parameter per distinct index, numbered in order of use)."""
+        params = self._params
+        if params is None:
+            return str(value)
+        name = params.get((space, value))
+        if name is None:
+            name = params[space, value] = f"_{len(params)}"
+        return name
+
+    def parameters(self) -> List[int]:
+        """The current function's index parameter values, in order."""
+        return [value for _space, value in self._params]
 
     # -- expression compilation ---------------------------------------------------
     def expression(self, expr: Expr, builder: _SourceBuilder,
@@ -178,7 +216,7 @@ class ExprCompiler:
         if folded is not None:
             return repr(folded)
         if isinstance(expr, Ref):
-            return f"v[{self.lowered.slots.slot(expr.name)}]"
+            return f"v[{self.index('v', self.lowered.slots.slot(expr.name))}]"
 
         deep = self._depth(expr) > MAX_INLINE_DEPTH
         if deep and isinstance(expr, Ternary) and not self.vector:
@@ -248,7 +286,7 @@ class ExprCompiler:
                 )
             address = child(expr.address)
             helper = "_mrv" if self.vector else "_mr"
-            return f"{helper}(m[{mem_index}], ({address}))"
+            return f"{helper}(m[{self.index('m', mem_index)}], ({address}))"
         raise SimulationError(f"cannot compile expression {expr!r}")
 
     def _ternary_ladder(self, expr: Expr, builder: _SourceBuilder,
@@ -348,16 +386,90 @@ def load_module(source: Union[str, CodeType],
     return code, namespace
 
 
+class _ShapeTable:
+    """Distinct function bodies ("shapes") plus one instance row per
+    generated function.
+
+    :meth:`add` files one function body generated by a ``shaped``
+    :class:`ExprCompiler`; equal bodies share a shape.  :meth:`emit` writes
+    ``def <prefix><id>(<fixed>, _0, _1, ...)`` per shape and the instance
+    table as ONE string literal of ``id,index,...`` rows joined by ``;``:
+    ``compile()`` takes ~0.6 ms for a 10k-int string literal and 34-91 ms
+    for the same ints as a tuple literal.  :func:`instantiate` reads it back.
+    """
+
+    def __init__(self, prefix: str, fixed: str) -> None:
+        self.prefix = prefix
+        self.fixed = fixed
+        #: Body text -> (shape id, number of index parameters).
+        self._shapes: Dict[str, Tuple[int, int]] = {}
+        self._rows: List[str] = []
+
+    def add(self, body: _SourceBuilder, indices: List[int]) -> None:
+        text = "\n".join(body.lines)
+        shape = self._shapes.get(text)
+        if shape is None:
+            shape = self._shapes[text] = (len(self._shapes), len(indices))
+        self._rows.append(",".join(map(str, (shape[0], *indices))))
+
+    def emit(self, builder: _SourceBuilder, table: str) -> None:
+        for text, (shape, arity) in self._shapes.items():
+            params = "".join(f", _{n}" for n in range(arity))
+            builder.emit(0, f"def {self.prefix}{shape}({self.fixed}{params}):")
+            builder.lines.append(text)
+        builder.emit(0, f"{table} = {';'.join(self._rows)!r}")
+
+
+def instantiate(namespace: dict, table: str, prefix: str, fixed: int,
+                count: int) -> List[Callable]:
+    """The ``count`` functions a :class:`_ShapeTable` module describes.
+
+    Each row of the ``table`` string in the executed module ``namespace``
+    becomes ``FunctionType(shape code, namespace, None, indices)``: the
+    shape's trailing index parameters default to the row's indices.  A
+    module that is not such a program (no table or shape, a row count other
+    than ``count``, a row whose indices do not match its shape's parameters
+    after the ``fixed`` leading ones) raises :class:`ValueError`.
+    """
+    rows = namespace.get(table)
+    if not isinstance(rows, str):
+        raise ValueError(f"generated module has no {table} instance table")
+    rows = rows.split(";") if rows else []
+    if len(rows) != count:
+        raise ValueError(f"{table} has {len(rows)} instances, "
+                         f"the design has {count}")
+    codes: Dict[str, CodeType] = {}
+    functions = []
+    for row in rows:
+        shape, _, indices = row.partition(",")
+        code = codes.get(shape)
+        if code is None:
+            function = namespace.get(prefix + shape)
+            if not isinstance(function, FunctionType):
+                raise ValueError(f"generated module has no shape "
+                                 f"{prefix}{shape}")
+            code = codes[shape] = function.__code__
+        defaults = tuple(map(int, indices.split(","))) if indices else ()
+        if len(defaults) != code.co_argcount - fixed:
+            raise ValueError(f"{table} row {row!r} does not fit its shape")
+        functions.append(FunctionType(code, namespace, None, defaults))
+    return functions
+
+
 def comb_source(lowered: LoweredDesign) -> str:
-    """Generate (without exec'ing) the scalar per-assignment step sources."""
-    compiler = ExprCompiler(lowered, vector=False)
-    builder = _SourceBuilder()
+    """Generate (without exec'ing) the scalar per-assignment step functions:
+    their shapes ``_sa<id>(v, m, ...)`` and the ``_STEPS`` instance table
+    (one row per ordered assignment)."""
+    compiler = ExprCompiler(lowered, shaped=True)
+    shapes = _ShapeTable("_sa", "v, m")
     for index, assign in enumerate(lowered.netlist.ordered):
-        mask = lowered.assign_masks[index]
         compiler.new_scope()
-        builder.emit(0, f"def _a{index}(v, m):")
-        body = compiler.expression(assign.expr, builder, 1)
-        builder.emit(1, f"return (({body})) & {mask}")
+        body = _SourceBuilder()
+        value = compiler.expression(assign.expr, body, 1)
+        body.emit(1, f"return (({value})) & {lowered.assign_masks[index]}")
+        shapes.add(body, compiler.parameters())
+    builder = _SourceBuilder()
+    shapes.emit(builder, "_STEPS")
     return builder.source()
 
 
@@ -365,13 +477,14 @@ def compile_comb(lowered: LoweredDesign, source: Union[str, CodeType]
                  ) -> Tuple[CodeType, List[Callable]]:
     """Compile each continuous assignment into its own step function.
 
-    ``source`` is a :func:`comb_source` text or its code object.
+    ``source`` is a :func:`comb_source` text or its code object; only its
+    shapes are compiled, and the step functions are instantiated from them.
     ``step_fns[i](v, m)`` evaluates ordered assignment ``i`` and returns its
     new (masked) target value; the caller stores it and schedules fanout.
     """
     code, namespace = load_module(source)
-    return code, [namespace[f"_a{index}"]
-                  for index in range(len(lowered.netlist.ordered))]
+    return code, instantiate(namespace, "_STEPS", "_sa", 2,
+                             len(lowered.netlist.ordered))
 
 
 def comb_vector_source(lowered: LoweredDesign) -> str:
@@ -404,7 +517,7 @@ def _emit_clock_stmt(builder: _SourceBuilder, compiler: ExprCompiler,
                      predicate: Optional[str], counter: List[int]) -> None:
     vector = compiler.vector
     if isinstance(stmt, NonBlockingAssign):
-        slot = lowered.slots.slot(stmt.target)
+        slot = compiler.index("v", lowered.slots.slot(stmt.target))
         mask = lowered.reg_mask_for(stmt.target)
         value = f"(({compiler.expression(stmt.expr, builder, indent)})) & {mask}"
         if vector:
@@ -420,6 +533,7 @@ def _emit_clock_stmt(builder: _SourceBuilder, compiler: ExprCompiler,
             )
         address = compiler.expression(stmt.address, builder, indent)
         data = compiler.expression(stmt.data, builder, indent)
+        mem_index = compiler.index("m", mem_index)
         if vector:
             builder.emit(indent,
                          f"mu.append(({mem_index}, {predicate}, ({address}), "
@@ -513,5 +627,6 @@ __all__ = [
     "compile_comb",
     "compile_comb_vector",
     "fold_expr",
+    "instantiate",
     "load_module",
 ]

@@ -6,8 +6,9 @@ Simulator` (same ``set``/``get``/``step``/``memory`` surface, selected with
 
 1. **Compilation** — the elaborated netlist is levelized once and every
    continuous assignment / clocked block is specialized into generated
-   Python with slot indices and masks baked in (:mod:`.codegen`), so a cycle
-   executes straight-line bytecode instead of an AST walk.
+   Python with masks baked in and slot indices bound as literals or, for
+   the per-assignment step functions, as parameter defaults (:mod:`.codegen`),
+   so a cycle executes straight-line bytecode instead of an AST walk.
 2. **Event-driven scheduling** — writes (``set``, register commits, memory
    commits, external models) mark only the fanout cone of the changed
    signal dirty; ``eval_comb`` re-evaluates just those assignments, in

@@ -27,7 +27,9 @@ that is event-driven on *both* sides of the clock:
 The generated function is cached per ``(design, top, interface signature)``
 in the engine compile cache and its code object persisted through
 :mod:`repro.store` like every other generated simulator module, so a warm run
-is a single call.
+is a single call.  Like the step functions, the clocked processes are
+generated as shapes plus an instance table (:mod:`repro.sim.engine.codegen`):
+gemm-16's 2527 processes compile as 8 function bodies.
 
 :func:`steady_state_of` ties the engine to the static-timing analysis of
 :mod:`repro.graph.timing`: a design whose schedule is not statically
@@ -59,8 +61,10 @@ from repro.obs.tracer import TRACER
 from repro.sim.engine.cache import compiled_program, step_artifacts
 from repro.sim.engine.codegen import (
     ExprCompiler,
-    _SourceBuilder,
     _emit_clock_stmt,
+    _ShapeTable,
+    _SourceBuilder,
+    instantiate,
     load_module,
 )
 from repro.sim.engine.levelize import LoweredDesign
@@ -179,7 +183,8 @@ def vector_run_source(lowered: LoweredDesign,
     memory/interface commit, and drives the whole start-to-done protocol in
     one loop — no per-cycle Python calls at all.  Pure function of
     ``(lowered, specs)``, so its code object persists through the compile
-    cache's store tier like the per-cycle dialects.
+    cache's store tier like the per-cycle dialects.  Clocked processes are
+    generated once per distinct body (see :mod:`repro.sim.engine.codegen`).
     """
     flat = lowered.flat
     slots = lowered.slots
@@ -198,9 +203,6 @@ def vector_run_source(lowered: LoweredDesign,
             return f"v[{slots.slot_of[name]}]"
         return "0"
 
-    compiler = ExprCompiler(lowered, vector=False)
-    builder = _SourceBuilder()
-
     # One generated function per top-level clocked statement ("process").
     # The run loop is event-driven on the clocked side too: a process only
     # re-evaluates when a signal or memory it reads changed since it last
@@ -208,16 +210,20 @@ def vector_run_source(lowered: LoweredDesign,
     # would schedule the same updates and every commit below is
     # value-compared; processes that (may) write the same target are kept in
     # one conflict group (see :func:`compile_vector_run`) so last-writer-
-    # wins resolution is preserved.
+    # wins resolution is preserved.  Processes are generated as shapes
+    # ``_sp<id>(v, m, ru, mu, ...)`` plus the ``_PROCESSES`` instance table;
+    # :func:`compile_vector_run` binds the instances as ``_PROCS``.
+    compiler = ExprCompiler(lowered, shaped=True)
+    builder = _SourceBuilder()
+    processes = _ShapeTable("_sp", "v, m, ru, mu")
     num_procs = len(flat.clocked)
-    counter = [0]
-    for pid, stmt in enumerate(flat.clocked):
-        builder.emit(0, f"def _p{pid}(v, m, ru, mu):")
-        _emit_clock_stmt(builder, compiler, lowered, stmt, 1, None, counter)
-        builder.emit(1, "return None")
-    names = ", ".join(f"_p{pid}" for pid in range(num_procs))
-    trailing = "," if num_procs == 1 else ""
-    builder.emit(0, f"_PROCS = ({names}{trailing})")
+    for stmt in flat.clocked:
+        compiler.new_scope()
+        body = _SourceBuilder()
+        _emit_clock_stmt(body, compiler, lowered, stmt, 1, None, [0])
+        body.emit(1, "return None")
+        processes.add(body, compiler.parameters())
+    processes.emit(builder, "_PROCESSES")
 
     builder.emit(0, "def _vrun(v, m, im, _steps, max_cycles, drain_cycles):")
     builder.emit(1, "_tg = _TARGETS")
@@ -378,8 +384,10 @@ def compile_vector_run(lowered: LoweredDesign, source: Union[str, CodeType]
     The static tables the program indexes at run time — assignment targets,
     per-slot fanout, fanout-plus-driver mark lists, per-memory fanout and
     masks, clocked-process sensitivity — are rebuilt from ``lowered`` and
-    bound as globals, so the code itself stays a pure function of the design
-    (and persists through the store).
+    bound as globals, and so are the clocked processes, instantiated from
+    the program's shapes and instance table
+    (:func:`~repro.sim.engine.codegen.instantiate`), so the code itself
+    stays a pure function of the design (and persists through the store).
     """
     marks = []
     for slot in range(len(lowered.slots.names)):
@@ -442,6 +450,8 @@ def compile_vector_run(lowered: LoweredDesign, source: Union[str, CodeType]
         _PSLOT=[tuple(sorted(pids)) for pids in pslot],
         _PMEM=[tuple(sorted(pids)) for pids in pmem],
     )
+    namespace["_PROCS"] = tuple(instantiate(namespace, "_PROCESSES", "_sp",
+                                            4, num_procs))
     return code, namespace["_vrun"]
 
 

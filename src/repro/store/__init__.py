@@ -26,6 +26,7 @@ from repro.store.store import (
     get_store,
     reset_store_counters,
     store_counters,
+    toolchain_digest,
 )
 
 __all__ = [
@@ -45,4 +46,5 @@ __all__ = [
     "is_tmp_debris",
     "reset_store_counters",
     "store_counters",
+    "toolchain_digest",
 ]

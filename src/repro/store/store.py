@@ -3,9 +3,14 @@
 ``ArtifactStore`` persists toolchain artifacts — optimized IR text, emitted
 Verilog, resource reports, compiled-simulator code objects — keyed by
 ``(kind, key)`` where ``key`` folds in the content fingerprint of everything
-the artifact was built from.  It layers *under* the in-memory tiers (Flow
-stage cache, simulator compile cache, DSE memo): memory first, then disk,
-then build — and a disk hit is always re-verified.
+the artifact was built from.  Every key is also folded with the
+:func:`toolchain_digest` of the ``repro`` sources that made the bytes, in
+one place (:meth:`ArtifactStore.blob_path`), so a store shared between
+checkouts never serves one checkout's output to another: a blob made by
+other sources is an ordinary miss, and ``gc`` evicts it first as least
+recently used.  The store layers *under* the in-memory tiers (Flow stage
+cache, simulator compile cache, DSE memo): memory first, then disk, then
+build — and a disk hit is always re-verified.
 
 Robustness model (every clause is fault-injectable and tested):
 
@@ -27,7 +32,8 @@ Robustness model (every clause is fault-injectable and tested):
 
 Layout under the root (``REPRO_STORE_DIR`` / ``FlowConfig.store_dir``)::
 
-    objects/<kind>/<k[:2]>/<key>.blob    header line + payload bytes
+    objects/<kind>/<t>/<k[:2]>/<key>.blob  header line + payload bytes
+                                         (<t>: toolchain digest prefix)
     quarantine/<kind>__<key>__<n>.blob   corrupt blobs, kept for forensics
     store.lock                           advisory writer lock
 
@@ -36,6 +42,7 @@ Blob header (one ASCII line): ``repro-store 1 <kind> <size> <sha256hex>``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
@@ -62,6 +69,7 @@ __all__ = [
     "default_store",
     "get_store",
     "store_counters",
+    "toolchain_digest",
 ]
 
 _MAGIC = b"repro-store"
@@ -96,6 +104,28 @@ _LAST_STORE: Optional["ArtifactStore"] = None
 
 #: ``get_store`` memo: one instance per absolute root path.
 _STORES: Dict[str, "ArtifactStore"] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def toolchain_digest() -> str:
+    """sha256 over the relative path and bytes of every ``repro/**/*.py``
+    source: the code that makes every stored artifact (computed once per
+    process, ~7 ms)."""
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(package):
+        dirnames[:] = sorted(name for name in dirnames
+                             if name != "__pycache__")
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            relative = os.path.relpath(path, package).replace(os.sep, "/")
+            digest.update(f"{relative}\0{len(data)}\0".encode())
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def store_counters() -> Dict[str, int]:
@@ -291,9 +321,11 @@ class ArtifactStore:
         return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
     def blob_path(self, kind: str, key: str) -> str:
+        """Where ``(kind, key)`` lives for this toolchain: the one place the
+        :func:`toolchain_digest` is folded into every key."""
         safe = self._safe(key)
         return os.path.join(self.objects_dir, self._safe(kind),
-                            safe[:2], f"{safe}.blob")
+                            toolchain_digest()[:16], safe[:2], f"{safe}.blob")
 
     def _lock(self) -> _StoreLock:
         return _StoreLock(self.lock_path)

@@ -8,6 +8,7 @@ contract: the run re-executes on the interpreter with identical results.
 """
 
 import marshal
+import os
 import types
 
 import numpy as np
@@ -161,23 +162,29 @@ class TestCodeTier:
             monkeypatch.setattr(owner, name, _refuse)
         assert _vector_run(root) == cold
 
-    @pytest.mark.parametrize("payload", [b"\xffnot marshal data",
-                                         marshal.dumps(7)],
-                             ids=["garbage", "int"])
+    @pytest.mark.parametrize("payload", [
+        b"\xffnot marshal data",
+        marshal.dumps(7),
+        # A code object, but of some other program: no instance table.
+        marshal.dumps(compile("x = 1", "<s>", "exec")),
+    ], ids=["garbage", "int", "foreign-code"])
     def test_undecodable_code_blob_rebuilds_identically(self, tmp_path,
                                                         payload):
         root = str(tmp_path / "store")
         cold = _vector_run(root)
         store = ArtifactStore(root)
-        key = next(key for key in _simcode_keys(store) if "comb-scalar" in key)
-        store.put("simcode", key, payload)      # a valid checksum over junk
+        keys = _simcode_keys(store)
+        assert len(keys) == 2           # the step functions + the fused run
+        for key in keys:
+            store.put("simcode", key, payload)  # a valid checksum over junk
 
         before = store_counters()
         assert _vector_run(root) == cold
         after = store_counters()
-        assert after["corrupt"] == before["corrupt"] + 1
-        assert after["quarantined"] == before["quarantined"] + 1
-        assert store.get("simcode", key) != payload     # re-published
+        assert after["corrupt"] == before["corrupt"] + len(keys)
+        assert after["quarantined"] == before["quarantined"] + len(keys)
+        assert all(store.get("simcode", key) != payload     # re-published
+                   for key in keys)
         assert _vector_run(root) == cold
 
     def test_other_bytecode_version_is_a_plain_miss(self, tmp_path,
@@ -218,6 +225,51 @@ class TestCodeTier:
             assert outcome.run.cycles == vector.run.cycles
             assert np.array_equal(outcome.memory_array("y"),
                                   vector.memory_array("y"))
+
+
+class TestToolchainDigest:
+    """Every key names the ``repro`` sources that made the bytes."""
+
+    def test_other_toolchain_misses_every_tier(self, tmp_path, monkeypatch):
+        import repro.store.store as store_module
+        from repro.serve import ServeRequest, ServeServer
+
+        def session(root):
+            config = FlowConfig.from_env().with_(store_dir=root)
+            with ServeServer(config=config, workers=1) as server:
+                served = server.handle_request(ServeRequest.make(
+                    "build", "matvec", {"size": 4}).to_payload())
+            return (_artifacts(_flow(root)), _vector_run(root),
+                    served.payload, served.provenance)
+
+        def kinds(store):
+            counts = {}
+            for info in store.iter_blobs():
+                counts[info.kind] = counts.get(info.kind, 0) + 1
+            return counts
+
+        root = str(tmp_path / "store")
+        store = ArtifactStore(root)
+        expected = session("")[:3]
+        assert session(root) == expected + ("built",)
+        assert session(root) == expected + ("store-hit",)
+        filled = kinds(store)
+        assert set(filled) == {"ir", "verilog", "resources", "simcode",
+                               "serve"}
+
+        # A hit refreshes its blob's mtime (gc recency): age every blob, so
+        # one the other toolchain served would show.
+        old = [info.path for info in store.iter_blobs()]
+        for path in old:
+            os.utime(path, (1, 1))
+        monkeypatch.setattr(store_module, "toolchain_digest",
+                            lambda: "0" * 64)
+        corrupt = store_counters()["corrupt"]
+        assert session(root) == expected + ("built",)
+        assert store_counters()["corrupt"] == corrupt
+        assert all(os.stat(path).st_mtime == 1 for path in old)
+        assert kinds(store) == {kind: 2 * count
+                                for kind, count in filled.items()}
 
 
 class TestEngineFallback:
