@@ -201,11 +201,11 @@ def test_warm_store_vector_simulate_on_gemm(bench_recorder, tmp_path):
     """A cold process on a warm store.  A vector simulate into an empty
     store is the cold side; then the in-memory compile cache is dropped and
     a fresh Flow over the filled store simulates again.  The warm side's
-    simulator code comes from the store's ``simcode`` tier (marshal'd code
-    objects), so it neither generates nor ``compile()``-s Python; it still
-    re-lowers and re-elaborates the design.  Each side is the best of
-    ``REPEATS`` runs, so host-speed noise stays below the gate's
-    tolerance."""
+    simulator code and simulator image come from the store's ``simcode``
+    tier (marshal'd code objects plus the fused run's tables), so it neither
+    generates nor ``compile()``-s Python, and it never lowers, elaborates
+    or levelizes the design.  Each side is the best of ``REPEATS`` runs, so
+    host-speed noise stays below the gate's tolerance."""
     from repro.flow import Flow, FlowConfig
 
     def simulate(config):

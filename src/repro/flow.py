@@ -136,10 +136,13 @@ class FlowConfig:
     sim_cache_size: Optional[int] = None
     #: Persistent artifact store root (:mod:`repro.store`): ``None`` inherits
     #: ``REPRO_STORE_DIR``, ``""`` disables persistence explicitly.  When a
-    #: store resolves, the optimized-IR, Verilog-text, resource-report and
-    #: compiled-simulator-source stages read through to disk and publish
-    #: their results, so a cold process re-running a warm design skips the
-    #: pass pipeline, emission and simulator codegen.
+    #: store resolves, the optimized IR, the Verilog text, the resource
+    #: report and the compiled simulator code (with the fused run's
+    #: simulator image) read through to disk and publish their results, so
+    #: a cold process re-running a warm design skips the pass pipeline,
+    #: Verilog lowering and emission, the resource estimate and simulator
+    #: codegen; a ``vector`` simulate then never lowers the design (the
+    #: laziness rule is on :class:`VerilogArtifact`).
     store_dir: Optional[str] = None
     #: Observability: enable the process tracer (:data:`repro.obs.TRACER`)
     #: for the duration of every stage build and simulation of this flow.
@@ -326,15 +329,39 @@ class Artifact(Generic[T]):
 class VerilogArtifact:
     """Value of :meth:`Flow.verilog`: the design, its text, codegen stats.
 
-    ``text`` is emitted lazily on first access (and then cached), so the
-    ``verilog`` stage's ``seconds`` measure code *generation* alone —
-    comparable with ``generate_verilog_impl().seconds``.
+    ``design`` and ``statistics`` come from lowering the optimized module
+    (``generate_verilog_impl``), done once, on first access; ``text`` is
+    emitted from the design on first access unless the store served it.
+    The laziness rule of the ``verilog`` stage: its build lowers unless the
+    store served the text.  So with no store (Table 6, ``report --timing``)
+    the stage's ``seconds`` cover lowering but not emission — comparable
+    with ``generate_verilog_impl().seconds`` — and a store miss lowers and
+    emits inside the stage.  Only a warm store defers lowering, possibly
+    forever: a ``vector`` simulate then runs from the stored simulator image
+    (:mod:`repro.sim.engine.vector`) and never reads ``design``.
     """
 
-    def __init__(self, design: Any, statistics: Mapping[str, int]) -> None:
-        self.design = design
-        self.statistics = statistics
+    def __init__(self, lower: Callable[[], Any], top: str) -> None:
+        #: Returns the CodegenResult; must not reference the Flow, so a dead
+        #: session is freed without waiting for the cycle collector.
+        self._lower: Optional[Callable[[], Any]] = lower
+        self._result: Any = None
         self._text: Optional[str] = None
+        self.top = top
+
+    def _lowered(self) -> Any:
+        if self._result is None:
+            self._result = self._lower()
+            self._lower = None
+        return self._result
+
+    @property
+    def design(self) -> Any:
+        return self._lowered().design
+
+    @property
+    def statistics(self) -> Mapping[str, int]:
+        return self._lowered().statistics
 
     @property
     def text(self) -> str:
@@ -344,8 +371,8 @@ class VerilogArtifact:
         return self._text
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<VerilogArtifact top={self.design.top!r} "
-                f"modules={len(self.design.modules)}>")
+        state = "lowered" if self._result is not None else "not lowered"
+        return f"<VerilogArtifact top={self.top!r} ({state})>"
 
 
 @dataclass(frozen=True)
@@ -747,8 +774,12 @@ class Flow:
         return getattr(self, "_pass_report", None)
 
     def verilog(self) -> Artifact[VerilogArtifact]:
-        """Generate Verilog for the optimized module (cached per content)."""
-        from repro.verilog.codegen import generate_verilog_impl
+        """Generate Verilog for the optimized module (cached per content).
+
+        Lowers inside the stage unless the store serves the text (see
+        :class:`VerilogArtifact`).
+        """
+        from repro.verilog import codegen
         parent = self.optimized()
         # The optimized module is either the source itself (parent
         # fingerprint IS its content hash) or a Flow-internal clone that
@@ -764,15 +795,21 @@ class Flow:
                        str(options.emit_location_comments)),
                       ("emit_assertions", str(options.emit_assertions)))
 
+        module, top = parent.value, self.top
+
+        def lower():
+            return codegen.generate_verilog_impl(module, top=top,
+                                                 options=options)
+
         def build():
-            result = generate_verilog_impl(parent.value, top=self.top,
-                                           options=options)
-            value = VerilogArtifact(design=result.design,
-                                    statistics=dict(result.statistics))
-            # Disk tier: preload (or publish) the emitted text, so `.text`
-            # costs a checksum-verified read instead of a full emission.
+            value = VerilogArtifact(lower, top)
             store = self.config.resolve_store()
-            if store is not None:
+            if store is None:
+                value._lowered()
+            else:
+                # Disk tier: preload (or publish) the emitted text, so
+                # `.text` costs a checksum-verified read instead of lowering
+                # and a full emission.
                 value._text = store.read_through(
                     "verilog", self._design_key(fingerprint),
                     lambda: value.text)
@@ -894,7 +931,7 @@ class Flow:
 
         def run_engine(name):
             return run_design_impl(
-                design_artifact.value.design,
+                design_artifact.value,
                 memories={name_: (memref_type, resolved[name_])
                           for name_, memref_type in self.interfaces.items()},
                 scalar_inputs=scalars,

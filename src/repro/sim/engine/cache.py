@@ -6,7 +6,9 @@ across simulator instances: re-running the same generated design — a
 multi-seed sweep, a batched run after a single run, the differential
 harness's second engine — pays compilation once.  Entries are keyed weakly on
 the :class:`~repro.verilog.ast.Design` object, so a design's artifacts die
-with it.
+with it.  The fused run (:mod:`repro.sim.engine.vector`) is cached the same
+way (:func:`memoized`) on what it was given: a Design, or a Flow's lazily
+lowered :class:`repro.flow.VerilogArtifact`, which a warm store never lowers.
 
 Designs with external (black-box) models are never cached: their elaboration
 instantiates stateful behavioural models that must stay private to one
@@ -21,11 +23,12 @@ simulators already built from the artifacts keep working.
 
 Under :func:`persist_compiled`, every generated program is also read through
 the artifact store's ``simcode`` tier as one marshal'd module code object
-(:func:`compiled_program`).  For the step functions and the fused run that
-module holds shapes plus an instance table
-(:mod:`repro.sim.engine.codegen`), and the ``compile_*`` loader that turns
-it into functions runs as the store's decoder, so a stored code object that
-is not the expected program counts as a corrupt blob.
+(:func:`compiled_program`); the fused run's blob pairs it with the run's
+simulator image.  For the step functions and the fused run that module holds
+shapes plus an instance table (:mod:`repro.sim.engine.codegen`), and the
+``compile_*`` loader that turns it into functions runs as the store's
+decoder, so a stored code object (or image) that is not the expected program
+counts as a corrupt blob.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ import os
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import CodeType
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.resilience.faults import fault_point
 from repro.sim.engine.codegen import (
@@ -101,7 +104,7 @@ def _on_design_death(key: int) -> None:
     _FINALIZED.discard(key)
 
 
-def _design_entry(design: Design) -> Optional[dict]:
+def _design_entry(design: Any) -> Optional[dict]:
     capacity = _cache_capacity()
     if capacity == 0:
         return None
@@ -122,6 +125,25 @@ def _design_entry(design: Design) -> Optional[dict]:
     return entry
 
 
+def memoized(design: Any, key: Any, build: Callable[[], Any]) -> Any:
+    """``build()``, cached under ``key`` for as long as ``design`` lives.
+
+    ``design`` is a :class:`~repro.verilog.ast.Design` or, for the fused
+    run, the lazily lowered :class:`repro.flow.VerilogArtifact` that stands
+    in for one.  A ``build`` that raises caches nothing.
+    """
+    entry = _design_entry(design)
+    if entry is None:
+        return build()
+    value = entry.get(key)
+    if value is None:
+        _STATS["misses"] += 1
+        value = entry[key] = build()
+    else:
+        _STATS["hits"] += 1
+    return value
+
+
 @dataclass
 class CompiledArtifacts:
     """Everything shareable between simulators of one (design, top) pair."""
@@ -134,9 +156,6 @@ class CompiledArtifacts:
     #: Vector dialect: whole-netlist pass + predicated clocked function.
     comb_vector_fn: Optional[Callable] = None
     clock_vector_fn: Optional[Callable] = None
-    #: Fused whole-run programs (:mod:`repro.sim.engine.vector`), keyed on
-    #: the interface-memory signature they were specialized against.
-    vector_runs: Dict[str, Callable] = field(default_factory=dict)
 
 
 #: When set (by :func:`persist_compiled`), generated simulator code objects
@@ -183,19 +202,22 @@ def _code_object(payload: bytes) -> CodeType:
 
 
 def compiled_program(top: Optional[str], name: str,
-                     generate: Callable[[], str],
-                     load: Callable[[Any], Tuple[CodeType, Any]]) -> Any:
-    """What ``load`` (a ``compile_*`` function) builds from one generated
+                     generate: Callable[[], Any],
+                     load: Callable[[Any], Tuple[Any, Any]],
+                     unpack: Callable[[bytes], Any] = _code_object) -> Any:
+    """What ``load`` (a ``compile_*`` call) builds from one generated
     module, read through the persist store's ``simcode`` tier.
 
-    A store hit loads the stored code object, generating and compiling
-    nothing; a miss (or no store) generates the source, compiles it in
-    ``load`` and publishes the marshal'd code object.  A checksum-valid blob
-    that does not unmarshal to a code object, or whose code ``load``
-    rejects as not this program, is corrupt
-    (:meth:`repro.store.ArtifactStore.read_through`): quarantined, rebuilt
-    and re-published.  On a miss the same rejection propagates — it is a
-    code generation bug.
+    ``load`` receives ``generate()`` on a miss (or with no store) and, on a
+    store hit, what ``unpack`` decodes the payload into (by default its
+    code object).  It returns ``(stored, value)``; ``stored`` is what a miss
+    publishes marshal'd: the module's code object, or for the fused run its
+    ``(code, image)`` pair (:mod:`repro.sim.engine.vector`).  So a hit
+    generates and compiles nothing.  A checksum-valid blob that ``unpack``
+    cannot decode, or whose contents ``load`` rejects as not this program,
+    is corrupt (:meth:`repro.store.ArtifactStore.read_through`):
+    quarantined, rebuilt and re-published.  On a miss the same rejection
+    propagates — it is a code generation bug.
     """
     fault_point("engine.compile")
     context = _PERSIST.get()
@@ -207,7 +229,7 @@ def compiled_program(top: Optional[str], name: str,
         "simcode", f"{base}-{tag}-{name}-{_BYTECODE}",
         lambda: load(generate()),
         lambda built: marshal.dumps(built[0]),
-        lambda payload: load(_code_object(payload)),
+        lambda payload: load(unpack(payload)),
         _UNMARSHALABLE)[1]
 
 
@@ -227,34 +249,10 @@ def base_artifacts(design: Design, top: Optional[str],
     (per-cycle scalar, per-cycle lanes, fused whole-run); dialect compiles
     hang their functions off the returned artifacts.
     """
-    per_design = _design_entry(design) if not external_models else None
-    cacheable = per_design is not None
-    artifacts: Optional[CompiledArtifacts] = None
-    if cacheable:
-        artifacts = per_design.get(top)
-    if artifacts is None:
-        if cacheable:
-            _STATS["misses"] += 1
-        flat, lowered = _elaborate(design, top, external_models)
-        artifacts = CompiledArtifacts(flat=flat, lowered=lowered)
-        if cacheable:
-            per_design[top] = artifacts
-    else:
-        _STATS["hits"] += 1
-    return artifacts
+    def build() -> CompiledArtifacts:
+        return CompiledArtifacts(*_elaborate(design, top, external_models))
 
-
-def step_artifacts(design: Design, top: Optional[str],
-                   external_models=None) -> CompiledArtifacts:
-    """:func:`base_artifacts` plus the scalar per-assignment step functions
-    — everything the fused vector engine runs besides its own program."""
-    artifacts = base_artifacts(design, top, external_models)
-    if artifacts.step_fns is None:
-        lowered = artifacts.lowered
-        artifacts.step_fns = compiled_program(
-            top, "comb-scalar", lambda: comb_source(lowered),
-            lambda source: compile_comb(lowered, source))
-    return artifacts
+    return build() if external_models else memoized(design, top, build)
 
 
 def compiled_artifacts(design: Design, top: Optional[str], external_models,
@@ -263,18 +261,22 @@ def compiled_artifacts(design: Design, top: Optional[str], external_models,
     artifacts when safe.
 
     Each compiled slot is filled and checked on its own, so a compile that
-    raises leaves its slot empty for the next call to retry.
+    raises leaves its slot empty for the next call to retry.  The scalar
+    step functions are the ones the fused vector engine also runs
+    (:mod:`repro.sim.engine.vector`), from the same ``simcode`` blob.
     """
+    artifacts = base_artifacts(design, top, external_models)
+    lowered = artifacts.lowered
     if not vector:
-        artifacts = step_artifacts(design, top, external_models)
+        if artifacts.step_fns is None:
+            artifacts.step_fns = compiled_program(
+                top, "comb-scalar", lambda: comb_source(lowered),
+                lambda source: compile_comb(lowered.num_assigns, source))
         if artifacts.clock_fn is None:
-            lowered = artifacts.lowered
             artifacts.clock_fn = compiled_program(
                 top, "clock-scalar", lambda: clock_source(lowered),
                 lambda source: compile_clock(lowered, source))
         return artifacts
-    artifacts = base_artifacts(design, top, external_models)
-    lowered = artifacts.lowered
     if artifacts.comb_vector_fn is None:
         artifacts.comb_vector_fn = compiled_program(
             top, "comb-vector", lambda: comb_vector_source(lowered),
@@ -287,7 +289,8 @@ def compiled_artifacts(design: Design, top: Optional[str], external_models,
 
 
 def clear_compile_cache() -> None:
-    """Drop every cached compilation (mainly for tests and benchmarks)."""
+    """Drop every cached compilation, fused runs and their simulator images
+    included (mainly for tests and benchmarks)."""
     _CACHE.clear()
 
 
@@ -308,4 +311,4 @@ _register_stats()
 
 __all__ = ["CompiledArtifacts", "base_artifacts", "clear_compile_cache",
            "compile_cache_size", "compiled_artifacts", "compiled_program",
-           "persist_compiled", "set_cache_capacity", "step_artifacts"]
+           "memoized", "persist_compiled", "set_cache_capacity"]

@@ -24,7 +24,10 @@ indices...`` row per function.  The ``compile_*`` functions compile only the
 shapes and build every function from its shape's code object with the row's
 indices as parameter defaults (:func:`instantiate`), which run as fast
 locals.  The single-function programs (:func:`clock_source` and the vector
-dialect) keep their indices as literals.
+dialect) keep their indices as literals.  :func:`compile_comb` needs only the
+step count besides the module, so a warm store loads the step functions with
+the count from the fused run's simulator image
+(:mod:`repro.sim.engine.vector`), without a lowered design.
 
 Deep expression trees (wide result multiplexers, ``or_reduce`` chains) would
 overflow CPython's parser nesting limit if rendered as one expression, so the
@@ -473,18 +476,21 @@ def comb_source(lowered: LoweredDesign) -> str:
     return builder.source()
 
 
-def compile_comb(lowered: LoweredDesign, source: Union[str, CodeType]
+def compile_comb(count: int, source: Union[str, CodeType]
                  ) -> Tuple[CodeType, List[Callable]]:
     """Compile each continuous assignment into its own step function.
 
     ``source`` is a :func:`comb_source` text or its code object; only its
-    shapes are compiled, and the step functions are instantiated from them.
-    ``step_fns[i](v, m)`` evaluates ordered assignment ``i`` and returns its
-    new (masked) target value; the caller stores it and schedules fanout.
+    shapes are compiled, and the ``count`` step functions (one per ordered
+    assignment, ``LoweredDesign.num_assigns``) are instantiated from them.
+    Taking the count rather than the lowered design lets a warm store load
+    the step functions from a simulator image alone
+    (:mod:`repro.sim.engine.vector`).  ``step_fns[i](v, m)`` evaluates
+    ordered assignment ``i`` and returns its new (masked) target value; the
+    caller stores it and schedules fanout.
     """
     code, namespace = load_module(source)
-    return code, instantiate(namespace, "_STEPS", "_sa", 2,
-                             len(lowered.netlist.ordered))
+    return code, instantiate(namespace, "_STEPS", "_sa", 2, count)
 
 
 def comb_vector_source(lowered: LoweredDesign) -> str:

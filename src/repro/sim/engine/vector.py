@@ -24,12 +24,20 @@ that is event-driven on *both* sides of the clock:
   :func:`repro.sim.engine.window.last_drain_cycle` helper, exactly like the
   scalar and batched runners.
 
-The generated function is cached per ``(design, top, interface signature)``
-in the engine compile cache and its code object persisted through
-:mod:`repro.store` like every other generated simulator module, so a warm run
-is a single call.  Like the step functions, the clocked processes are
-generated as shapes plus an instance table (:mod:`repro.sim.engine.codegen`):
-gemm-16's 2527 processes compile as 8 function bodies.
+Like the step functions, the clocked processes are generated as shapes plus
+an instance table (:mod:`repro.sim.engine.codegen`): gemm-16's 2527
+processes compile as 8 function bodies.  The generated function is cached
+per ``(design, top, interface signature)`` in the engine compile cache.  Its
+code object is persisted through :mod:`repro.store` together with the run's
+*simulator image*: the plain tables the program and :func:`run_design_vector`
+read (assignment targets, fanout and mark lists, process sensitivity, counts,
+reset values, memory depths, input widths, signal and memory names).  So a
+run needs no :class:`~repro.verilog.ast.Design`: :meth:`repro.flow.Flow.
+simulate` hands the engine its lazily lowered
+:class:`~repro.flow.VerilogArtifact`, and a warm store serves the image and
+the step functions without lowering, elaborating or levelizing the design.
+Only a blob miss lowers it (:func:`_load_run`).  A stored image that is not
+the program's is a corrupt blob (:func:`compile_vector_run`).
 
 :func:`steady_state_of` ties the engine to the static-timing analysis of
 :mod:`repro.graph.timing`: a design whose schedule is not statically
@@ -52,13 +60,16 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import marshal
 from dataclasses import dataclass
+from functools import cached_property
 from types import CodeType
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ir.errors import SimulationError
 from repro.obs.tracer import TRACER
-from repro.sim.engine.cache import compiled_program, step_artifacts
+from repro.sim.engine import cache
+from repro.sim.engine.cache import compiled_program
 from repro.sim.engine.codegen import (
     ExprCompiler,
     _emit_clock_stmt,
@@ -376,18 +387,37 @@ def vector_run_source(lowered: LoweredDesign,
     return builder.source()
 
 
-def compile_vector_run(lowered: LoweredDesign, source: Union[str, CodeType]
-                       ) -> Tuple[CodeType, Callable]:
-    """Compile a :func:`vector_run_source` text (or exec its code object)
-    into ``(code, _vrun)``.
+#: The simulator-image fields :func:`compile_vector_run` binds as the fused
+#: program's globals.
+_BOUND = ("_TARGETS", "_FANOUT", "_MARKS", "_MFAN", "_MM", "_PSLOT", "_PMEM")
 
-    The static tables the program indexes at run time — assignment targets,
+#: Every simulator-image field and its exact type (``marshal`` keeps both).
+_IMAGE_FIELDS: Dict[str, type] = {
+    **{name: list for name in _BOUND}, "_MM": tuple,
+    "assigns": int, "processes": int, "slots": int, "memories": int,
+    "reset": list, "mem_depths": list, "inputs": dict, "names": list,
+    "mem_names": list,
+}
+
+#: The image's per-assignment, per-slot and per-memory tables, by count.
+_IMAGE_LENGTHS = (
+    ("assigns", ("_TARGETS",)),
+    ("slots", ("_FANOUT", "_MARKS", "_PSLOT", "reset")),
+    ("memories", ("_MFAN", "_MM", "_PMEM", "mem_depths", "mem_names")),
+)
+
+
+def _image_of(lowered: LoweredDesign) -> Dict[str, Any]:
+    """The simulator image of ``lowered``: every table the fused run and
+    :func:`run_design_vector` read, as plain ``marshal``-able values.
+
+    The tables the program indexes at run time are assignment targets,
     per-slot fanout, fanout-plus-driver mark lists, per-memory fanout and
-    masks, clocked-process sensitivity — are rebuilt from ``lowered`` and
-    bound as globals, and so are the clocked processes, instantiated from
-    the program's shapes and instance table
-    (:func:`~repro.sim.engine.codegen.instantiate`), so the code itself
-    stays a pure function of the design (and persists through the store).
+    masks, and clocked-process sensitivity.  Beside them sit the counts,
+    the slot reset values, the memory depths, the top-level input widths and
+    the declared signal and memory names.  Declared signals are the leading
+    slots (:func:`~repro.sim.engine.levelize.lower_design` allocates wires
+    and registers first), so their names alone map names to slots.
     """
     marks = []
     for slot in range(len(lowered.slots.names)):
@@ -436,46 +466,156 @@ def compile_vector_run(lowered: LoweredDesign, source: Union[str, CodeType]
                 if slot is not None:
                     pslot[slot].update(group_of[pid])
 
+    declared = len(set(flat.wires) | set(flat.regs))
+    return {
+        "_TARGETS": lowered.assign_targets,
+        "_FANOUT": lowered.slot_fanout,
+        "_MARKS": marks,
+        "_MFAN": lowered.mem_fanout,
+        "_MM": tuple((1 << width) - 1 for width in lowered.mem_widths),
+        "_PSLOT": [tuple(sorted(pids)) for pids in pslot],
+        "_PMEM": [tuple(sorted(pids)) for pids in pmem],
+        "assigns": lowered.num_assigns,
+        "processes": num_procs,
+        "slots": len(lowered.slots.names),
+        "memories": len(lowered.mem_names),
+        "reset": lowered.slots.reset_values,
+        "mem_depths": lowered.mem_depths,
+        "inputs": dict(flat.inputs),
+        "names": lowered.slots.names[:declared],
+        "mem_names": lowered.mem_names,
+    }
+
+
+def _check_image(image: Any) -> None:
+    """Raise :class:`ValueError` unless ``image`` has every field, each of
+    its type, and tables as long as the counts say."""
+    if not isinstance(image, dict):
+        raise ValueError(f"simulator image is a {type(image).__name__}, "
+                         "not a dict")
+    for name, kind in _IMAGE_FIELDS.items():
+        if type(image.get(name)) is not kind:
+            raise ValueError(f"simulator image field {name!r} is missing or "
+                             f"not a {kind.__name__}")
+    for count, tables in _IMAGE_LENGTHS:
+        for table in tables:
+            if len(image[table]) != image[count]:
+                raise ValueError(
+                    f"simulator image table {table!r} has "
+                    f"{len(image[table])} entries for {image[count]} {count}")
+    if len(image["names"]) > image["slots"]:
+        raise ValueError("simulator image names more signals than slots")
+
+
+def compile_vector_run(tables: Union[Dict[str, Any], LoweredDesign],
+                       source: Union[str, CodeType]
+                       ) -> Tuple[Tuple[CodeType, Dict[str, Any]],
+                                  Tuple[Dict[str, Any], Callable]]:
+    """Compile a :func:`vector_run_source` text (or exec its code object)
+    into ``((code, image), (image, _vrun))``.
+
+    ``tables`` is the program's simulator image or, on a miss, the
+    :class:`~repro.sim.engine.levelize.LoweredDesign` the image is built
+    from (:func:`_image_of`).  The image's static tables are bound as the
+    program's globals, and so are the clocked processes, instantiated from
+    the program's shapes and instance table
+    (:func:`~repro.sim.engine.codegen.instantiate`), so the code itself
+    stays a pure function of the design.  The store keeps ``(code, image)``,
+    which runs without a Design.  An image with a missing or mistyped field,
+    tables whose lengths disagree with its counts, or a process count other
+    than the instance table's raises :class:`ValueError`.
+    """
+    image = tables if isinstance(tables, dict) else _image_of(tables)
+    _check_image(image)
     code, namespace = load_module(
         source,
         _ldc=last_drain_cycle,
         _heapify=heapq.heapify,
         _heappush=heapq.heappush,
         _heappop=heapq.heappop,
-        _TARGETS=lowered.assign_targets,
-        _FANOUT=lowered.slot_fanout,
-        _MARKS=marks,
-        _MFAN=lowered.mem_fanout,
-        _MM=tuple((1 << width) - 1 for width in lowered.mem_widths),
-        _PSLOT=[tuple(sorted(pids)) for pids in pslot],
-        _PMEM=[tuple(sorted(pids)) for pids in pmem],
+        **{name: image[name] for name in _BOUND},
     )
     namespace["_PROCS"] = tuple(instantiate(namespace, "_PROCESSES", "_sp",
-                                            4, num_procs))
-    return code, namespace["_vrun"]
+                                            4, image["processes"]))
+    return (code, image), (image, namespace["_vrun"])
 
 
-def _cached_run(design: Design, top: Optional[str], memories):
-    """``(artifacts, run_fn)`` through the engine compile cache + store.
+def _stored_run(payload: bytes) -> Tuple[Dict[str, Any], CodeType]:
+    """The :func:`compile_vector_run` arguments in a stored payload: a
+    marshal'd ``(code, image)`` pair; anything else is a
+    :class:`ValueError`."""
+    stored = marshal.loads(payload)
+    if not (isinstance(stored, tuple) and len(stored) == 2
+            and isinstance(stored[0], CodeType)):
+        raise ValueError("stored fused run is not a (code, image) pair")
+    code, image = stored
+    return image, code
 
-    Compiles only what the fused run calls: the scalar per-assignment step
-    functions (shared with the compiled engine — a warm compiled design pays
-    only the fused-loop codegen here, and vice versa), then the fused run
-    program for this interface signature.  The scalar clock program is never
-    built.
+
+@dataclass
+class _FusedRun:
+    """One loaded fused run: its simulator image, ``_vrun`` and the step
+    functions ``_vrun`` calls."""
+
+    image: Dict[str, Any]
+    run: Callable
+    steps: List[Callable]
+
+    @cached_property
+    def slot_of(self) -> Dict[str, int]:
+        """Declared signal name -> slot."""
+        return {name: slot for slot, name in enumerate(self.image["names"])}
+
+    @cached_property
+    def mem_of(self) -> Dict[str, int]:
+        """On-chip memory name -> index."""
+        return {name: index
+                for index, name in enumerate(self.image["mem_names"])}
+
+
+def _load_run(source: Any, top: Optional[str],
+              specs: Tuple[_InterfaceSpec, ...], signature: str) -> _FusedRun:
+    """Load the fused run of ``source`` through the store, lowering only
+    when a blob misses.
+
+    The run blob comes first: its image gives the step count the
+    ``comb-scalar`` blob is loaded with, so a warm store runs without a
+    Design.  Once a miss has lowered the design, the step functions live on
+    its cached artifacts, shared with the compiled engine.  The scalar
+    clock program is never built.
     """
+    artifacts = None
+
+    def lowered() -> LoweredDesign:
+        nonlocal artifacts
+        if artifacts is None:
+            # A VerilogArtifact lowers its design on first access.
+            design = source if isinstance(source, Design) else source.design
+            artifacts = cache.base_artifacts(design, top, None)
+        return artifacts.lowered
+
+    image, run = compiled_program(
+        top, f"run-vector-{signature}",
+        lambda: (lowered(), vector_run_source(lowered(), specs)),
+        lambda program: compile_vector_run(*program), unpack=_stored_run)
+    steps = None if artifacts is None else artifacts.step_fns
+    if steps is None:
+        steps = compiled_program(
+            top, "comb-scalar", lambda: cache.comb_source(lowered()),
+            lambda program: cache.compile_comb(image["assigns"], program))
+        if artifacts is not None:
+            artifacts.step_fns = steps
+    return _FusedRun(image, run, steps)
+
+
+def _cached_run(source: Any, top: Optional[str], memories) -> _FusedRun:
+    """The fused run of ``source`` (a Design, or a lazily lowered
+    :class:`repro.flow.VerilogArtifact`) for this interface signature,
+    through the engine compile cache (:func:`_load_run` on a miss)."""
     specs = _interface_specs(memories)
     signature = vector_signature(specs)
-    artifacts = step_artifacts(design, top)
-    run_fn = artifacts.vector_runs.get(signature)
-    if run_fn is None:
-        lowered = artifacts.lowered
-        run_fn = compiled_program(
-            top, f"run-vector-{signature}",
-            lambda: vector_run_source(lowered, specs),
-            lambda source: compile_vector_run(lowered, source))
-        artifacts.vector_runs[signature] = run_fn
-    return artifacts, run_fn
+    return cache.memoized(source, (top, signature),
+                          lambda: _load_run(source, top, specs, signature))
 
 
 # --------------------------------------------------------------------------- #
@@ -487,33 +627,32 @@ class VectorState:
     """Post-run state view (the vector engine has no per-cycle surface).
 
     Exposes the read side of the standard simulator API — ``get``,
-    ``memory``, ``find_memories``, ``flat`` — over the final slot values and
-    on-chip memories of a fused run.
+    ``memory``, ``find_memories`` — over the final slot values and on-chip
+    memories of a fused run, naming them from its simulator image.
     """
 
-    def __init__(self, flat, lowered: LoweredDesign,
-                 values: List[int], mems: List[List[int]]) -> None:
-        self.flat = flat
-        self.lowered = lowered
+    def __init__(self, fused: _FusedRun, values: List[int],
+                 mems: List[List[int]]) -> None:
+        self._fused = fused
         self._values = values
         self._mems = mems
-        self._declared = set(flat.wires) | set(flat.regs)
 
     def get(self, name: str) -> int:
-        if name not in self._declared:
+        slot = self._fused.slot_of.get(name)
+        if slot is None:
             raise SimulationError(f"unknown signal '{name}'")
-        return self._values[self.lowered.slots.slot_of[name]]
+        return self._values[slot]
 
     def memory(self, name: str) -> List[int]:
-        return self._mems[self.lowered.mem_of[name]]
+        return self._mems[self._fused.mem_of[name]]
 
     def find_memories(self, substring: str) -> List[str]:
-        return sorted(name for name in self.lowered.mem_of
+        return sorted(name for name in self._fused.image["mem_names"]
                       if substring in name)
 
 
 def run_design_vector(
-    design: Design,
+    design: Any,
     memories=None,
     scalar_inputs=None,
     top: Optional[str] = None,
@@ -531,7 +670,9 @@ def run_design_vector(
     :class:`VectorUnsupported` when the design needs per-cycle Python
     (external models, profiling).  ``steady_state`` is the optional
     :func:`steady_state_of` prediction; when given, the observed ``done``
-    cycle is verified against it.
+    cycle is verified against it.  ``design`` is a
+    :class:`~repro.verilog.ast.Design` or a :class:`repro.flow.
+    VerilogArtifact`, whose design is lowered only if a store blob misses.
     """
     from repro.sim.testbench import InterfaceMemory, SimulationRun
 
@@ -544,23 +685,24 @@ def run_design_vector(
             "per-cycle profiling is not observable from a fused run; "
             "profile with the compiled engine")
 
-    artifacts, run_fn = _cached_run(design, top, memories)
-    flat, lowered = artifacts.flat, artifacts.lowered
-    values = list(lowered.slots.reset_values)
-    mems = [[0] * depth for depth in lowered.mem_depths]
+    fused = _cached_run(design, top, memories)
+    image = fused.image
+    values = list(image["reset"])
+    mems = [[0] * depth for depth in image["mem_depths"]]
     interface_memories: Dict[str, InterfaceMemory] = {}
     for name, (memref_type, initial) in (memories or {}).items():
         interface_memories[name] = InterfaceMemory(name, memref_type, initial)
+    inputs = image["inputs"]
     for name, value in (scalar_inputs or {}).items():
-        if name not in flat.inputs:
+        if name not in inputs:
             raise SimulationError(f"'{name}' is not a top-level input")
-        mask = (1 << flat.inputs[name]) - 1
-        values[lowered.slots.slot_of[name]] = int(value) & mask
+        mask = (1 << inputs[name]) - 1
+        values[fused.slot_of[name]] = int(value) & mask
 
     data = [memory.data for memory in interface_memories.values()]
     with TRACER.span("sim.run", cat="sim", engine="vector") as sim_span:
-        done, done_cycle, results, counters = run_fn(
-            values, mems, data, artifacts.step_fns, max_cycles, drain_cycles)
+        done, done_cycle, results, counters = fused.run(
+            values, mems, data, fused.steps, max_cycles, drain_cycles)
         sim_span.set(cycles=done_cycle + 1 if done else max_cycles, done=done)
     TRACER.count("sim.vector_runs")
     if not done:
@@ -580,7 +722,7 @@ def run_design_vector(
         done=True,
         results=results,
         memories=interface_memories,
-        simulator=VectorState(flat, lowered, values, mems),
+        simulator=VectorState(fused, values, mems),
         engine="vector",
     )
 

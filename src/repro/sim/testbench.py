@@ -145,6 +145,9 @@ def run_design_impl(
     its profile in ``SimulationRun.profile``.  ``steady_state`` is an
     optional :class:`repro.graph.timing.FunctionTiming` hint for the vector
     engine (the observed ``done`` cycle is verified against it).
+    ``design`` may also be a :class:`repro.flow.VerilogArtifact`: the vector
+    engine (and the differential engine's vector leg) then lowers it only
+    when a store blob misses, and every other engine lowers it up front.
 
     The named engine executes the run, or its error propagates: engine
     substitution is decided once, by :meth:`repro.flow.Flow.simulate`.  A
@@ -161,6 +164,9 @@ def run_design_impl(
             max_cycles=max_cycles, drain_cycles=drain_cycles,
             steady_state=steady_state, profiler=profiler)
 
+    source = design
+    if not isinstance(design, Design):
+        design = design.design
     simulator = create_simulator(design, top=top,
                                  external_models=external_models,
                                  engine=name)
@@ -221,12 +227,12 @@ def run_design_impl(
         engine=name,
     )
     if name == "differential" and profiler is None and not external_models:
-        _vector_leg(run, design, memories, scalar_inputs, top,
+        _vector_leg(run, source, memories, scalar_inputs, top,
                     max_cycles, drain_cycles)
     return run
 
 
-def _vector_leg(run: SimulationRun, design: Design, memories, scalar_inputs,
+def _vector_leg(run: SimulationRun, design, memories, scalar_inputs,
                 top, max_cycles: int, drain_cycles: int) -> None:
     """The differential engine's third leg: replay the run through the fused
     vector engine and require bit-exactness against the lockstep pair.

@@ -187,6 +187,37 @@ class TestCodeTier:
                    for key in keys)
         assert _vector_run(root) == cold
 
+    @pytest.mark.parametrize("malform", [
+        lambda code, image: (code, {}),
+        lambda code, image: (code, {**image, "_MARKS": image["_MARKS"][:-1]}),
+        lambda code, image: compile("x = 1", "<s>", "exec"),
+    ], ids=["empty-image", "truncated-table", "foreign-code"])
+    def test_malformed_image_is_a_corrupt_blob(self, tmp_path, malform):
+        root = str(tmp_path / "store")
+        cold = _vector_run(root)
+        store = ArtifactStore(root)
+        (key,) = [key for key in _simcode_keys(store) if "-run-vector-" in key]
+        code, image = marshal.loads(store.get("simcode", key))
+        payload = marshal.dumps(malform(code, image))
+        store.put("simcode", key, payload)  # a valid checksum over junk
+
+        before = store_counters()
+        assert _vector_run(root) == cold
+        after = store_counters()
+        assert after["corrupt"] == before["corrupt"] + 1
+        assert after["quarantined"] == before["quarantined"] + 1
+        assert store.get("simcode", key) != payload         # re-published
+        assert _vector_run(root) == cold
+
+    def test_malformed_image_on_a_miss_is_a_finding(self, tmp_path,
+                                                    monkeypatch):
+        import repro.sim.engine.vector as vector
+        from repro.sim.engine import clear_compile_cache
+        monkeypatch.setattr(vector, "_image_of", lambda lowered: {})
+        clear_compile_cache()
+        with pytest.raises(ValueError, match="simulator image"):
+            _flow(str(tmp_path / "store")).simulate(seed=3, engine="vector")
+
     def test_other_bytecode_version_is_a_plain_miss(self, tmp_path,
                                                     monkeypatch):
         import repro.sim.engine.cache as cache
@@ -225,6 +256,88 @@ class TestCodeTier:
             assert outcome.run.cycles == vector.run.cycles
             assert np.array_equal(outcome.memory_array("y"),
                                   vector.memory_array("y"))
+
+
+def _refuse_lowering(*args, **kwargs):
+    raise AssertionError("lowered the design on a warm store")
+
+
+def _session(flow):
+    """Verilog, resources and a vector validation of one session."""
+    text = flow.verilog().value.text
+    report = flow.resources().value
+    outcome = flow.validate(seed=3, engine="vector")
+    validation = outcome.value
+    return (text, (report.lut, report.ff, report.dsp, report.bram),
+            dict(outcome.provenance)["engine"], validation.ok,
+            validation.cycles, validation.run.memory_array("y").tolist())
+
+
+class TestWarmStoreNeverLowers:
+    """A warm store serves Verilog, resources and a vector run without a
+    Design: the fused-run blob carries its simulator image."""
+
+    def test_warm_session_never_lowers(self, tmp_path, monkeypatch):
+        import repro.sim.engine.cache as cache
+        import repro.verilog.codegen as codegen
+        from repro.sim.engine import clear_compile_cache
+        from repro.verilog.emitter import emit_design
+        root = str(tmp_path / "store")
+        clear_compile_cache()
+        cold = _session(_flow(root))
+
+        clear_compile_cache()
+        flow = _flow(root)
+        with monkeypatch.context() as patch:
+            for owner, name in ((codegen, "generate_verilog_impl"),
+                                (cache, "base_artifacts"),
+                                (cache, "lower_design")):
+                patch.setattr(owner, name, _refuse_lowering)
+            assert _session(flow) == cold
+        assert cold[2] == "vector" and cold[3]
+        # Unpatched, the design lowers on demand, as a no-store run does.
+        assert emit_design(flow.design) == _flow("").verilog().value.text
+
+
+class TestLazyLowering:
+    """The ``verilog`` stage lowers inside its build unless the store
+    served the text, so ``timings()["verilog"]`` (Table 6, ``report
+    --timing``) still covers lowering."""
+
+    @pytest.fixture
+    def lowerings(self, monkeypatch):
+        import repro.verilog.codegen as codegen
+        calls = []
+        lower = codegen.generate_verilog_impl
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return lower(*args, **kwargs)
+
+        monkeypatch.setattr(codegen, "generate_verilog_impl", spy)
+        return calls
+
+    @pytest.mark.parametrize("store", ["none", "cold"])
+    def test_the_stage_lowers_without_a_warm_store(self, tmp_path, lowerings,
+                                                   store):
+        flow = _flow("" if store == "none" else str(tmp_path / "store"))
+        flow.verilog()
+        assert len(lowerings) == 1
+        flow.design
+        flow.verilog().value.statistics
+        assert len(lowerings) == 1
+
+    def test_a_warm_store_defers_lowering_to_design(self, tmp_path,
+                                                    lowerings):
+        root = str(tmp_path / "store")
+        text = _flow(root).verilog().value.text
+        lowerings.clear()
+        artifact = _flow(root).verilog().value
+        repr(artifact)
+        assert artifact.text == text
+        assert lowerings == []
+        artifact.design
+        assert lowerings == [1]
 
 
 class TestToolchainDigest:

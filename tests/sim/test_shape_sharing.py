@@ -53,10 +53,14 @@ def test_gemm16_step_functions_share_their_code(monkeypatch):
     outcome = flow.validate(seed=0)
     assert outcome.value.ok and outcome.value.engine == "vector"
 
-    artifacts = cache.base_artifacts(flow.verilog().value.design, None, None)
-    (run,) = artifacts.vector_runs.values()
-    steps = artifacts.step_fns
-    processes = run.__globals__["_PROCS"]
+    # The in-process hit of the fused run the validation loaded.
+    fused = vector._cached_run(
+        flow.verilog().value, None,
+        {name: (memref_type, None)
+         for name, memref_type in flow.interfaces.items()})
+    artifacts = cache.base_artifacts(flow.design, None, None)
+    steps = fused.steps
+    processes = fused.run.__globals__["_PROCS"]
     assert len(steps) == len(artifacts.lowered.netlist.ordered) > 3000
     assert len(processes) == len(artifacts.flat.clocked) > 2000
     assert len({step.__code__ for step in steps}) <= 20

@@ -150,10 +150,57 @@ def test_fused_program_is_cached_per_interface_signature():
     design = artifacts.flow().design
     memories = {name: (memref_type, inputs.get(name))
                 for name, memref_type in artifacts.interfaces.items()}
-    _, first = _cached_run(design, None, memories)
-    _, second = _cached_run(design, None, memories)
+    first = _cached_run(design, None, memories).run
+    second = _cached_run(design, None, memories).run
     assert first is second
     # ...and the scalar step functions are the compiled engine's.
     shared = compiled_artifacts(design, None, None, vector=False)
-    cached, _ = _cached_run(design, None, memories)
-    assert cached.step_fns is shared.step_fns
+    cached = _cached_run(design, None, memories)
+    assert cached.steps is shared.step_fns
+
+
+class TestImageValidation:
+    """:func:`compile_vector_run` refuses a simulator image that is not the
+    program's with a ValueError, which the store reads as a corrupt blob."""
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        from repro.sim.engine.cache import base_artifacts
+        from repro.sim.engine.vector import (
+            _interface_specs,
+            compile_vector_run,
+            vector_run_source,
+        )
+        artifacts = build_kernel("histogram", pixels=64, bins=32)
+        lowered = base_artifacts(artifacts.flow().design, None, None).lowered
+        specs = _interface_specs({name: (memref_type, None) for name, memref_type
+                                  in artifacts.interfaces.items()})
+        (code, image), _ = compile_vector_run(
+            lowered, vector_run_source(lowered, specs))
+        assert image["memories"] and image["processes"]
+        return code, image
+
+    @pytest.mark.parametrize("damage", [
+        lambda image: image.pop("names"),
+        lambda image: image.update(inputs=list(image["inputs"])),
+        lambda image: image.update(assigns=True),
+        lambda image: image.update(_TARGETS=image["_TARGETS"][:-1]),
+        lambda image: image.update(reset=image["reset"] + [0]),
+        lambda image: image.update(mem_names=image["mem_names"][1:]),
+        lambda image: image.update(names=image["names"] + ["extra"]
+                                   * (image["slots"] + 1)),
+        lambda image: image.update(processes=image["processes"] + 1),
+    ], ids=["missing-field", "wrong-type", "bool-count", "assign-table",
+            "slot-table", "memory-table", "names", "process-count"])
+    def test_a_malformed_image_is_a_value_error(self, program, damage):
+        from repro.sim.engine.vector import compile_vector_run
+        code, image = program
+        damaged = dict(image)
+        damage(damaged)
+        with pytest.raises(ValueError):
+            compile_vector_run(damaged, code)
+
+    def test_the_real_image_loads(self, program):
+        from repro.sim.engine.vector import compile_vector_run
+        code, image = program
+        assert compile_vector_run(dict(image), code)[1][0] == image
