@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the compiler's main design choices:
 
 * precision optimization on/off (register/LUT impact beyond Table 4),
 * delay elimination / shift-register sharing on/off,

@@ -1,7 +1,7 @@
 """The numbers published in the paper's evaluation (Section 8).
 
 Stored verbatim so every regenerated table can print the measured value next
-to the published one; EXPERIMENTS.md records the comparison.
+to the published one.
 """
 
 from __future__ import annotations

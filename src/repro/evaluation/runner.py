@@ -141,9 +141,8 @@ def render_compile_timing(quick: bool = False, jobs: int = 1,
     flow.verilog()
 
     artifacts = flow.source
-    with config.limits():
-        result = compile_program(artifacts.hls_program, artifacts.hls_function,
-                                 options=config.hls_options(jobs=jobs))
+    result = compile_program(artifacts.hls_program, artifacts.hls_function,
+                             options=config.hls_options(jobs=jobs))
     report = result.report
     lines = [f"Compile timing breakdown (gemm, size={size}, jobs={jobs})",
              "",

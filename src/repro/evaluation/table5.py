@@ -2,9 +2,10 @@
 
 The baseline is the HLS compiler for five kernels and the hand-written
 Verilog FIFO for the sixth, as in the paper.  Both compilers' output is
-charged by the same resource model (DESIGN.md, substitution table), so the
-meaningful comparison is relative: which side uses more of each resource and
-whether the DSP / BRAM counts match exactly.
+charged by the same per-construct resource model (:mod:`repro.resources`,
+standing in for Vivado synthesis), so the meaningful comparison is relative:
+which side uses more of each resource and whether the DSP / BRAM counts match
+exactly.
 """
 
 from __future__ import annotations
@@ -93,10 +94,12 @@ def check_shape(rows: Dict[str, Table5Row]) -> Dict[str, bool]:
             # HIR uses more registers than hand-written Verilog (paper: 140 vs 36).
             ok = ok and hir["FF"] >= baseline["FF"]
         elif name == "gemm":
-            # For GEMM the reproduction preserves the DSP parity and the
-            # register comparison; the LUT direction does not reproduce
-            # because every PE carries its own loop controller (documented in
-            # EXPERIMENTS.md).
+            # For GEMM the DSP and BRAM counts match the paper, but both the
+            # LUT and the FF comparison run opposite to it; this branch
+            # asserts the reproduction's FF direction.  One measured source
+            # of the LUT excess: gemm-16 has 256 constant-only `+` address
+            # adders, charged 32 LUT each, which make up 8192 of its 46207
+            # LUT.
             ok = ok and hir["FF"] <= baseline["FF"]
         else:
             # HIR never uses more LUTs than the automatically scheduled design.

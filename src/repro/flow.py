@@ -29,8 +29,8 @@ documented precedence (highest wins):
 2. **FlowConfig field** — ``Flow(..., config=FlowConfig(engine="compiled"))``;
 3. **process default** — :func:`repro.sim.set_default_engine`;
 4. **environment** — ``REPRO_SIM_ENGINE``, ``REPRO_DSE_JOBS``,
-   ``REPRO_DSE_EXECUTOR``, ``REPRO_DSE_MEMO_SIZE``, ``REPRO_SIM_CACHE_SIZE``
-   (``FlowConfig.from_env()`` snapshots all of them);
+   ``REPRO_DSE_EXECUTOR``, ``REPRO_STORE_DIR`` (``FlowConfig.from_env()``
+   snapshots all of them);
 5. **built-in default**.
 
 The stages are built on public cores — ``generate_verilog_impl``,
@@ -44,7 +44,6 @@ from __future__ import annotations
 import os
 import time as _time
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import (
     Any,
@@ -86,8 +85,6 @@ ENV_VARS: Dict[str, str] = {
     "REPRO_SIM_ENGINE": "engine",
     "REPRO_DSE_JOBS": "dse_jobs",
     "REPRO_DSE_EXECUTOR": "dse_executor",
-    "REPRO_DSE_MEMO_SIZE": "dse_memo_size",
-    "REPRO_SIM_CACHE_SIZE": "sim_cache_size",
     "REPRO_STORE_DIR": "store_dir",
 }
 
@@ -107,7 +104,9 @@ class FlowConfig:
 
     ``None`` means "inherit": the engine falls back to the process default
     (:func:`repro.sim.set_default_engine` / ``REPRO_SIM_ENGINE``), the DSE
-    and cache fields fall back to their ``REPRO_*`` environment defaults.
+    and store fields fall back to their ``REPRO_*`` environment defaults.
+    The in-memory cache bounds are not config: the caches read
+    ``REPRO_SIM_CACHE_SIZE`` / ``REPRO_DSE_MEMO_SIZE`` themselves.
     """
 
     #: Simulation engine ("interpreted", "compiled", "differential" or the
@@ -131,9 +130,6 @@ class FlowConfig:
     #: Baseline-HLS design-space exploration (None: REPRO_DSE_* env).
     dse_jobs: Optional[int] = None
     dse_executor: Optional[str] = None
-    dse_memo_size: Optional[int] = None
-    #: Simulator compile-cache bound (None: REPRO_SIM_CACHE_SIZE env).
-    sim_cache_size: Optional[int] = None
     #: Persistent artifact store root (:mod:`repro.store`): ``None`` inherits
     #: ``REPRO_STORE_DIR``, ``""`` disables persistence explicitly.  When a
     #: store resolves, the optimized IR, the Verilog text, the resource
@@ -187,14 +183,11 @@ class FlowConfig:
         values: Dict[str, Any] = {}
         if "REPRO_SIM_ENGINE" in env:
             values["engine"] = env["REPRO_SIM_ENGINE"]
-        for var, attr in (("REPRO_DSE_JOBS", "dse_jobs"),
-                          ("REPRO_DSE_MEMO_SIZE", "dse_memo_size"),
-                          ("REPRO_SIM_CACHE_SIZE", "sim_cache_size")):
-            if var in env:
-                try:
-                    values[attr] = int(env[var])
-                except ValueError:
-                    pass
+        if "REPRO_DSE_JOBS" in env:
+            try:
+                values["dse_jobs"] = int(env["REPRO_DSE_JOBS"])
+            except ValueError:
+                pass
         if "REPRO_DSE_EXECUTOR" in env:
             values["dse_executor"] = env["REPRO_DSE_EXECUTOR"]
         if "REPRO_STORE_DIR" in env:
@@ -248,31 +241,6 @@ class FlowConfig:
             emit_location_comments=self.emit_location_comments,
             emit_assertions=self.emit_assertions,
         )
-
-    @contextmanager
-    def limits(self):
-        """Install the configured cache bounds for the duration of a stage.
-
-        Fields left ``None`` keep whatever is installed (environment or an
-        outer override); explicit values win and are restored on exit.
-        """
-        from repro.hls.dse import set_memo_capacity
-        from repro.sim.engine.cache import set_cache_capacity
-        previous_sim = previous_memo = None
-        sim_set = memo_set = False
-        try:
-            if self.sim_cache_size is not None:
-                previous_sim = set_cache_capacity(self.sim_cache_size)
-                sim_set = True
-            if self.dse_memo_size is not None:
-                previous_memo = set_memo_capacity(self.dse_memo_size)
-                memo_set = True
-            yield self
-        finally:
-            if sim_set:
-                set_cache_capacity(previous_sim)
-            if memo_set:
-                set_memo_capacity(previous_memo)
 
     def describe(self) -> str:
         """One line per field, with inherited fields marked."""
@@ -951,7 +919,6 @@ class Flow:
                             engine=engine_name, seed=seed,
                             fingerprint=design_artifact.fingerprint[:12]
                             ) as span, \
-                self.config.limits(), \
                 persist_compiled(store,
                                  self._design_key(design_artifact.fingerprint)):
             if reason is not None:
@@ -1046,7 +1013,6 @@ class Flow:
                 TRACER.span("flow.simulate_batch", cat="flow",
                             flow=self.name, lanes=len(lanes),
                             fingerprint=design_artifact.fingerprint[:12]), \
-                self.config.limits(), \
                 persist_compiled(store,
                                  self._design_key(design_artifact.fingerprint)):
             run = run_design_batch_impl(

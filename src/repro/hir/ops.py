@@ -16,7 +16,7 @@ carries its time variable as its *last operand* and an integer ``offset``
 attribute, which together encode the paper's ``at %t offset %k`` syntax.  The
 paper passes the offset as an ``!hir.const`` SSA value; we use an attribute,
 which is equivalent (the value must be a compile-time constant either way)
-and keeps analyses simpler.  This deviation is documented in DESIGN.md.
+and keeps analyses simpler.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ MemoValue = Tuple[LoopSchedule, int, int]  # schedule, registers, memory ops
 
 
 #: Programmatic capacity override (wins over the environment); installed by
-#: :meth:`repro.flow.FlowConfig` for the duration of a Flow-driven compile.
+#: :func:`set_memo_capacity`.
 _memo_capacity_override: Optional[int] = None
 
 

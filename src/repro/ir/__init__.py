@@ -2,8 +2,7 @@
 
 This package provides SSA values, operations, regions, blocks, attributes,
 types, a round-trippable textual format, a structural verifier and a pass
-manager.  It substitutes for the MLIR C++ infrastructure the paper builds on
-(see DESIGN.md, substitution table).
+manager.  It substitutes for the MLIR C++ infrastructure the paper builds on.
 """
 
 from repro.ir.attributes import (

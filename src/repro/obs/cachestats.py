@@ -9,11 +9,11 @@ enumerate every cache with its capacity, current size, and hit rate:
     The per-design simulator compile cache
     (:mod:`repro.sim.engine.cache`).  Capacity: ``REPRO_SIM_CACHE_SIZE``
     environment variable (default 64), overridden programmatically by
-    ``FlowConfig(sim_cache_size=...)`` for the duration of a Flow stage.
+    :func:`repro.sim.engine.cache.set_cache_capacity`.
 ``dse.memo``
     The DSE scheduling memo (:mod:`repro.hls.dse`).  Capacity:
     ``REPRO_DSE_MEMO_SIZE`` (default 512), overridden by
-    ``FlowConfig(dse_memo_size=...)``.
+    :func:`repro.hls.dse.set_memo_capacity`.
 ``flow.stages``
     The per-session Flow stage caches (:mod:`repro.flow`), summed over every
     live :class:`~repro.flow.Flow`.  Unbounded: one artifact per stage per
@@ -23,10 +23,6 @@ enumerate every cache with its capacity, current size, and hit rate:
     under all of the above.  Unbounded on disk (``repro store gc`` applies
     budgets); hits/misses are process-lifetime, evictions count quarantined
     corrupt blobs.
-
-All three ``FlowConfig`` limits install through
-:meth:`repro.flow.FlowConfig.limits`, which is the single supported way to
-override the environment defaults for a bounded scope.
 
 A *provider* is a zero-argument callable returning a :class:`CacheStats`
 snapshot; caches register one at import time via :func:`register_cache`.

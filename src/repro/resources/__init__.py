@@ -1,20 +1,20 @@
-"""FPGA resource model: LUT / FF / DSP / BRAM estimation of generated Verilog."""
+"""FPGA resource model: LUT / FF / DSP / BRAM estimation of generated Verilog.
+
+:func:`estimate_resources` charges a :class:`~repro.verilog.ast.Design` with
+the per-construct costs documented in :mod:`repro.resources.model` and
+returns a rounded :class:`ResourceReport`.
+"""
 
 from repro.resources.model import (
     BRAM_THRESHOLD_BITS,
     BRAM_TILE_BITS,
-    ResourceModel,
     ResourceReport,
     estimate_resources,
 )
-from repro.resources.report import format_comparison, format_table
 
 __all__ = [
     "BRAM_THRESHOLD_BITS",
     "BRAM_TILE_BITS",
-    "ResourceModel",
     "ResourceReport",
     "estimate_resources",
-    "format_comparison",
-    "format_table",
 ]

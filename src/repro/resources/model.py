@@ -19,6 +19,11 @@ rules:
 Because the *same* model is applied to the HIR compiler's output and to the
 baseline HLS compiler's output, relative comparisons (who uses more, by how
 much) are meaningful even though absolute numbers differ from Vivado's.
+
+Each module is charged in one post-order walk: the expression visitor adds a
+node's LUT/DSP cost to the module's totals and returns the node's width, so
+no subtree is visited twice.  Totals stay unrounded until the whole
+hierarchy is summed.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from repro.verilog.ast import (
     BinOp,
     Const,
     Design,
-    Display,
     Expr,
     If,
     Instance,
@@ -57,6 +61,9 @@ BRAM_TILE_BITS = 18 * 1024
 #: DSP48 multiplier tile dimensions.
 DSP_WIDTH_A = 18
 DSP_WIDTH_B = 25
+
+#: Operators with a 1-bit result, each charged like a comparator.
+_ONE_BIT_OPS = frozenset(("==", "!=", "<", "<=", ">", ">=", "&&"))
 
 
 @dataclass
@@ -94,194 +101,130 @@ class ResourceReport:
         return (f"LUT={d['LUT']} FF={d['FF']} DSP={d['DSP']} BRAM={d['BRAM']}")
 
 
-class ResourceModel:
-    """Walks a Verilog design and accumulates resource costs."""
+def estimate_resources(design: Design, top: Optional[str] = None) -> ResourceReport:
+    """Total resources of the design rooted at ``top`` (default: the design's
+    top), each instance charged the full cost of the module it instantiates."""
+    totals: Dict[str, ResourceReport] = {}
 
-    def __init__(self, design: Design) -> None:
-        self.design = design
-        self._module_cache: Dict[str, ResourceReport] = {}
-        self._width_cache: Dict[int, Dict[str, int]] = {}
-
-    # -- public API --------------------------------------------------------------
-    def estimate(self, top: Optional[str] = None) -> ResourceReport:
-        """Total resources of the design rooted at ``top`` (instances included)."""
-        top = top or self.design.top
-        return self._estimate_module(top).rounded()
-
-    def per_module(self) -> Dict[str, ResourceReport]:
-        """Standalone (non-hierarchical) cost of every module."""
-        return {
-            name: self._module_flat(module).rounded()
-            for name, module in self.design.modules.items()
-            if not module.external
-        }
-
-    # -- module-level estimation -----------------------------------------------------
-    def _estimate_module(self, name: str) -> ResourceReport:
-        if name in self._module_cache:
-            return self._module_cache[name]
-        module = self.design.modules.get(name)
-        if module is None or module.external:
-            # Black boxes contribute the cost of their known equivalents; an
-            # unknown black box costs nothing (matching how the paper excludes
-            # vendor IP internals from its own comparison).
-            report = ResourceReport()
-        else:
-            report = self._module_flat(module)
-            for item in module.items:
-                if isinstance(item, Instance):
-                    report = report + self._estimate_module(item.module_name)
-        self._module_cache[name] = report
+    def total(name: str) -> ResourceReport:
+        report = totals.get(name)
+        if report is None:
+            module = design.modules.get(name)
+            if module is None or module.external:
+                # Black boxes contribute the cost of their known equivalents;
+                # an unknown black box costs nothing (matching how the paper
+                # excludes vendor IP internals from its own comparison).
+                report = ResourceReport()
+            else:
+                report = _module_cost(module)
+                for item in module.items:
+                    if isinstance(item, Instance):
+                        report = report + total(item.module_name)
+            totals[name] = report
         return report
 
-    def _module_flat(self, module: Module) -> ResourceReport:
-        report = ResourceReport()
-        for item in module.items:
-            if isinstance(item, RegDecl):
-                report.ff += item.width
-            elif isinstance(item, MemoryDecl):
-                report = report + self._memory_cost(item)
-            elif isinstance(item, Assign):
-                report = report + self._expr_cost(item.expr, module)
-            elif isinstance(item, AlwaysFF):
-                for stmt in item.body:
-                    report = report + self._statement_cost(stmt, module)
-            elif isinstance(item, (Wire, Instance)):
-                continue
-        return report
+    return total(top or design.top).rounded()
 
-    # -- memory costs ----------------------------------------------------------------
-    def _memory_cost(self, memory: MemoryDecl) -> ResourceReport:
-        report = ResourceReport()
-        bits = memory.width * memory.depth
-        use_bram = memory.kind == "bram" or (
-            memory.kind in ("auto", "lutram") and bits > BRAM_THRESHOLD_BITS
-        )
-        if memory.kind == "registers":
-            report.ff += bits
-            return report
-        if use_bram:
-            report.bram += max(1, math.ceil(bits / BRAM_TILE_BITS))
-            # Address/enable fabric around the BRAM.
-            report.lut += 4 if memory.single_port else 8
-        else:
-            # Distributed (LUT) RAM: one LUT stores two bits (RAM32M packing),
-            # plus read-address decoding; a second port costs extra fabric.
-            report.lut += math.ceil(bits / 2)
-            report.lut += 2 if memory.single_port else 6
-        return report
 
-    # -- expression costs ----------------------------------------------------------------
-    def _signal_widths(self, module: Module) -> Dict[str, int]:
-        """Cached name -> width map (module.signal_width is a linear scan)."""
-        cached = self._width_cache.get(id(module))
-        if cached is not None:
-            return cached
-        widths: Dict[str, int] = {}
-        for port in module.ports:
-            widths[port.name] = port.width
-        for item in module.items:
-            if isinstance(item, (Wire, RegDecl)):
-                widths[item.name] = item.width
-        self._width_cache[id(module)] = widths
-        return widths
+def _module_cost(module: Module) -> ResourceReport:
+    """Standalone cost of ``module`` (instances excluded)."""
+    # Collected before the walk, since a signal may be read before it is
+    # declared; a wire or register overrides a port of the same name.
+    widths: Dict[str, int] = {port.name: port.width for port in module.ports}
+    for item in module.items:
+        if isinstance(item, (Wire, RegDecl)):
+            widths[item.name] = item.width
+    cost = ResourceReport()
 
-    def _width_of(self, expr: Expr, module: Module) -> int:
+    def charge_expr(expr: Expr) -> int:
+        """Charge ``expr``'s operators to ``cost``; return its width."""
         if isinstance(expr, Const):
             return expr.width
         if isinstance(expr, Ref):
-            return self._signal_widths(module).get(expr.name, 32)
-        if isinstance(expr, UnOp):
-            return self._width_of(expr.operand, module)
+            return widths.get(expr.name, 32)
         if isinstance(expr, BinOp):
-            if expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&"):
-                return 1
-            return max(self._width_of(expr.lhs, module),
-                       self._width_of(expr.rhs, module))
+            lhs_width = charge_expr(expr.lhs)
+            rhs_width = charge_expr(expr.rhs)
+            width = max(lhs_width, rhs_width)
+            op = expr.op
+            if op in ("+", "-"):
+                cost.lut += width
+            elif op == "*":
+                _charge_multiply(cost, expr, lhs_width, rhs_width)
+            elif op in ("&", "|", "^") or op in _ONE_BIT_OPS:
+                cost.lut += 0.5 * width
+            elif op in ("<<", ">>") and not isinstance(expr.rhs, Const):
+                cost.lut += width  # barrel shifter stage
+            return 1 if op in _ONE_BIT_OPS else width
+        if isinstance(expr, UnOp):
+            # Every unary operator keeps its operand's width, even ``!``/``|``.
+            width = charge_expr(expr.operand)
+            cost.lut += 0.5 * width if expr.op in ("~", "-") else 0.5
+            return width
         if isinstance(expr, Ternary):
-            return max(self._width_of(expr.true_value, module),
-                       self._width_of(expr.false_value, module))
+            charge_expr(expr.condition)
+            width = max(charge_expr(expr.true_value), charge_expr(expr.false_value))
+            cost.lut += 0.5 * width
+            return width
         if isinstance(expr, MemIndex):
-            return 32
+            charge_expr(expr.address)
         return 32
 
-    def _expr_cost(self, expr: Expr, module: Module) -> ResourceReport:
-        report = ResourceReport()
-        if isinstance(expr, (Const, Ref)):
-            return report
-        if isinstance(expr, UnOp):
-            inner = self._expr_cost(expr.operand, module)
-            inner.lut += 0.5 * self._width_of(expr.operand, module) if expr.op in ("~", "-") else 0.5
-            return inner
-        if isinstance(expr, BinOp):
-            report = self._expr_cost(expr.lhs, module) + self._expr_cost(expr.rhs, module)
-            lhs_width = self._width_of(expr.lhs, module)
-            rhs_width = self._width_of(expr.rhs, module)
-            width = max(lhs_width, rhs_width)
-            if expr.op in ("+", "-"):
-                report.lut += width
-            elif expr.op == "*":
-                report = report + self._multiply_cost(expr, lhs_width, rhs_width)
-            elif expr.op in ("&", "|", "^"):
-                report.lut += 0.5 * width
-            elif expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&"):
-                report.lut += 0.5 * width
-            elif expr.op in ("<<", ">>"):
-                if not isinstance(expr.rhs, Const):
-                    report.lut += width  # barrel shifter stage
-            return report
-        if isinstance(expr, Ternary):
-            report = (
-                self._expr_cost(expr.condition, module)
-                + self._expr_cost(expr.true_value, module)
-                + self._expr_cost(expr.false_value, module)
-            )
-            report.lut += 0.5 * self._width_of(expr, module)
-            return report
-        if isinstance(expr, MemIndex):
-            return self._expr_cost(expr.address, module)
-        return report
-
-    def _multiply_cost(self, expr: BinOp, lhs_width: int, rhs_width: int) -> ResourceReport:
-        report = ResourceReport()
-        if isinstance(expr.lhs, Const) and isinstance(expr.rhs, Const):
-            return report  # folds to a constant wire
-        constant = None
-        if isinstance(expr.lhs, Const):
-            constant = expr.lhs.value
-        elif isinstance(expr.rhs, Const):
-            constant = expr.rhs.value
-        if constant is not None:
-            # Constant multiply: synthesized as a shift/add tree in fabric.
-            terms = bin(abs(constant)).count("1")
-            width = max(lhs_width, rhs_width)
-            report.lut += max(0, terms - 1) * width
-            return report
-        report.dsp += math.ceil((lhs_width * rhs_width) / (DSP_WIDTH_A * DSP_WIDTH_B))
-        report.lut += 8  # partial-product stitching
-        return report
-
-    # -- clocked statement costs -------------------------------------------------------------
-    def _statement_cost(self, stmt: Statement, module: Module) -> ResourceReport:
-        report = ResourceReport()
+    def charge_stmt(stmt: Statement) -> None:
         if isinstance(stmt, NonBlockingAssign):
-            return self._expr_cost(stmt.expr, module)
-        if isinstance(stmt, MemWrite):
-            return self._expr_cost(stmt.address, module) + self._expr_cost(stmt.data, module)
-        if isinstance(stmt, If):
-            report = self._expr_cost(stmt.condition, module)
+            charge_expr(stmt.expr)
+        elif isinstance(stmt, MemWrite):
+            charge_expr(stmt.address)
+            charge_expr(stmt.data)
+        elif isinstance(stmt, If):
+            charge_expr(stmt.condition)
             # A guarded register load costs a clock-enable LUT per target bit
             # only when the tools cannot use the native CE pin; charge a small
             # constant for the control decode instead.
-            report.lut += 1
+            cost.lut += 1
             for inner in stmt.then_body + stmt.else_body:
-                report = report + self._statement_cost(inner, module)
-            return report
-        if isinstance(stmt, Display):
-            return report
-        return report
+                charge_stmt(inner)
+
+    for item in module.items:
+        if isinstance(item, RegDecl):
+            cost.ff += item.width
+        elif isinstance(item, MemoryDecl):
+            _charge_memory(cost, item)
+        elif isinstance(item, Assign):
+            charge_expr(item.expr)
+        elif isinstance(item, AlwaysFF):
+            for stmt in item.body:
+                charge_stmt(stmt)
+    return cost
 
 
-def estimate_resources(design: Design, top: Optional[str] = None) -> ResourceReport:
-    """Convenience wrapper around :class:`ResourceModel`."""
-    return ResourceModel(design).estimate(top)
+def _charge_memory(cost: ResourceReport, memory: MemoryDecl) -> None:
+    bits = memory.width * memory.depth
+    if memory.kind == "registers":
+        cost.ff += bits
+    elif memory.kind == "bram" or (
+            memory.kind in ("auto", "lutram") and bits > BRAM_THRESHOLD_BITS):
+        cost.bram += max(1, math.ceil(bits / BRAM_TILE_BITS))
+        # Address/enable fabric around the BRAM.
+        cost.lut += 4 if memory.single_port else 8
+    else:
+        # Distributed (LUT) RAM: one LUT stores two bits (RAM32M packing),
+        # plus read-address decoding; a second port costs extra fabric.
+        cost.lut += math.ceil(bits / 2) + (2 if memory.single_port else 6)
+
+
+def _charge_multiply(cost: ResourceReport, expr: BinOp,
+                     lhs_width: int, rhs_width: int) -> None:
+    lhs_constant = isinstance(expr.lhs, Const)
+    rhs_constant = isinstance(expr.rhs, Const)
+    if lhs_constant and rhs_constant:
+        return  # folds to a constant wire
+    if lhs_constant or rhs_constant:
+        # Constant multiply: synthesized as a shift/add tree in fabric.
+        constant = (expr.lhs if lhs_constant else expr.rhs).value
+        terms = bin(abs(constant)).count("1")
+        cost.lut += max(0, terms - 1) * max(lhs_width, rhs_width)
+    else:
+        cost.dsp += math.ceil((lhs_width * rhs_width)
+                              / (DSP_WIDTH_A * DSP_WIDTH_B))
+        cost.lut += 8  # partial-product stitching

@@ -71,7 +71,7 @@ _STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 #: Programmatic capacity override (wins over the environment); installed by
-#: :meth:`repro.flow.FlowConfig` for the duration of a Flow-driven run.
+#: :func:`set_cache_capacity`.
 _capacity_override: Optional[int] = None
 
 

@@ -22,8 +22,6 @@ class TestFromEnv:
             "REPRO_SIM_ENGINE": "compiled",
             "REPRO_DSE_JOBS": "3",
             "REPRO_DSE_EXECUTOR": "process",
-            "REPRO_DSE_MEMO_SIZE": "17",
-            "REPRO_SIM_CACHE_SIZE": "5",
             "REPRO_STORE_DIR": "/tmp/repro-store-roundtrip",
         }
         assert set(env) == set(ENV_VARS)
@@ -31,8 +29,6 @@ class TestFromEnv:
         assert config.engine == "compiled"
         assert config.dse_jobs == 3
         assert config.dse_executor == "process"
-        assert config.dse_memo_size == 17
-        assert config.sim_cache_size == 5
         assert config.store_dir == "/tmp/repro-store-roundtrip"
 
     def test_unset_variables_inherit(self):
@@ -40,20 +36,16 @@ class TestFromEnv:
         assert config.engine is None
         assert config.dse_jobs is None
         assert config.dse_executor is None
-        assert config.dse_memo_size is None
-        assert config.sim_cache_size is None
+        assert config.store_dir is None
 
     def test_real_environment_round_trip(self, monkeypatch):
         for var, value in (("REPRO_SIM_ENGINE", "interpreted"),
                            ("REPRO_DSE_JOBS", "2"),
-                           ("REPRO_DSE_EXECUTOR", "thread"),
-                           ("REPRO_DSE_MEMO_SIZE", "99"),
-                           ("REPRO_SIM_CACHE_SIZE", "7")):
+                           ("REPRO_DSE_EXECUTOR", "thread")):
             monkeypatch.setenv(var, value)
         config = FlowConfig.from_env()
-        assert (config.engine, config.dse_jobs, config.dse_executor,
-                config.dse_memo_size, config.sim_cache_size) == (
-                    "interpreted", 2, "thread", 99, 7)
+        assert (config.engine, config.dse_jobs, config.dse_executor) == (
+            "interpreted", 2, "thread")
 
     def test_garbage_integers_are_ignored(self):
         config = FlowConfig.from_env({"REPRO_DSE_JOBS": "lots"})
@@ -141,11 +133,12 @@ class TestDsePrecedence:
 
 
 class TestCacheBounds:
-    def test_sim_cache_size_zero_disables_compile_cache(self):
+    def test_sim_cache_size_zero_disables_compile_cache(self, monkeypatch):
         from repro.sim.engine import clear_compile_cache, compile_cache_size
+        monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "0")
         clear_compile_cache()
         flow = Flow(build_kernel("transpose", size=4),
-                    config=FlowConfig(pipeline="none", sim_cache_size=0))
+                    config=FlowConfig(pipeline="none"))
         flow.simulate(seed=0, engine="compiled")
         assert compile_cache_size() == 0
 
@@ -157,23 +150,3 @@ class TestCacheBounds:
         flow.simulate(seed=0, engine="compiled")
         assert compile_cache_size() == 1
         clear_compile_cache()
-
-    def test_limits_restore_previous_override(self):
-        from repro.sim.engine.cache import _cache_capacity, set_cache_capacity
-        previous = set_cache_capacity(33)
-        try:
-            config = FlowConfig(sim_cache_size=2)
-            with config.limits():
-                assert _cache_capacity() == 2
-            assert _cache_capacity() == 33
-        finally:
-            set_cache_capacity(previous)
-
-    def test_dse_memo_limit_applies(self):
-        from repro.hls.dse import _memo_capacity, set_memo_capacity
-        previous = set_memo_capacity(None)
-        try:
-            with FlowConfig(dse_memo_size=11).limits():
-                assert _memo_capacity() == 11
-        finally:
-            set_memo_capacity(previous)

@@ -1,6 +1,6 @@
 """The cache registry: every toolchain cache enumerable with live stats."""
 
-from repro.flow import Flow, FlowConfig
+from repro.flow import Flow
 from repro.kernels import build_kernel
 from repro.obs.cachestats import (
     CacheStats,
@@ -122,12 +122,18 @@ class TestLiveCounters:
 
 
 class TestConfiguredCapacity:
-    def test_flow_limits_override_is_visible_in_stats(self):
-        config = FlowConfig(sim_cache_size=3, dse_memo_size=7)
-        with config.limits():
+    def test_setter_override_is_visible_in_stats(self):
+        from repro.hls.dse import set_memo_capacity
+        from repro.sim.engine.cache import set_cache_capacity
+        previous_sim = set_cache_capacity(3)
+        previous_memo = set_memo_capacity(7)
+        try:
             stats = {s.name: s for s in all_cache_stats()}
             assert stats["sim.compile"].capacity == 3
             assert stats["dse.memo"].capacity == 7
+        finally:
+            set_cache_capacity(previous_sim)
+            set_memo_capacity(previous_memo)
 
     def test_env_capacity_is_visible_in_stats(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "5")
