@@ -53,6 +53,10 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
+#: ``--engine`` help, shared by every subcommand that simulates locally.
+ENGINE_HELP = ("simulation engine (interpreted, compiled, differential or "
+               "vector; default: $REPRO_SIM_ENGINE or vector)")
+
 
 def _parse_params(pairs: Optional[List[str]]) -> Dict[str, int]:
     parameters: Dict[str, int] = {}
@@ -75,8 +79,6 @@ def _flow_config(arguments):
         overrides["engine"] = arguments.engine
     if getattr(arguments, "pipeline", None) is not None:
         overrides["pipeline"] = arguments.pipeline
-    if getattr(arguments, "jobs", None) is not None:
-        overrides["dse_jobs"] = arguments.jobs
     if getattr(arguments, "trace", None):
         overrides["trace"] = True
     if getattr(arguments, "profile", False):
@@ -95,15 +97,15 @@ def _kernel_flow(arguments):
 
 
 def _cmd_list(arguments) -> int:
-    from repro.flow import PIPELINES
+    from repro.flow import PIPELINES, FlowConfig
     from repro.graph import scenario_names
     from repro.kernels import kernel_names
-    from repro.sim import available_engines, get_default_engine
+    from repro.sim import available_engines
 
     print("kernels  :", ", ".join(kernel_names()))
     print("scenarios:", ", ".join(scenario_names()))
     print("engines  :", ", ".join(available_engines()),
-          f"(default: {get_default_engine()})")
+          f"(default: {FlowConfig().resolve_engine()})")
     print("pipelines:", ", ".join(PIPELINES))
     return 0
 
@@ -217,7 +219,6 @@ def _cmd_report(arguments) -> int:
     from repro.evaluation import runner
 
     results = runner.run_all(quick=arguments.quick,
-                             sim_engine=arguments.engine,
                              validate=arguments.validate,
                              jobs=arguments.jobs or 1,
                              timing=arguments.timing)
@@ -258,7 +259,7 @@ def _cmd_stats(arguments) -> int:
     hits — and then renders the registry.
     """
     from repro.flow import Flow
-    from repro.hls import compile_program
+    from repro.hls import HLSOptions, compile_program
     from repro.obs.cachestats import ensure_builtin_caches, render_cache_report
     from repro.obs.export import stats_tree
     from repro.obs.tracer import TRACER
@@ -276,7 +277,7 @@ def _cmd_stats(arguments) -> int:
         flow.simulate_batch(range(arguments.seeds))
         artifacts = flow.source
         if getattr(artifacts, "hls_program", None) is not None:
-            options = config.hls_options()
+            options = HLSOptions()
             # Second compile re-explores the same design points: the DSE
             # schedule memo serves them.
             compile_program(artifacts.hls_program, artifacts.hls_function,
@@ -464,10 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("optimize", "verify", "none", "legacy"),
                          help="pass pipeline (default: optimize)")
         if engine:
-            sub.add_argument("--engine", default=None,
-                             help="simulation engine (interpreted, compiled,"
-                                  " differential or vector; default:"
-                                  " process/env)")
+            sub.add_argument("--engine", default=None, help=ENGINE_HELP)
 
     def add_obs_options(sub, profile=True):
         sub.add_argument("--trace", metavar="FILE", default=None,
@@ -520,10 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     compose.add_argument("--pipeline", default=None,
                          choices=("optimize", "verify", "none", "legacy"),
                          help="pass pipeline (default: optimize)")
-    compose.add_argument("--engine", default=None,
-                         help="simulation engine (interpreted, compiled,"
-                              " differential or vector; default:"
-                              " process/env)")
+    compose.add_argument("--engine", default=None, help=ENGINE_HELP)
     compose.add_argument("--seed", type=int, default=0,
                          help="stimulus seed for the validation run")
     compose.add_argument("--seeds", type=int, default=None,
@@ -537,8 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="regenerate the paper's tables and figures")
     report.add_argument("--quick", action="store_true",
                         help="reduced kernel sizes")
-    report.add_argument("--engine", default=None,
-                        help="simulation engine for simulated experiments")
     report.add_argument("--validate", action="store_true",
                         help="cross-check every kernel against its reference")
     report.add_argument("--jobs", type=int, default=None,
@@ -577,10 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default gemm)")
     stats.add_argument("-p", "--param", action="append", metavar="KEY=VALUE",
                        help="kernel size parameter (repeatable)")
-    stats.add_argument("--engine", default=None,
-                       help="simulation engine (interpreted, compiled,"
-                            " differential or vector; default:"
-                            " process/env)")
+    stats.add_argument("--engine", default=None, help=ENGINE_HELP)
     stats.add_argument("--seeds", type=int, default=4,
                        help="batched-sweep lanes in the workload (default 4)")
     stats.add_argument("--tree", action="store_true",

@@ -131,7 +131,7 @@ def render_compile_timing(quick: bool = False, jobs: int = 1,
     its DSE counters (design points examined / pruned / memoized /
     scheduled) on the heaviest kernel, GEMM.
     """
-    from repro.hls import compile_program
+    from repro.hls import HLSOptions, compile_program
 
     config = config or FlowConfig()
     size = 4 if quick else 16
@@ -142,7 +142,7 @@ def render_compile_timing(quick: bool = False, jobs: int = 1,
 
     artifacts = flow.source
     result = compile_program(artifacts.hls_program, artifacts.hls_function,
-                             options=config.hls_options(jobs=jobs))
+                             options=HLSOptions(jobs=jobs))
     report = result.report
     lines = [f"Compile timing breakdown (gemm, size={size}, jobs={jobs})",
              "",
@@ -192,68 +192,46 @@ class EvaluationResults:
         return "\n".join(parts)
 
 
-def run_all(quick: bool = False, sim_engine: Optional[str] = None,
-            validate: bool = False, jobs: int = 1,
+def run_all(quick: bool = False, validate: bool = False, jobs: int = 1,
             timing: bool = False,
             config: Optional[FlowConfig] = None) -> EvaluationResults:
     """Regenerate every experiment; ``quick`` shrinks problem sizes.
 
     ``config`` is the :class:`~repro.flow.FlowConfig` threaded through every
-    Flow-driven measurement; ``sim_engine`` (kept for compatibility with the
-    pre-Flow CLI) additionally sets the process-wide default simulation
-    engine so non-Flow experiments pick it up too.  ``validate`` appends a
-    functional-validation sweep of every kernel to the results.  ``timing``
-    appends per-pass / per-phase compile-time breakdowns; ``jobs`` sets the
-    fast path's DSE parallelism for that breakdown (results are identical
-    at any job count).  The Table 6 columns themselves are never affected:
+    Flow-driven measurement.  ``validate`` appends a functional-validation
+    sweep of every kernel on the ``differential`` engine to the results.
+    ``timing`` appends per-pass / per-phase compile-time breakdowns; ``jobs``
+    sets the fast path's DSE parallelism for that breakdown (results are
+    identical at any job count).  The Table 6 columns themselves are never affected:
     the baseline there stays frozen at the seed configuration.
     """
     config = config or FlowConfig.from_env()
-    if sim_engine is None:
-        sim_engine = config.engine
-    previous_engine = None
-    if sim_engine is not None:
-        from repro.sim import set_default_engine
-        previous_engine = set_default_engine(sim_engine)
-    try:
-        results = EvaluationResults()
-        results.table4 = table4.generate(size=8 if quick else 16)
-        results.table5 = table5.generate(QUICK_TABLE5_PARAMS if quick else None)
-        results.table6 = table6.generate(QUICK_TABLE6_PARAMS if quick else None)
-        results.figure1 = figures.figure1()
-        results.figure2 = figures.figure2()
-        results.figure3 = figures.figure3()
-        if validate:
-            # Validation always uses the differential harness (both engines
-            # in lockstep), independent of the engine the experiments use.
-            kernel_params = ({**QUICK_TABLE5_PARAMS,
-                              **QUICK_NEW_WORKLOAD_PARAMS} if quick else None)
-            results.validation = validate_kernels(params=kernel_params,
-                                                  config=config)
-            results.validation.update(validate_scenarios(
-                params=QUICK_SCENARIO_PARAMS if quick else None,
-                config=config))
-        if timing:
-            results.compile_timing = render_compile_timing(quick=quick,
-                                                           jobs=jobs,
-                                                           config=config)
-        return results
-    finally:
-        if previous_engine is not None:
-            from repro.sim import set_default_engine
-            set_default_engine(previous_engine)
+    results = EvaluationResults()
+    results.table4 = table4.generate(size=8 if quick else 16)
+    results.table5 = table5.generate(QUICK_TABLE5_PARAMS if quick else None)
+    results.table6 = table6.generate(QUICK_TABLE6_PARAMS if quick else None)
+    results.figure1 = figures.figure1()
+    results.figure2 = figures.figure2()
+    results.figure3 = figures.figure3()
+    if validate:
+        kernel_params = ({**QUICK_TABLE5_PARAMS,
+                          **QUICK_NEW_WORKLOAD_PARAMS} if quick else None)
+        results.validation = validate_kernels(params=kernel_params,
+                                              config=config)
+        results.validation.update(validate_scenarios(
+            params=QUICK_SCENARIO_PARAMS if quick else None, config=config))
+    if timing:
+        results.compile_timing = render_compile_timing(quick=quick, jobs=jobs,
+                                                       config=config)
+    return results
 
 
 def main() -> None:  # pragma: no cover - manual entry point
     import argparse
 
-    from repro.sim import available_engines
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="use reduced kernel sizes for a fast run")
-    parser.add_argument("--engine", choices=available_engines(), default=None,
-                        help="simulation engine for every simulated experiment")
     parser.add_argument("--validate", action="store_true",
                         help="cross-check every kernel against its reference")
     parser.add_argument("--jobs", type=int, default=1,
@@ -265,9 +243,8 @@ def main() -> None:  # pragma: no cover - manual entry point
                         help="append per-pass / per-phase compile timing "
                              "breakdowns")
     arguments = parser.parse_args()
-    print(run_all(quick=arguments.quick, sim_engine=arguments.engine,
-                  validate=arguments.validate, jobs=arguments.jobs,
-                  timing=arguments.timing).render())
+    print(run_all(quick=arguments.quick, validate=arguments.validate,
+                  jobs=arguments.jobs, timing=arguments.timing).render())
 
 
 if __name__ == "__main__":  # pragma: no cover

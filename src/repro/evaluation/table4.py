@@ -20,8 +20,9 @@ from typing import Dict
 from repro.flow import Flow, FlowConfig
 from repro.hls.compiler import compile_program
 from repro.kernels import transpose
-from repro.resources import ResourceReport, estimate_resources
+from repro.resources import ResourceReport
 from repro.evaluation.paper_data import PAPER_TABLE4
+from repro.evaluation.table5 import hls_resources
 
 
 @dataclass
@@ -41,8 +42,7 @@ def _hir_resources(optimize: bool, size: int) -> ResourceReport:
 
 def _hls_resources(manual_precision: bool, size: int) -> ResourceReport:
     program = transpose.build_hls(size, manual_precision=manual_precision)
-    result = compile_program(program, "transpose")
-    return estimate_resources(result.design)
+    return hls_resources(compile_program(program, "transpose"))
 
 
 def generate(size: int = 16) -> Dict[str, Table4Row]:

@@ -27,11 +27,13 @@ documented precedence (highest wins):
 
 1. **per-call keyword** — ``flow.simulate(seed, engine="compiled")``;
 2. **FlowConfig field** — ``Flow(..., config=FlowConfig(engine="compiled"))``;
-3. **process default** — :func:`repro.sim.set_default_engine`;
-4. **environment** — ``REPRO_SIM_ENGINE``, ``REPRO_DSE_JOBS``,
-   ``REPRO_DSE_EXECUTOR``, ``REPRO_STORE_DIR`` (``FlowConfig.from_env()``
-   snapshots all of them);
-5. **built-in default**.
+3. **environment** — ``REPRO_SIM_ENGINE`` and ``REPRO_STORE_DIR``, read at
+   call time (``FlowConfig.from_env()`` snapshots both);
+4. **built-in default** — the ``vector`` engine
+   (:data:`repro.sim.engine.DEFAULT_ENGINE`), no store.
+
+:meth:`FlowConfig.resolve_engine` is the only code that picks an engine the
+caller did not name.
 
 The stages are built on public cores — ``generate_verilog_impl``,
 ``run_design_impl`` and ``run_design_batch_impl`` — and a Flow with
@@ -44,7 +46,7 @@ from __future__ import annotations
 import os
 import time as _time
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -83,8 +85,6 @@ FALLBACK_REASONS: Tuple[str, ...] = (
 #: config field each one feeds.
 ENV_VARS: Dict[str, str] = {
     "REPRO_SIM_ENGINE": "engine",
-    "REPRO_DSE_JOBS": "dse_jobs",
-    "REPRO_DSE_EXECUTOR": "dse_executor",
     "REPRO_STORE_DIR": "store_dir",
 }
 
@@ -102,15 +102,15 @@ class FlowError(IRError):
 class FlowConfig:
     """Every knob of the toolchain in one immutable object.
 
-    ``None`` means "inherit": the engine falls back to the process default
-    (:func:`repro.sim.set_default_engine` / ``REPRO_SIM_ENGINE``), the DSE
-    and store fields fall back to their ``REPRO_*`` environment defaults.
-    The in-memory cache bounds are not config: the caches read
-    ``REPRO_SIM_CACHE_SIZE`` / ``REPRO_DSE_MEMO_SIZE`` themselves.
+    ``None`` means "inherit": the engine and the store fall back to
+    ``REPRO_SIM_ENGINE`` / ``REPRO_STORE_DIR``, read at call time.  The
+    baseline-HLS DSE reads ``REPRO_DSE_*`` itself
+    (:class:`repro.hls.options.HLSOptions`), and the in-memory cache bounds
+    read ``REPRO_SIM_CACHE_SIZE`` / ``REPRO_DSE_MEMO_SIZE``.
     """
 
     #: Simulation engine ("interpreted", "compiled", "differential" or the
-    #: fused whole-run "vector").
+    #: fused whole-run "vector"; None: see :meth:`resolve_engine`).
     engine: Optional[str] = None
     #: Pass pipeline run by :meth:`Flow.optimized`: "optimize" (the paper's
     #: full auto-opt pipeline), "verify" (schedule verification only),
@@ -121,15 +121,6 @@ class FlowConfig:
     verify_structure: bool = True
     #: Verify the IR after each pass (PassManager(verify_each=...)).
     verify_each: bool = True
-    #: Code-generator options (None: CodegenOptions() defaults).
-    emit_location_comments: bool = True
-    emit_assertions: bool = False
-    #: Testbench defaults for simulate()/simulate_batch().
-    drain_cycles: int = 16
-    max_cycles: int = 100000
-    #: Baseline-HLS design-space exploration (None: REPRO_DSE_* env).
-    dse_jobs: Optional[int] = None
-    dse_executor: Optional[str] = None
     #: Persistent artifact store root (:mod:`repro.store`): ``None`` inherits
     #: ``REPRO_STORE_DIR``, ``""`` disables persistence explicitly.  When a
     #: store resolves, the optimized IR, the Verilog text, the resource
@@ -160,38 +151,21 @@ class FlowConfig:
                     f"unknown simulation engine {self.engine!r}; choose one "
                     f"of {available_engines()}"
                 )
-        if self.dse_jobs is not None and self.dse_jobs < 1:
-            raise FlowError(f"dse_jobs must be >= 1, got {self.dse_jobs}")
-        if self.dse_executor is not None and self.dse_executor not in (
-                "thread", "process"):
-            raise FlowError(
-                f"dse_executor must be 'thread' or 'process', "
-                f"got {self.dse_executor!r}"
-            )
 
     # -- construction -------------------------------------------------------
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None,
                  **overrides: Any) -> "FlowConfig":
-        """Snapshot every ``REPRO_*`` variable into an explicit config.
+        """Snapshot the :data:`ENV_VARS` variables into an explicit config.
 
         Unset variables stay ``None`` (inherit), so a ``from_env()`` config
         behaves exactly like the environment it was read from — but frozen
         at snapshot time.  ``overrides`` are applied on top.
         """
         env = os.environ if env is None else env
-        values: Dict[str, Any] = {}
-        if "REPRO_SIM_ENGINE" in env:
-            values["engine"] = env["REPRO_SIM_ENGINE"]
-        if "REPRO_DSE_JOBS" in env:
-            try:
-                values["dse_jobs"] = int(env["REPRO_DSE_JOBS"])
-            except ValueError:
-                pass
-        if "REPRO_DSE_EXECUTOR" in env:
-            values["dse_executor"] = env["REPRO_DSE_EXECUTOR"]
-        if "REPRO_STORE_DIR" in env:
-            values["store_dir"] = env["REPRO_STORE_DIR"]
+        values: Dict[str, Any] = {field: env[variable]
+                                  for variable, field in ENV_VARS.items()
+                                  if variable in env}
         values.update(overrides)
         return cls(**values)
 
@@ -201,26 +175,14 @@ class FlowConfig:
 
     # -- resolution (the documented precedence) -----------------------------
     def resolve_engine(self, override: Optional[str] = None) -> str:
-        """per-call > config > process default (set_default_engine/env)."""
+        """The engine to run: per-call > config > ``REPRO_SIM_ENGINE`` (read
+        now) > :data:`repro.sim.engine.DEFAULT_ENGINE`."""
         if override is not None:
             return override
         if self.engine is not None:
             return self.engine
-        from repro.sim.engine import get_default_engine
-        return get_default_engine()
-
-    def hls_options(self, jobs: Optional[int] = None):
-        """Build :class:`repro.hls.options.HLSOptions` under this config
-        (per-call ``jobs`` wins, then config, then ``REPRO_DSE_*``)."""
-        from repro.hls.options import HLSOptions
-        kwargs: Dict[str, Any] = {}
-        if jobs is not None:
-            kwargs["jobs"] = jobs
-        elif self.dse_jobs is not None:
-            kwargs["jobs"] = self.dse_jobs
-        if self.dse_executor is not None:
-            kwargs["executor"] = self.dse_executor
-        return HLSOptions(**kwargs)
+        from repro.sim.engine import DEFAULT_ENGINE
+        return os.environ.get("REPRO_SIM_ENGINE", DEFAULT_ENGINE)
 
     def resolve_store(self):
         """The :class:`repro.store.ArtifactStore` this config persists to.
@@ -234,22 +196,6 @@ class FlowConfig:
             return get_store(self.store_dir) if self.store_dir.strip() else None
         from repro.store import default_store
         return default_store()
-
-    def codegen_options(self):
-        from repro.verilog.codegen import CodegenOptions
-        return CodegenOptions(
-            emit_location_comments=self.emit_location_comments,
-            emit_assertions=self.emit_assertions,
-        )
-
-    def describe(self) -> str:
-        """One line per field, with inherited fields marked."""
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            shown = "<inherit>" if value is None else value
-            lines.append(f"{f.name:<22} {shown}")
-        return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------- #
@@ -755,19 +701,14 @@ class Flow:
         # (source content, pipeline) — so keying on the parent fingerprint +
         # pipeline is sound and avoids re-printing the clone per access.
         fingerprint = parent.fingerprint
-        options = self.config.codegen_options()
         provenance = (("optimized", fingerprint), ("top", self.top),
                       ("pipeline", self.config.pipeline),
-                      ("verify_each", str(self.config.verify_each)),
-                      ("emit_location_comments",
-                       str(options.emit_location_comments)),
-                      ("emit_assertions", str(options.emit_assertions)))
+                      ("verify_each", str(self.config.verify_each)))
 
         module, top = parent.value, self.top
 
         def lower():
-            return codegen.generate_verilog_impl(module, top=top,
-                                                 options=options)
+            return codegen.generate_verilog_impl(module, top=top)
 
         def build():
             value = VerilogArtifact(lower, top)
@@ -788,11 +729,8 @@ class Flow:
     def _design_key(self, fingerprint: str) -> str:
         """The persistent-store key for design-level artifacts: the module
         content fingerprint plus everything else that shapes the design."""
-        options = self.config.codegen_options()
         return (f"{fingerprint}-{self.top}-{self.config.pipeline}-"
-                f"{int(self.config.verify_each)}"
-                f"{int(options.emit_location_comments)}"
-                f"{int(options.emit_assertions)}")
+                f"{int(self.config.verify_each)}")
 
     def resources(self):
         """Estimate FPGA resources of the generated design."""
@@ -860,8 +798,8 @@ class Flow:
                  inputs: Optional[Mapping[str, Any]] = None,
                  engine: Optional[str] = None,
                  scalar_args: Optional[Mapping[str, int]] = None,
-                 drain_cycles: Optional[int] = None,
-                 max_cycles: Optional[int] = None,
+                 drain_cycles: int = 16,
+                 max_cycles: int = 100000,
                  profile: Optional[bool] = None,
                  ) -> Artifact[SimulationOutcome]:
         """Simulate one stimulus set on the resolved engine.
@@ -904,10 +842,8 @@ class Flow:
                           for name_, memref_type in self.interfaces.items()},
                 scalar_inputs=scalars,
                 external_models=self.external_models or None,
-                drain_cycles=(self.config.drain_cycles if drain_cycles is None
-                              else drain_cycles),
-                max_cycles=(self.config.max_cycles if max_cycles is None
-                            else max_cycles),
+                drain_cycles=drain_cycles,
+                max_cycles=max_cycles,
                 engine=name,
                 profiler=profiler,
                 steady_state=steady if name == "vector" else None,
@@ -984,8 +920,8 @@ class Flow:
     def simulate_batch(self, seeds: Optional[Iterable[int]] = None, *,
                        inputs_per_lane: Optional[Sequence[Mapping[str, Any]]] = None,
                        scalar_args: Optional[Mapping[str, int]] = None,
-                       drain_cycles: Optional[int] = None,
-                       max_cycles: Optional[int] = None,
+                       drain_cycles: int = 16,
+                       max_cycles: int = 100000,
                        profile: Optional[bool] = None,
                        ) -> Artifact[BatchOutcome]:
         """Simulate one stimulus lane per seed with the batched engine."""
@@ -1022,10 +958,8 @@ class Flow:
                           for name, memref_type in self.interfaces.items()},
                 scalar_inputs=scalars,
                 external_models=self.external_models or None,
-                drain_cycles=(self.config.drain_cycles if drain_cycles is None
-                              else drain_cycles),
-                max_cycles=(self.config.max_cycles if max_cycles is None
-                            else max_cycles),
+                drain_cycles=drain_cycles,
+                max_cycles=max_cycles,
                 profiler=profiler,
             )
         seconds = _time.perf_counter() - start
@@ -1039,8 +973,8 @@ class Flow:
                         provenance=provenance)
 
     def validate(self, seed: int = 0, *, engine: Optional[str] = None,
-                 drain_cycles: Optional[int] = None,
-                 max_cycles: Optional[int] = None,
+                 drain_cycles: int = 16,
+                 max_cycles: int = 100000,
                  ) -> Artifact[ValidationOutcome]:
         """Simulate ``seed`` and compare every output to the numpy reference."""
         if self.reference is None:

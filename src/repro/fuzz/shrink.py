@@ -40,10 +40,6 @@ class ShrinkResult:
     checks: int
     removed_ops: int
 
-    @property
-    def op_count(self) -> int:
-        return len(self.spec.ops)
-
 
 def remove_ops(spec: ProgramSpec, removed: Set[int]) -> ProgramSpec:
     """``spec`` without the ops at ``removed`` indices.

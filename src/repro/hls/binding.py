@@ -55,10 +55,6 @@ class BindingResult:
     def total_register_bits(self) -> int:
         return sum(r.width * max(1, r.lifetime) for r in self.registers)
 
-    @property
-    def total_mux_inputs(self) -> int:
-        return sum(fu.mux_inputs for fu in self.functional_units)
-
 
 class Binder:
     """Binds one scheduled loop (or straight-line region)."""

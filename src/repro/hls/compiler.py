@@ -61,10 +61,6 @@ class HLSReport:
     rtl_lines: int = 0
     estimated_resources: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.phase_seconds.values())
-
 
 @dataclass
 class HLSResult:

@@ -37,9 +37,6 @@ class DefUseInfo:
     users: Dict[int, List[Operation]] = field(default_factory=dict)
     _values: Dict[int, Value] = field(default_factory=dict)
 
-    def users_of(self, value: Value) -> List[Operation]:
-        return self.users.get(id(value), [])
-
 
 def _compute_def_use(module: Operation) -> DefUseInfo:
     info = DefUseInfo()
@@ -56,12 +53,6 @@ class LevelizationInfo:
 
     position: Dict[int, int] = field(default_factory=dict)
     depth: Dict[int, int] = field(default_factory=dict)
-
-    def position_of(self, op: Operation) -> Optional[int]:
-        return self.position.get(id(op))
-
-    def depth_of(self, op: Operation) -> Optional[int]:
-        return self.depth.get(id(op))
 
 
 def _compute_levelization(module: Operation) -> LevelizationInfo:
@@ -97,9 +88,6 @@ class LoopInfo:
 
     roots: List[LoopNest] = field(default_factory=list)
     loops: List[LoopNest] = field(default_factory=list)
-
-    def loops_at_depth(self, depth: int) -> List[LoopNest]:
-        return [nest for nest in self.loops if nest.depth == depth]
 
     @property
     def innermost(self) -> List[LoopNest]:

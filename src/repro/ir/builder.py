@@ -41,12 +41,6 @@ class Builder:
         self.current_location = location or Location.unknown()
 
     # -- insertion point management -----------------------------------------
-    @property
-    def insertion_block(self) -> Block:
-        if self._insertion_point is None:
-            raise RuntimeError("builder has no insertion point")
-        return self._insertion_point.block
-
     def set_insertion_point_to_end(self, block: Block) -> None:
         self._insertion_point = InsertionPoint(block)
 
@@ -81,7 +75,3 @@ class Builder:
         if self._insertion_point is None:
             raise RuntimeError("builder has no insertion point")
         return self._insertion_point.insert(op)
-
-    def with_location(self, location: Location) -> "Builder":
-        self.current_location = location
-        return self

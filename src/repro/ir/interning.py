@@ -68,11 +68,6 @@ class HashConsMeta(type):
         return canonical
 
 
-def interned_count(cls: type) -> int:
-    """Number of distinct canonical instances interned for ``cls``."""
-    return len(getattr(cls, "_intern_canonical", ()))
-
-
 def clear_intern_caches(cls: type) -> None:
     """Drop the intern caches of ``cls`` (tests only; instances stay valid)."""
     getattr(cls, "_intern_by_args", {}).clear()

@@ -82,12 +82,6 @@ class Operation:
     def num_operands(self) -> int:
         return len(self._operands)
 
-    def replace_uses_of(self, old: Value, new: Value) -> None:
-        """Replace every operand equal to ``old`` with ``new``."""
-        for i, operand in enumerate(self._operands):
-            if operand is old:
-                self.set_operand(i, new)
-
     def drop_all_uses(self) -> None:
         """Remove this op's uses of its operands (called before erasing)."""
         for i, operand in enumerate(self._operands):

@@ -20,7 +20,7 @@ from typing import List, Set
 from repro.ir.block import Block
 from repro.ir.errors import VerificationError
 from repro.ir.operation import Operation
-from repro.ir.values import BlockArgument, OpResult, Value
+from repro.ir.values import Value
 
 
 class Verifier:
@@ -87,12 +87,3 @@ def collect_errors(root: Operation) -> List[VerificationError]:
     verifier = Verifier()
     verifier._verify_op(root, visible=set())
     return verifier.errors
-
-
-def defining_op(value: Value) -> Operation | None:
-    """Return the operation defining ``value`` (None for block arguments)."""
-    if isinstance(value, OpResult):
-        return value.operation
-    if isinstance(value, BlockArgument):
-        return None
-    return None

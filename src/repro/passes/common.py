@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
 from repro.ir.operation import Operation
-from repro.ir.values import Value
-from repro.hir.ops import FuncOp, constant_value
-from repro.hir.types import ConstType
+from repro.hir.ops import FuncOp
 
 
 def functions_in(module: Operation) -> List[FuncOp]:
@@ -18,47 +16,9 @@ def functions_in(module: Operation) -> List[FuncOp]:
     ]
 
 
-def all_functions_in(module: Operation) -> List[FuncOp]:
-    """Every hir.func, including external declarations."""
-    return [op for op in module.walk() if isinstance(op, FuncOp)]
-
-
-def as_constant(value: Value) -> Optional[int]:
-    """Integer behind ``value`` when it is a compile-time constant, else None."""
-    return constant_value(value)
-
-
-def is_const_typed(value: Value) -> bool:
-    return isinstance(value.type, ConstType)
-
-
-def erase_if_dead(op: Operation) -> bool:
-    """Erase ``op`` when none of its results are used; returns True if erased."""
-    if any(result.has_uses for result in op.results):
-        return False
-    if not op.results:
-        return False
-    op.erase()
-    return True
-
-
-def iter_pure_ops(func: FuncOp) -> Iterator[Operation]:
-    """Iterate pure (side-effect-free) operations in ``func``, innermost last."""
-    for op in func.walk():
-        if getattr(op, "PURE", False):
-            yield op
-
-
 def signed_range_width(low: int, high: int) -> int:
     """Bits of a signed integer able to represent every value in [low, high]."""
     width = 1
     while not (-(1 << (width - 1)) <= low and high <= (1 << (width - 1)) - 1):
         width += 1
     return width
-
-
-def value_range_of_constant(value: Value) -> Optional[Tuple[int, int]]:
-    constant = constant_value(value)
-    if constant is None:
-        return None
-    return (constant, constant)

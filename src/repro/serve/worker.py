@@ -20,7 +20,7 @@ memoizing the *whole response*.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.serve.protocol import ServeRequest, canonical_payload
 
@@ -144,7 +144,3 @@ def execute(request: ServeRequest, config=None) -> ExecutionResult:
     return ExecutionResult(payload=canonical_payload(payload),
                            fingerprint=fingerprint,
                            seconds=time.perf_counter() - start)
-
-
-def result_fingerprint(result: Optional[ExecutionResult]) -> str:
-    return "" if result is None else result.fingerprint

@@ -2,11 +2,12 @@
 
 Several execution engines share one API: the interpreted reference simulator,
 the compiled event-driven engine (``run_design_impl(..., engine="compiled")``)
-and the fused whole-run vector engine (``engine="vector"``, which enters the
-interpreter once per design rather than once per cycle);
+and the fused whole-run vector engine (``engine="vector"``, the default, which
+enters the interpreter once per design rather than once per cycle);
 :func:`run_design_batch_impl` additionally vectorizes one compiled design over
-N stimulus sets.  See :mod:`repro.sim.engine` for engine selection.  Runs that
-never assert ``done`` raise :class:`SimulationTimeout` in every engine.
+N stimulus sets.  ``run_design_impl`` runs the engine its caller names; see
+:mod:`repro.sim.engine` for how an unnamed engine is chosen.  Runs that never
+assert ``done`` raise :class:`SimulationTimeout` in every engine.
 """
 
 from repro.sim.engine import (
@@ -20,12 +21,10 @@ from repro.sim.engine import (
     VectorUnsupported,
     available_engines,
     create_simulator,
-    get_default_engine,
     last_drain_cycle,
     run_design_batch_impl,
     run_design_vector,
     set_cache_capacity,
-    set_default_engine,
 )
 from repro.sim.testbench import (
     InterfaceMemory,
@@ -54,13 +53,11 @@ __all__ = [
     "available_engines",
     "create_simulator",
     "flatten_tensor",
-    "get_default_engine",
     "last_drain_cycle",
     "run_design_batch_impl",
     "run_design_impl",
     "run_design_vector",
     "set_cache_capacity",
-    "set_default_engine",
     "unflatten_tensor",
     "ExternalModel",
     "PipelinedMultiplierModel",

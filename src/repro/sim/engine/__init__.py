@@ -21,22 +21,24 @@ sets over one compiled design; it has its own entry point,
 per-lane arrays rather than ints.
 
 A fourth name, ``vector`` (:mod:`~repro.sim.engine.vector`), is a *run-level*
-engine: it compiles the entire start-to-done run — prologue, steady state,
-drain — into one fused generated program, so there is no per-cycle simulator
-object to instantiate.  It is selectable everywhere a per-cycle engine is
-(``run_design_impl``, ``REPRO_SIM_ENGINE``, ``FlowConfig``, ``--engine``) but
-not through :func:`create_simulator`.  :meth:`repro.flow.Flow.simulate` runs
-designs the fused program cannot execute (no static steady state, external
-models, profiling) on the compiled engine and records why in provenance.
+engine and the default (:data:`DEFAULT_ENGINE`): it compiles the entire
+start-to-done run — prologue, steady state, drain — into one fused generated
+program, so there is no per-cycle simulator object to instantiate.  It is
+selectable everywhere a per-cycle engine is (``run_design_impl``,
+``REPRO_SIM_ENGINE``, ``FlowConfig``, ``--engine``) but not through
+:func:`create_simulator`.  :meth:`repro.flow.Flow.simulate` runs designs the
+fused program cannot execute (no static steady state, external models,
+profiling) on the compiled engine and records why in provenance.
 
-Select an engine per call (``flow.simulate(seed, engine="compiled")``), per
-process (:func:`set_default_engine`) or per environment
-(``REPRO_SIM_ENGINE=compiled``).
+``run_design_impl`` and :func:`create_simulator` run the engine their caller
+names.  An engine nobody named is decided in one place,
+:meth:`repro.flow.FlowConfig.resolve_engine`: per call
+(``flow.simulate(seed, engine="compiled")``), then ``FlowConfig.engine``,
+then ``REPRO_SIM_ENGINE`` (read at call time), then :data:`DEFAULT_ENGINE`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.ir.errors import SimulationError
@@ -75,7 +77,9 @@ ENGINES: Dict[str, type] = {
 #: rather than exposing a per-cycle simulator class.
 RUN_ENGINES: Tuple[str, ...] = ("vector",)
 
-_default_engine = os.environ.get("REPRO_SIM_ENGINE", "interpreted")
+#: The engine :meth:`repro.flow.FlowConfig.resolve_engine` picks when neither
+#: the call, the config nor ``REPRO_SIM_ENGINE`` names one.
+DEFAULT_ENGINE = "vector"
 
 
 def available_engines() -> list:
@@ -83,42 +87,23 @@ def available_engines() -> list:
     return sorted([*ENGINES, *RUN_ENGINES])
 
 
-def get_default_engine() -> str:
-    """The engine used when ``engine`` is omitted (env: REPRO_SIM_ENGINE)."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> str:
-    """Set the process-wide default engine; returns the previous default."""
-    global _default_engine
-    if name not in ENGINES and name not in RUN_ENGINES:
-        raise SimulationError(
-            f"unknown simulation engine '{name}'; choose one of "
-            f"{available_engines()}"
-        )
-    previous = _default_engine
-    _default_engine = name
-    return previous
-
-
 def create_simulator(
     design: Design,
     top: Optional[str] = None,
     external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None,
-    engine: Optional[str] = None,
+    *,
+    engine: str,
 ):
-    """Instantiate the selected engine for ``design`` (default engine if
-    ``engine`` is None)."""
-    name = engine or get_default_engine()
-    simulator_class = ENGINES.get(name)
+    """Instantiate the per-cycle ``engine`` for ``design``."""
+    simulator_class = ENGINES.get(engine)
     if simulator_class is None:
-        if name in RUN_ENGINES:
+        if engine in RUN_ENGINES:
             raise SimulationError(
-                f"engine '{name}' executes whole runs and has no per-cycle "
+                f"engine '{engine}' executes whole runs and has no per-cycle "
                 "simulator; use run_design_impl(..., engine="
-                f"{name!r}) instead of create_simulator")
+                f"{engine!r}) instead of create_simulator")
         raise SimulationError(
-            f"unknown simulation engine '{name}'; choose one of "
+            f"unknown simulation engine '{engine}'; choose one of "
             f"{available_engines()}"
         )
     return simulator_class(design, top=top, external_models=external_models)
@@ -129,6 +114,7 @@ __all__ = [
     "BatchedSimulationRun",
     "BatchedSimulator",
     "CompiledSimulator",
+    "DEFAULT_ENGINE",
     "DifferentialSimulator",
     "DivergenceError",
     "ENGINES",
@@ -141,12 +127,10 @@ __all__ = [
     "clear_compile_cache",
     "compile_cache_size",
     "create_simulator",
-    "get_default_engine",
     "last_drain_cycle",
     "lower_design",
     "run_design_batch_impl",
     "run_design_vector",
     "set_cache_capacity",
-    "set_default_engine",
     "steady_state_of",
 ]

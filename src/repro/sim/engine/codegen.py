@@ -54,7 +54,6 @@ from repro.sim.engine.levelize import LoweredDesign
 from repro.verilog.ast import (
     BinOp,
     Const,
-    Display,
     Expr,
     If,
     MemIndex,
@@ -581,15 +580,6 @@ def _emit_clock_stmt(builder: _SourceBuilder, compiler: ExprCompiler,
                 for inner in stmt.else_body:
                     _emit_clock_stmt(builder, compiler, lowered, inner,
                                      indent + 1, predicate, counter)
-        return
-    if isinstance(stmt, Display):
-        message = f"assertion failed: {stmt.message}"
-        if vector:
-            builder.emit(indent,
-                         f"if {predicate} is None or bool(_np.any({predicate})):")
-            builder.emit(indent + 1, f"raise SimulationError({message!r})")
-        else:
-            builder.emit(indent, f"raise SimulationError({message!r})")
         return
     raise SimulationError(f"cannot compile statement {stmt!r}")
 

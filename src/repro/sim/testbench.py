@@ -19,7 +19,7 @@ from repro.ir.errors import SimulationError
 from repro.hir.types import MemrefType
 from repro.obs.tracer import TRACER
 from repro.sim.verilog_sim import ExternalModel, Simulator
-from repro.sim.engine import create_simulator, get_default_engine
+from repro.sim.engine import create_simulator
 from repro.sim.engine.window import SimulationTimeout, last_drain_cycle
 from repro.verilog.ast import Design
 
@@ -129,7 +129,8 @@ def run_design_impl(
     external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None,
     max_cycles: int = 100000,
     drain_cycles: int = 4,
-    engine: Optional[str] = None,
+    *,
+    engine: str,
     profiler=None,
     steady_state=None,
 ) -> SimulationRun:
@@ -137,10 +138,10 @@ def run_design_impl(
 
     ``memories`` maps each memref argument name to ``(MemrefType, initial
     data)``; ``scalar_inputs`` provides values for primitive arguments.
-    ``engine`` selects the simulation engine (``"interpreted"``,
-    ``"compiled"``, ``"differential"`` or the fused whole-run ``"vector"``;
-    default: the process-wide default, see
-    :func:`repro.sim.engine.set_default_engine`).  ``profiler`` is an
+    ``engine`` names the simulation engine (``"interpreted"``,
+    ``"compiled"``, ``"differential"`` or the fused whole-run ``"vector"``);
+    there is no default here — :meth:`repro.flow.FlowConfig.resolve_engine`
+    decides an unnamed one.  ``profiler`` is an
     optional :class:`repro.obs.simprofile.SimProfiler`; the run then carries
     its profile in ``SimulationRun.profile``.  ``steady_state`` is an
     optional :class:`repro.graph.timing.FunctionTiming` hint for the vector
@@ -155,8 +156,7 @@ def run_design_impl(
     :class:`~repro.sim.engine.window.SimulationTimeout` — every engine shares
     that contract.
     """
-    name = engine or get_default_engine()
-    if name == "vector":
+    if engine == "vector":
         from repro.sim.engine.vector import run_design_vector
         return run_design_vector(
             design, memories=memories, scalar_inputs=scalar_inputs,
@@ -169,7 +169,7 @@ def run_design_impl(
         design = design.design
     simulator = create_simulator(design, top=top,
                                  external_models=external_models,
-                                 engine=name)
+                                 engine=engine)
     if profiler is not None:
         profiler.bind(simulator)
     interface_memories: Dict[str, InterfaceMemory] = {}
@@ -183,7 +183,7 @@ def run_design_impl(
     done_cycle = 0
     results: Dict[str, int] = {}
 
-    with TRACER.span("sim.run", cat="sim", engine=name) as sim_span:
+    with TRACER.span("sim.run", cat="sim", engine=engine) as sim_span:
         for cycle in range(max_cycles):
             simulator.set("start", 1 if cycle == 0 else 0)
             simulator.eval_comb()
@@ -215,7 +215,7 @@ def run_design_impl(
     if not done_seen:
         raise SimulationTimeout(
             f"design never asserted done within {max_cycles} cycles "
-            f"({name} engine)", undone_lanes=(0,), max_cycles=max_cycles)
+            f"({engine} engine)", undone_lanes=(0,), max_cycles=max_cycles)
 
     run = SimulationRun(
         cycles=done_cycle + 1,
@@ -223,10 +223,10 @@ def run_design_impl(
         results=results,
         memories=interface_memories,
         simulator=simulator,
-        profile=(profiler.finish(name) if profiler is not None else None),
-        engine=name,
+        profile=(profiler.finish(engine) if profiler is not None else None),
+        engine=engine,
     )
-    if name == "differential" and profiler is None and not external_models:
+    if engine == "differential" and profiler is None and not external_models:
         _vector_leg(run, source, memories, scalar_inputs, top,
                     max_cycles, drain_cycles)
     return run

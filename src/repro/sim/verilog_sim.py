@@ -29,7 +29,6 @@ from repro.verilog.ast import (
     Comment,
     Const,
     Design,
-    Display,
     Expr,
     If,
     Instance,
@@ -259,8 +258,6 @@ class _Elaborator:
             return If(self._rename_expr(stmt.condition, rename),
                       [self._rename_stmt(s, rename) for s in stmt.then_body],
                       [self._rename_stmt(s, rename) for s in stmt.else_body])
-        if isinstance(stmt, Display):
-            return stmt
         raise SimulationError(f"cannot rename statement {stmt!r}")
 
 
@@ -397,8 +394,6 @@ class Simulator:
                 branch = stmt.then_body if self._eval(stmt.condition) else stmt.else_body
                 for inner in branch:
                     execute(inner)
-            elif isinstance(stmt, Display):
-                raise SimulationError(f"assertion failed: {stmt.message}")
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"cannot execute statement {stmt!r}")
 

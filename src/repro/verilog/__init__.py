@@ -7,7 +7,6 @@ from repro.verilog.ast import (
     Comment,
     Const,
     Design,
-    Display,
     Expr,
     If,
     INPUT,
@@ -41,7 +40,7 @@ from repro.verilog.memory import MemAccess, MemoryLowering, interface_signals
 from repro.verilog.naming import SignalNamer, sanitize
 
 __all__ = [
-    "AlwaysFF", "Assign", "BinOp", "Comment", "Const", "Design", "Display",
+    "AlwaysFF", "Assign", "BinOp", "Comment", "Const", "Design",
     "Expr", "If", "INPUT", "Instance", "MemIndex", "MemoryDecl", "MemWrite",
     "Module", "NonBlockingAssign", "OUTPUT", "Port", "Ref", "RegDecl",
     "Ternary", "UnOp", "Wire", "const", "or_reduce", "ref",

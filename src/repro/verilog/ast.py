@@ -192,13 +192,6 @@ class If(Statement):
             yield from stmt.writes()
 
 
-@dataclass
-class Display(Statement):
-    """``$error("...")`` style runtime assertion message (simulation only)."""
-
-    message: str
-
-
 # --------------------------------------------------------------------------- #
 # Module items
 # --------------------------------------------------------------------------- #

@@ -105,9 +105,6 @@ class CodegenOptions:
     #: Print the HIR location of every scheduled operation as a comment
     #: (Section 5.5: mapping Verilog back to HIR for timing closure).
     emit_location_comments: bool = True
-    #: Emit simulation-time assertions guarding undefined behaviour
-    #: (Section 4.5).  Off by default so resource estimates reflect synthesis.
-    emit_assertions: bool = False
 
 
 @dataclass

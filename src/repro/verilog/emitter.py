@@ -18,7 +18,6 @@ from repro.verilog.ast import (
     Comment,
     Const,
     Design,
-    Display,
     Expr,
     If,
     Instance,
@@ -73,8 +72,6 @@ def _emit_statement(stmt: Statement, indent: int, out: io.StringIO) -> None:
             for inner in stmt.else_body:
                 _emit_statement(inner, indent + 1, out)
         out.write(f"{pad}end\n")
-    elif isinstance(stmt, Display):
-        out.write(f'{pad}$error("{stmt.message}");\n')
     else:  # pragma: no cover - defensive
         raise TypeError(f"cannot emit statement {stmt!r}")
 

@@ -42,12 +42,6 @@ class PulseGenerator:
         self._roots[id(time_var)] = signal
         self._cache[(id(time_var), 0)] = signal
 
-    def has_root(self, time_var: Value) -> bool:
-        return id(time_var) in self._roots
-
-    def root_signal(self, time_var: Value) -> str:
-        return self._roots[id(time_var)]
-
     def pulse(self, time_var: Value, offset: int) -> str:
         """Signal name of the pulse for ``time_var + offset`` (built on demand)."""
         if offset < 0:
@@ -71,11 +65,6 @@ class PulseGenerator:
 
     def pulse_expr(self, time_var: Value, offset: int) -> Expr:
         return Ref(self.pulse(time_var, offset))
-
-    @property
-    def num_pulse_registers(self) -> int:
-        """How many one-bit delay registers have been created (for reports)."""
-        return sum(1 for key in self._cache if key[1] > 0)
 
 
 @dataclass

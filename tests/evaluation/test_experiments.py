@@ -76,6 +76,39 @@ class TestTable5:
         assert "Table 5" in text and "gemm" in text
 
 
+class TestEstimateOncePerDesign:
+    """The resource model charges each design the tables report exactly
+    once: an HLS baseline reuses the estimate ``compile_program`` already
+    made (``HLSReport.estimated_resources``)."""
+
+    @pytest.fixture
+    def estimated(self, monkeypatch):
+        import sys
+
+        from repro.resources.model import estimate_resources as real
+        designs = []
+
+        def counting(design, *args, **kwargs):
+            designs.append(design)
+            return real(design, *args, **kwargs)
+
+        # Every binding of the function, including `from ... import` copies.
+        for module in list(sys.modules.values()):
+            if getattr(module, "estimate_resources", None) is real:
+                monkeypatch.setattr(module, "estimate_resources", counting)
+        # A warm store would serve the HIR reports without estimating.
+        monkeypatch.setenv("REPRO_STORE_DIR", "")
+        return designs
+
+    def test_table5_estimates_each_of_its_12_designs_once(self, estimated):
+        table5.generate(runner.QUICK_TABLE5_PARAMS)
+        assert len(estimated) == len({id(design) for design in estimated}) == 12
+
+    def test_table4_estimates_each_of_its_4_designs_once(self, estimated):
+        table4.generate(size=8)
+        assert len(estimated) == len({id(design) for design in estimated}) == 4
+
+
 class TestTable6:
     def test_hir_compiles_faster_on_every_kernel(self, quick_table6):
         for name, row in quick_table6.items():

@@ -1,10 +1,12 @@
 """Flow decides the executing simulation engine once, before the run.
 
-Only the fused ``vector`` engine has capability gaps (external models,
-profiling, no static steady state); those run on ``compiled`` with a typed
-``fallback_reason``.  After a failure, only an injected engine-compile fault
-re-runs on ``interpreted``.  Everything else is a finding and propagates:
-a static-timing mismatch, a timeout, an unknown engine name.
+With no engine named, ``vector`` runs (``TestDefaultEngine``: every
+registered kernel and scenario).  Only the fused ``vector`` engine has
+capability gaps (external models, profiling, no static steady state); those
+run on ``compiled`` with a typed ``fallback_reason``.  After a failure, only
+an injected engine-compile fault re-runs on ``interpreted``.  Everything else
+is a finding and propagates: a static-timing mismatch, a timeout, an unknown
+engine name.
 """
 
 import dataclasses
@@ -13,8 +15,15 @@ import numpy as np
 import pytest
 
 import repro.sim.engine.vector as vector_engine
+from repro.evaluation.runner import (
+    QUICK_NEW_WORKLOAD_PARAMS,
+    QUICK_SCENARIO_PARAMS,
+    QUICK_TABLE5_PARAMS,
+)
 from repro.flow import FALLBACK_REASONS, Flow, FlowConfig
+from repro.graph import scenario_names
 from repro.ir.errors import SimulationError
+from repro.kernels import kernel_names
 from repro.obs.tracer import TRACER
 from repro.resilience import (
     FaultPlan,
@@ -183,3 +192,37 @@ class TestCapabilityGaps:
         assert _engine_keys(outcome) == {"engine": engine}
         assert outcome.value.run.engine == engine
         assert resilience_counters() == before
+
+
+QUICK_KERNELS = {**QUICK_TABLE5_PARAMS, **QUICK_NEW_WORKLOAD_PARAMS}
+
+
+class TestDefaultEngine:
+    """With no engine named anywhere, every registered kernel and scenario
+    executes the fused ``vector`` engine: no capability gap, no substitution."""
+
+    @pytest.fixture(autouse=True)
+    def no_engine_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+
+    @staticmethod
+    def _check(flow):
+        validated = flow.validate(seed=1)
+        assert validated.value.ok
+        assert validated.value.run.engine == "vector"
+        assert _engine_keys(validated) == {"engine": "vector"}
+
+    def test_every_kernel_and_scenario_is_covered(self):
+        assert set(QUICK_KERNELS) == set(kernel_names())
+        assert set(QUICK_SCENARIO_PARAMS) == set(scenario_names())
+
+    @pytest.mark.parametrize("kernel", sorted(QUICK_KERNELS))
+    def test_kernel_validates_on_vector(self, kernel):
+        self._check(Flow.from_kernel(kernel, config=FlowConfig(store_dir=""),
+                                     **QUICK_KERNELS[kernel]))
+
+    @pytest.mark.parametrize("scenario", sorted(QUICK_SCENARIO_PARAMS))
+    def test_scenario_validates_on_vector(self, scenario):
+        self._check(Flow.from_scenario(scenario,
+                                       config=FlowConfig(store_dir=""),
+                                       **QUICK_SCENARIO_PARAMS[scenario]))

@@ -1,12 +1,17 @@
 """FlowConfig: env round-trips and the documented precedence chain.
 
-Precedence (highest wins): per-call kwarg > FlowConfig field > process
-default (``set_default_engine``) > environment (``REPRO_*``) > built-in.
+Precedence (highest wins): per-call kwarg > FlowConfig field > environment
+(``REPRO_SIM_ENGINE`` / ``REPRO_STORE_DIR``, read at call time) > built-in
+(the ``vector`` engine).  The DSE knobs are not config: ``HLSOptions``
+reads ``REPRO_DSE_*`` itself (``tests/hls/test_dse_fastpath.py::TestOptions``).
 """
+
+from dataclasses import fields
 
 import pytest
 
 from repro.flow import ENV_VARS, Flow, FlowConfig, FlowError
+from repro.hls import HLSOptions
 from repro.kernels import build_kernel
 
 
@@ -20,36 +25,23 @@ class TestFromEnv:
     def test_every_env_var_round_trips(self):
         env = {
             "REPRO_SIM_ENGINE": "compiled",
-            "REPRO_DSE_JOBS": "3",
-            "REPRO_DSE_EXECUTOR": "process",
             "REPRO_STORE_DIR": "/tmp/repro-store-roundtrip",
         }
         assert set(env) == set(ENV_VARS)
         config = FlowConfig.from_env(env)
         assert config.engine == "compiled"
-        assert config.dse_jobs == 3
-        assert config.dse_executor == "process"
         assert config.store_dir == "/tmp/repro-store-roundtrip"
 
     def test_unset_variables_inherit(self):
         config = FlowConfig.from_env({})
         assert config.engine is None
-        assert config.dse_jobs is None
-        assert config.dse_executor is None
         assert config.store_dir is None
 
     def test_real_environment_round_trip(self, monkeypatch):
-        for var, value in (("REPRO_SIM_ENGINE", "interpreted"),
-                           ("REPRO_DSE_JOBS", "2"),
-                           ("REPRO_DSE_EXECUTOR", "thread")):
-            monkeypatch.setenv(var, value)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "interpreted")
+        monkeypatch.setenv("REPRO_STORE_DIR", "")
         config = FlowConfig.from_env()
-        assert (config.engine, config.dse_jobs, config.dse_executor) == (
-            "interpreted", 2, "thread")
-
-    def test_garbage_integers_are_ignored(self):
-        config = FlowConfig.from_env({"REPRO_DSE_JOBS": "lots"})
-        assert config.dse_jobs is None
+        assert (config.engine, config.store_dir) == ("interpreted", "")
 
     def test_overrides_beat_env(self):
         config = FlowConfig.from_env({"REPRO_SIM_ENGINE": "interpreted"},
@@ -66,13 +58,18 @@ class TestValidation:
         with pytest.raises(FlowError, match="engine"):
             FlowConfig(engine="verilator")
 
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(FlowError, match="dse_jobs"):
-            FlowConfig(dse_jobs=0)
+    def test_only_the_seven_caller_set_fields(self):
+        assert [field.name for field in fields(FlowConfig)] == [
+            "engine", "pipeline", "verify_structure", "verify_each",
+            "store_dir", "trace", "profile"]
 
-    def test_bad_executor_rejected(self):
-        with pytest.raises(FlowError, match="dse_executor"):
-            FlowConfig(dse_executor="gpu")
+    def test_bad_jobs_rejected(self):
+        # DSE jobs are not a config field: a caller still passing one fails
+        # loudly instead of being ignored, and HLSOptions validates the count.
+        with pytest.raises(TypeError, match="dse_jobs"):
+            FlowConfig(dse_jobs=2)
+        with pytest.raises(ValueError, match="jobs"):
+            HLSOptions(jobs=0)
 
     def test_with_returns_modified_copy(self):
         base = FlowConfig()
@@ -88,48 +85,38 @@ class TestEnginePrecedence:
         outcome = flow.simulate(seed=0, engine="compiled").value
         assert outcome.engine == "compiled"
 
-    def test_config_beats_process_default(self, transpose_flow):
-        from repro.sim import set_default_engine
-        previous = set_default_engine("interpreted")
-        try:
-            flow = Flow(transpose_flow.source,
-                        config=FlowConfig(pipeline="none", engine="compiled"))
-            assert flow.simulate(seed=0).value.engine == "compiled"
-        finally:
-            set_default_engine(previous)
+    def test_config_beats_env(self, transpose_flow, monkeypatch):
+        # Set after import: the environment is read when the flow simulates.
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "interpreted")
+        flow = Flow(transpose_flow.source,
+                    config=FlowConfig(pipeline="none", engine="compiled"))
+        assert flow.simulate(seed=0).value.engine == "compiled"
 
-    def test_process_default_used_when_config_inherits(self, transpose_flow):
-        from repro.sim import set_default_engine
-        previous = set_default_engine("compiled")
-        try:
-            assert transpose_flow.simulate(seed=0).value.engine == "compiled"
-        finally:
-            set_default_engine(previous)
+    def test_env_used_when_config_inherits(self, transpose_flow, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+        assert transpose_flow.simulate(seed=0).value.engine == "compiled"
 
-    def test_resolve_engine_chain(self):
-        from repro.sim import get_default_engine
+    def test_resolve_engine_chain(self, monkeypatch):
+        from repro.sim.engine import DEFAULT_ENGINE
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
         config = FlowConfig()
-        assert config.resolve_engine() == get_default_engine()
-        assert config.resolve_engine("compiled") == "compiled"
+        assert config.resolve_engine() == DEFAULT_ENGINE == "vector"
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "interpreted")
+        assert config.resolve_engine() == "interpreted"
         assert FlowConfig(engine="compiled").resolve_engine() == "compiled"
+        assert FlowConfig(engine="compiled").resolve_engine(
+            "differential") == "differential"
 
 
 class TestDsePrecedence:
-    def test_per_call_jobs_beat_config(self):
-        options = FlowConfig(dse_jobs=2).hls_options(jobs=4)
-        assert options.jobs == 4
-
-    def test_config_jobs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "8")
-        assert FlowConfig(dse_jobs=2).hls_options().jobs == 2
-
     def test_env_jobs_used_when_config_inherits(self, monkeypatch):
+        # A config snapshot does not capture REPRO_DSE_JOBS, so the DSE reads
+        # it from the environment whatever config the flow was built with.
         monkeypatch.setenv("REPRO_DSE_JOBS", "8")
-        assert FlowConfig().hls_options().jobs == 8
-
-    def test_executor_passthrough(self):
-        assert FlowConfig(dse_executor="process").hls_options().executor == \
-            "process"
+        config = FlowConfig.from_env()
+        assert "REPRO_DSE_JOBS" not in ENV_VARS
+        assert not hasattr(config, "dse_jobs")
+        assert HLSOptions().jobs == 8
 
 
 class TestCacheBounds:

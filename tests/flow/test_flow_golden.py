@@ -34,7 +34,7 @@ def core_verilog_text(module, top):
     return emit_design(generate_verilog_impl(module, top=top).design)
 
 
-def core_run(artifacts, seed, engine=None):
+def core_run(artifacts, seed, engine):
     from repro.sim import run_design_impl
     from repro.verilog import generate_verilog_impl
     inputs = artifacts.make_inputs(seed)
@@ -71,9 +71,9 @@ class TestGoldenEquivalence:
 
     def test_simulation_trace_identical(self, name):
         artifacts = build_kernel(name, **SMALL[name])
-        core, core_inputs = core_run(artifacts, seed=5)
+        core, core_inputs = core_run(artifacts, seed=5, engine="interpreted")
         flow = Flow(artifacts, config=FlowConfig(pipeline="none"))
-        outcome = flow.simulate(seed=5).value
+        outcome = flow.simulate(seed=5, engine="interpreted").value
         for key in core_inputs:
             assert np.array_equal(core_inputs[key], outcome.inputs[key])
         assert_trace_identical(core, outcome.run)
@@ -90,9 +90,10 @@ class TestGoldenEquivalence:
                                               artifacts.top)
 
     def test_artifact_helpers_match_flow(self, name):
-        """KernelArtifacts.simulate (Flow-backed) returns the core trace."""
+        """KernelArtifacts.simulate (Flow-backed, default engine) returns the
+        interpreted reference trace."""
         artifacts = build_kernel(name, **SMALL[name])
-        core, _ = core_run(artifacts, seed=2)
+        core, _ = core_run(artifacts, seed=2, engine="interpreted")
         run, _ = artifacts.simulate(seed=2)
         assert_trace_identical(core, run)
 

@@ -37,7 +37,7 @@ class TestStageCaching:
         provenance = dict(artifact.provenance)
         assert provenance["pipeline"] == "optimize"
         assert provenance["top"] == "transpose"
-        assert provenance["emit_assertions"] == "False"
+        assert provenance["verify_each"] == "True"
         assert len(artifact.fingerprint) == 16
 
     def test_clear_drops_stages(self):

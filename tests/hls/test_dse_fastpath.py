@@ -163,6 +163,14 @@ class TestOptions:
         options = HLSOptions()
         assert options.jobs == 3 and options.executor == "process"
 
+    def test_garbage_env_jobs_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_JOBS", "lots")
+        assert HLSOptions().jobs == 1
+
+    def test_explicit_jobs_beat_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DSE_JOBS", "8")
+        assert HLSOptions(jobs=2).jobs == 2
+
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
             HLSOptions(jobs=0)

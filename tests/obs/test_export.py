@@ -97,7 +97,8 @@ class TestFlowSessionTrace:
         # in so parallel test state never leaks.
         tracer = Tracer()
         for module in ("repro.flow", "repro.ir.pass_manager",
-                       "repro.hls.dse", "repro.sim.testbench"):
+                       "repro.hls.dse", "repro.sim.testbench",
+                       "repro.sim.engine.vector"):
             monkeypatch.setattr(f"{module}.TRACER", tracer)
         return tracer
 

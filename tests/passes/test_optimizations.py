@@ -304,7 +304,8 @@ class TestPipelines:
         design = generate_verilog_impl(artifacts.module, top="transpose").design
         inputs = artifacts.make_inputs(5)
         run = run_design_impl(design, memories={
-            name: (t, inputs[name]) for name, t in artifacts.interfaces.items()})
+            name: (t, inputs[name]) for name, t in artifacts.interfaces.items()},
+            engine="interpreted")
         assert np.array_equal(run.memory_array("Co"), np.asarray(inputs["Ai"]).T)
 
     def test_verification_pipeline_raises_on_bad_schedule(self):

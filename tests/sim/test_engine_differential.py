@@ -18,9 +18,7 @@ from repro.sim import (
     Simulator,
     available_engines,
     create_simulator,
-    get_default_engine,
     run_design_impl,
-    set_default_engine,
 )
 from repro.verilog import (
     BinOp,
@@ -76,24 +74,21 @@ class TestEngineSelection:
 
     def test_create_simulator_types(self):
         design = counter_design()
-        assert isinstance(create_simulator(design), Simulator)
+        assert isinstance(create_simulator(design, engine="interpreted"),
+                          Simulator)
         assert isinstance(create_simulator(design, engine="compiled"),
                           CompiledSimulator)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError, match="unknown simulation engine"):
             create_simulator(counter_design(), engine="verilator")
-        with pytest.raises(SimulationError, match="unknown simulation engine"):
-            set_default_engine("verilator")
 
-    def test_default_engine_round_trip(self):
-        previous = set_default_engine("compiled")
-        try:
-            assert get_default_engine() == "compiled"
-            assert isinstance(create_simulator(counter_design()),
-                              CompiledSimulator)
-        finally:
-            set_default_engine(previous)
+    def test_engine_is_required(self):
+        """Only FlowConfig.resolve_engine supplies an unnamed engine."""
+        with pytest.raises(TypeError, match="engine"):
+            create_simulator(counter_design())
+        with pytest.raises(TypeError, match="engine"):
+            run_design_impl(counter_design())
 
 
 class TestCompiledUnit:

@@ -38,6 +38,7 @@ def compile_and_run(name, params, seed=1, optimize=False, drain_cycles=16):
         scalar_inputs=artifacts.scalar_args,
         drain_cycles=drain_cycles,
         max_cycles=50000,
+        engine="interpreted",
     )
     expected = artifacts.reference(inputs)
     return run, expected

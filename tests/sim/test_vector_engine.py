@@ -18,7 +18,6 @@ from repro.sim import (
     available_engines,
     create_simulator,
     run_design_vector,
-    set_default_engine,
 )
 from repro.sim.testbench import run_design_impl
 
@@ -69,13 +68,8 @@ def test_vector_matches_interpreted(kernel):
 
 def test_vector_is_listed_and_settable():
     assert "vector" in available_engines()
-    previous = set_default_engine("vector")
-    try:
-        artifacts = build_kernel("transpose", size=4)
-        run = run_kernel(artifacts, engine=None)
-        assert run.engine == "vector"
-    finally:
-        set_default_engine(previous)
+    artifacts = build_kernel("transpose", size=4)
+    assert run_kernel(artifacts, engine="vector").engine == "vector"
 
 
 def test_vector_has_no_per_cycle_simulator():
