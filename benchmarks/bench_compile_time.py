@@ -1,19 +1,18 @@
 """End-to-end compile-time benchmark of the fast compile path.
 
-Runs the Table 6 kernel sweep — both compilers, every kernel — three ways:
+Runs the Table 6 kernel sweep — both compilers, every kernel — two ways:
 
 * **seed**: the seed compiler's behaviour (legacy O(E) dependence scans,
-  full serial DSE with no pruning or memoization, legacy full re-walk
-  optimization passes),
+  full DSE with no pruning or memoization, legacy full re-walk
+  optimization passes), and
 * **fast**: the current defaults (interned IR + worklist passes, cached
-  adjacency, pruned + memoized DSE), serial, and
-* **parallel**: the fast path with ``HLSOptions(jobs=N)``.
+  adjacency, pruned + memoized DSE).
 
-It *enforces* the PR's contract: the fast serial sweep is >= 3x faster than
+It *enforces* the fast path's contract: the fast sweep is >= 3x faster than
 the seed sweep (``REPRO_COMPILE_MIN_SPEEDUP`` overrides the bar for noisy
 shared runners), the DSE prunes a meaningful share of its candidate design
-points, and — most importantly — all three variants choose the same
-schedules and emit byte-identical Verilog for every kernel.
+points, and — most importantly — both variants choose the same schedules
+and emit byte-identical Verilog for every kernel.
 
 Usage::
 
@@ -55,10 +54,8 @@ SMOKE_PARAMS = {
     "convolution": {"size": 8},
 }
 
-#: Required end-to-end speedup of the fast serial sweep over the seed sweep.
+#: Required end-to-end speedup of the fast sweep over the seed sweep.
 MIN_SPEEDUP = float(os.environ.get("REPRO_COMPILE_MIN_SPEEDUP", "3.0"))
-#: Job count for the parallel variant.
-PARALLEL_JOBS = int(os.environ.get("REPRO_DSE_BENCH_JOBS", "4"))
 
 
 def _compile_kernel(name, params, hls_options, legacy_pipeline=False):
@@ -77,7 +74,7 @@ def _compile_kernel(name, params, hls_options, legacy_pipeline=False):
 
 
 def run_sweep(params, variant):
-    """Compile every kernel; variant is 'seed', 'fast' or 'parallel'."""
+    """Compile every kernel; variant is 'seed' or 'fast'."""
     clear_schedule_memo()
     texts, reports = {}, {}
     total = 0.0
@@ -90,10 +87,9 @@ def run_sweep(params, variant):
                 total += seconds
                 texts[name], reports[name] = text, report
         return total, texts, reports
-    options = (HLSOptions(jobs=PARALLEL_JOBS) if variant == "parallel"
-               else HLSOptions(jobs=1))
     for name, kernel_params in params.items():
-        seconds, text, report = _compile_kernel(name, kernel_params, options)
+        seconds, text, report = _compile_kernel(name, kernel_params,
+                                                HLSOptions())
         total += seconds
         texts[name], reports[name] = text, report
     return total, texts, reports
@@ -103,14 +99,11 @@ def run_benchmark(params, min_speedup=MIN_SPEEDUP, verbose=True,
                   json_path=None):
     seed_seconds, seed_texts, _ = run_sweep(params, "seed")
     fast_seconds, fast_texts, fast_reports = run_sweep(params, "fast")
-    par_seconds, par_texts, par_reports = run_sweep(params, "parallel")
 
-    # Bit-identical results across all three variants, kernel by kernel.
+    # Bit-identical results across both variants, kernel by kernel.
     for name in params:
         assert seed_texts[name] == fast_texts[name], (
             f"{name}: fast compile emitted different Verilog than the seed")
-        assert seed_texts[name] == par_texts[name], (
-            f"{name}: parallel DSE emitted different Verilog than the seed")
 
     examined = sum(r.dse_evaluations for r in fast_reports.values())
     pruned = sum(r.dse_pruned for r in fast_reports.values())
@@ -118,15 +111,10 @@ def run_benchmark(params, min_speedup=MIN_SPEEDUP, verbose=True,
     speedup = seed_seconds / fast_seconds if fast_seconds else float("inf")
 
     if verbose:
-        cpus = os.cpu_count() or 1
         print(f"\ncompile-time sweep over {len(params)} kernels:")
         print(f"  seed      {seed_seconds:8.3f}s")
         print(f"  fast      {fast_seconds:8.3f}s  ({speedup:.1f}x, "
               f"required >= {min_speedup:.1f}x)")
-        print(f"  parallel  {par_seconds:8.3f}s  (jobs={PARALLEL_JOBS}, "
-              f"{cpus} CPU{'s' if cpus != 1 else ''} available; wall-clock "
-              f"scaling needs >1 CPU and REPRO_DSE_EXECUTOR=process to "
-              f"escape the GIL — results are identical regardless)")
         print(f"  DSE design points: {examined} examined, {pruned} pruned, "
               f"{scheduled} scheduled")
 
@@ -137,8 +125,6 @@ def run_benchmark(params, min_speedup=MIN_SPEEDUP, verbose=True,
             "kernels": ",".join(sorted(params)),
             "seed_seconds": seed_seconds,
             "fast_seconds": fast_seconds,
-            "parallel_seconds": par_seconds,
-            "parallel_jobs": PARALLEL_JOBS,
             "speedup": speedup,
             "dse_examined": examined,
             "dse_pruned": pruned,
@@ -161,7 +147,7 @@ def run_benchmark(params, min_speedup=MIN_SPEEDUP, verbose=True,
 
 def test_compile_time_speedup_paper_scale():
     """Fast compile path >= 3x over the seed on the Table 6 sweep,
-    with pruned DSE and bit-identical output (serial and parallel)."""
+    with pruned DSE and bit-identical output."""
     run_benchmark(PAPER_PARAMS)
 
 

@@ -220,7 +220,6 @@ def _cmd_report(arguments) -> int:
 
     results = runner.run_all(quick=arguments.quick,
                              validate=arguments.validate,
-                             jobs=arguments.jobs or 1,
                              timing=arguments.timing)
     print(results.render())
     return 0
@@ -534,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reduced kernel sizes")
     report.add_argument("--validate", action="store_true",
                         help="cross-check every kernel against its reference")
-    report.add_argument("--jobs", type=int, default=None,
-                        help="DSE parallelism for the --timing breakdown")
     report.add_argument("--timing", action="store_true",
                         help="append compile-timing breakdowns")
     report.set_defaults(handler=_cmd_report)

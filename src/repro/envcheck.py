@@ -1,9 +1,10 @@
 """Fail-fast validation of the ``REPRO_*`` environment variables.
 
 The library deliberately *tolerates* malformed environment values (a busted
-``REPRO_DSE_JOBS`` silently falls back to serial so an import never fails),
-but the CLI should not: a typo in a tuning knob that silently reverts to the
-default is the kind of quiet misconfiguration that wastes an afternoon.
+``REPRO_SIM_CACHE_SIZE`` silently falls back to its default so an import
+never fails), but the CLI should not: a typo in a tuning knob that silently
+reverts to the default is the kind of quiet misconfiguration that wastes an
+afternoon.
 ``python -m repro`` therefore validates the whole environment once at parse
 time and exits with a one-line error (status 2) before doing any work.
 
@@ -49,12 +50,6 @@ def _positive_float(value: str) -> Optional[str]:
     return None
 
 
-def _executor(value: str) -> Optional[str]:
-    if value not in ("thread", "process"):
-        return f"expected 'thread' or 'process', got {value!r}"
-    return None
-
-
 def _engine(value: str) -> Optional[str]:
     from repro.sim import available_engines
     engines = available_engines()
@@ -94,11 +89,8 @@ def _fault_plan(value: str) -> Optional[str]:
 
 #: Variable name -> validator returning an error string (or None if fine).
 VALIDATED_VARS: Dict[str, Callable[[str], Optional[str]]] = {
-    "REPRO_DSE_JOBS": _positive_int,
     "REPRO_DSE_MEMO_SIZE": _non_negative_int,
     "REPRO_SIM_CACHE_SIZE": _non_negative_int,
-    "REPRO_DSE_TIMEOUT": _positive_float,
-    "REPRO_DSE_EXECUTOR": _executor,
     "REPRO_SIM_ENGINE": _engine,
     "REPRO_STORE_DIR": _store_dir,
     "REPRO_FAULT_PLAN": _fault_plan,

@@ -122,7 +122,7 @@ def render_validation(rows: Dict[str, ValidationRow]) -> str:
     return "\n".join(lines)
 
 
-def render_compile_timing(quick: bool = False, jobs: int = 1,
+def render_compile_timing(quick: bool = False,
                           config: Optional[FlowConfig] = None) -> str:
     """A ``--timing`` breakdown of one representative compile of each flow.
 
@@ -142,9 +142,9 @@ def render_compile_timing(quick: bool = False, jobs: int = 1,
 
     artifacts = flow.source
     result = compile_program(artifacts.hls_program, artifacts.hls_function,
-                             options=HLSOptions(jobs=jobs))
+                             options=HLSOptions())
     report = result.report
-    lines = [f"Compile timing breakdown (gemm, size={size}, jobs={jobs})",
+    lines = [f"Compile timing breakdown (gemm, size={size})",
              "",
              "HIR optimization pipeline:",
              flow.pass_report(),
@@ -192,7 +192,7 @@ class EvaluationResults:
         return "\n".join(parts)
 
 
-def run_all(quick: bool = False, validate: bool = False, jobs: int = 1,
+def run_all(quick: bool = False, validate: bool = False,
             timing: bool = False,
             config: Optional[FlowConfig] = None) -> EvaluationResults:
     """Regenerate every experiment; ``quick`` shrinks problem sizes.
@@ -200,10 +200,10 @@ def run_all(quick: bool = False, validate: bool = False, jobs: int = 1,
     ``config`` is the :class:`~repro.flow.FlowConfig` threaded through every
     Flow-driven measurement.  ``validate`` appends a functional-validation
     sweep of every kernel on the ``differential`` engine to the results.
-    ``timing`` appends per-pass / per-phase compile-time breakdowns; ``jobs``
-    sets the fast path's DSE parallelism for that breakdown (results are
-    identical at any job count).  The Table 6 columns themselves are never affected:
-    the baseline there stays frozen at the seed configuration.
+    ``timing`` appends per-pass / per-phase compile-time breakdowns, with
+    the baseline compiler on its default fast path.  The Table 6 columns
+    themselves are never affected: the baseline there stays frozen at the
+    seed configuration.
     """
     config = config or FlowConfig.from_env()
     results = EvaluationResults()
@@ -221,7 +221,7 @@ def run_all(quick: bool = False, validate: bool = False, jobs: int = 1,
         results.validation.update(validate_scenarios(
             params=QUICK_SCENARIO_PARAMS if quick else None, config=config))
     if timing:
-        results.compile_timing = render_compile_timing(quick=quick, jobs=jobs,
+        results.compile_timing = render_compile_timing(quick=quick,
                                                        config=config)
     return results
 
@@ -234,17 +234,12 @@ def main() -> None:  # pragma: no cover - manual entry point
                         help="use reduced kernel sizes for a fast run")
     parser.add_argument("--validate", action="store_true",
                         help="cross-check every kernel against its reference")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel DSE candidate evaluations for the "
-                             "--timing fast-path breakdown (identical "
-                             "results at any job count; Table 6's frozen "
-                             "baseline is never parallelised)")
     parser.add_argument("--timing", action="store_true",
                         help="append per-pass / per-phase compile timing "
                              "breakdowns")
     arguments = parser.parse_args()
     print(run_all(quick=arguments.quick, validate=arguments.validate,
-                  jobs=arguments.jobs, timing=arguments.timing).render())
+                  timing=arguments.timing).render())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -52,16 +52,15 @@ def measure_kernel(name: str,
     """Measure both compilers' wall-clock compile time for one kernel.
 
     The baseline column is a *frozen model* of a commercial HLS tool: it
-    runs the full serial DSE sweep with the seed compiler's behaviour (no
-    pruning, no memoization, no parallelism, the original O(E) dependence
+    runs the full DSE sweep with the seed compiler's behaviour (no
+    pruning, no memoization, no graph reuse, the original O(E) dependence
     scans — :meth:`HLSOptions.seed_equivalent` under
     :class:`~repro.hls.scheduling.legacy_scan_mode`), because Table 6's
     claim is about how much work such a tool repeats, not about how fast we
     made our reimplementation of it.  Deliberately, nothing — including
-    ``runner.py --jobs``, which only drives the ``--timing`` breakdown of
-    the fast path — changes this column.  The engineered fast path of the
-    baseline compiler is benchmarked separately in
-    ``benchmarks/bench_compile_time.py``.
+    ``report --timing``, which breaks down the fast path — changes this
+    column.  The engineered fast path of the baseline compiler is
+    benchmarked separately in ``benchmarks/bench_compile_time.py``.
     """
     params = params if params is not None else DEFAULT_PARAMS[name]
     artifacts = build_kernel(name, **params)

@@ -104,9 +104,9 @@ class FlowConfig:
 
     ``None`` means "inherit": the engine and the store fall back to
     ``REPRO_SIM_ENGINE`` / ``REPRO_STORE_DIR``, read at call time.  The
-    baseline-HLS DSE reads ``REPRO_DSE_*`` itself
-    (:class:`repro.hls.options.HLSOptions`), and the in-memory cache bounds
-    read ``REPRO_SIM_CACHE_SIZE`` / ``REPRO_DSE_MEMO_SIZE``.
+    in-memory cache bounds are not config either: the simulator compile
+    cache and the baseline-HLS DSE memo read ``REPRO_SIM_CACHE_SIZE`` /
+    ``REPRO_DSE_MEMO_SIZE`` at call time.
     """
 
     #: Simulation engine ("interpreted", "compiled", "differential" or the

@@ -15,7 +15,6 @@ from repro.hls.dse import (
     collect_innermost_loops,
     explore_loop,
     schedule_memo_size,
-    set_memo_capacity,
 )
 from repro.hls.options import HLSOptions
 from repro.hls.rtl import LoopRTLInfo, RTLGenerator
@@ -55,7 +54,6 @@ __all__ = [
     "HLSCompiler", "HLSReport", "HLSResult", "LoopReport", "compile_program",
     "Candidate", "HLSOptions", "LoopExploration", "clear_schedule_memo",
     "collect_innermost_loops", "explore_loop", "schedule_memo_size",
-    "set_memo_capacity",
     "LoopRTLInfo", "RTLGenerator",
     "DataflowGraph", "DFGBuilder", "DFGNode", "LoopSchedule",
     "asap_schedule", "alap_schedule", "graph_signature", "list_schedule",

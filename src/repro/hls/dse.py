@@ -34,30 +34,23 @@ mechanisms preserve the chosen schedule and emitted Verilog bit for bit):
   (which minimises (II, cost), and the bound's II component never exceeds
   the achieved II) — and is skipped without scheduling.
 
-* **Parallelism.**  Surviving candidates are evaluated concurrently with
-  ``concurrent.futures`` (``HLSOptions(jobs=...)`` / ``REPRO_DSE_JOBS``).
-  The reduction is deterministic: results are collected in candidate
-  enumeration order, so ties resolve exactly as in the serial sweep.
+* **Serial order.**  Candidates are evaluated one at a time in the seed
+  compiler's enumeration order, so ties resolve exactly as in the seed
+  sweep.  There is no parallel sweep: scheduling is pure Python, so thread
+  pools only add hand-off cost under the GIL and process pools add pickling
+  and start-up; both were slower than this memoized, pruned loop on the
+  paper-scale Table 6 sweep and no faster at CI's smoke sizes.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 from collections import OrderedDict
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hls.binding import bind_loop
 from repro.obs.tracer import TRACER
-from repro.resilience.faults import fault_point, bump
 from repro.hls.options import HLSOptions
 from repro.hls.scheduling import (
     DataflowGraph,
@@ -108,12 +101,6 @@ class LoopExploration:
     memo_hits: int = 0
     #: Design points that ran the scheduler (cache misses).
     scheduled: int = 0
-    #: Worker failures (crash, timeout, exception) seen during the sweep.
-    worker_failures: int = 0
-    #: In-process recovery attempts made after worker failures.
-    worker_retries: int = 0
-    #: The sweep lost its process pool and finished serially in-process.
-    degraded: bool = False
 
     @property
     def evaluations(self) -> int:
@@ -129,24 +116,8 @@ MemoKey = Tuple[str, bool, int, Tuple[Tuple[str, int], ...]]
 MemoValue = Tuple[LoopSchedule, int, int]  # schedule, registers, memory ops
 
 
-#: Programmatic capacity override (wins over the environment); installed by
-#: :func:`set_memo_capacity`.
-_memo_capacity_override: Optional[int] = None
-
-
-def set_memo_capacity(size: Optional[int]) -> Optional[int]:
-    """Override the schedule-memo capacity (``None`` restores the
-    ``REPRO_DSE_MEMO_SIZE`` environment default); returns the previous
-    override so callers can restore it."""
-    global _memo_capacity_override
-    previous = _memo_capacity_override
-    _memo_capacity_override = size if size is None else max(0, int(size))
-    return previous
-
-
 def _memo_capacity() -> int:
-    if _memo_capacity_override is not None:
-        return _memo_capacity_override
+    """``REPRO_DSE_MEMO_SIZE``, read at call time (default 512)."""
     try:
         return max(0, int(os.environ.get("REPRO_DSE_MEMO_SIZE", "512")))
     except ValueError:
@@ -267,8 +238,7 @@ def _evaluate_point(body: List[Statement], pipelined: bool, requested_ii: int,
                     graph: Optional[DataflowGraph],
                     attempt_cache: Optional[Dict[int, object]] = None
                     ) -> MemoValue:
-    """Schedule + bind one design point (runs in worker threads/processes)."""
-    fault_point("dse.candidate")
+    """Schedule + bind one design point."""
     schedule = schedule_loop(body, pipeline=pipelined,
                              requested_ii=requested_ii if pipelined else None,
                              array_ports=ports, graph=graph,
@@ -279,60 +249,6 @@ def _evaluate_point(body: List[Statement], pipelined: bool, requested_ii: int,
         1 for node in schedule.graph.nodes if node.kind in ("load", "store")
     )
     return schedule, registers, memory_ops
-
-
-def _evaluate_point_slim(body: List[Statement], pipelined: bool,
-                         requested_ii: int, ports: Dict[str, int],
-                         legacy_scans: bool = False) -> tuple:
-    """Process-pool worker: rebuild the (deterministic) graph locally and
-    return only the schedule's scalars, not the graph — the parent already
-    holds an identical graph, and pickling a full LoopSchedule back through
-    the pipe costs more than the scheduling itself on small candidates.
-
-    ``legacy_scans`` carries the parent's :data:`scheduling.LEGACY_SCANS`
-    across the process boundary: cached worker processes fork once, so the
-    parent's later toggles would otherwise never reach them (in either
-    direction).  Workers run one task at a time, so scoping the global
-    around the call is safe.
-    """
-    import repro.hls.scheduling as scheduling_module
-
-    saved = scheduling_module.LEGACY_SCANS
-    scheduling_module.LEGACY_SCANS = legacy_scans
-    try:
-        schedule, registers, memory_ops = _evaluate_point(
-            body, pipelined, requested_ii, ports, graph=None)
-    finally:
-        scheduling_module.LEGACY_SCANS = saved
-    return (schedule.start_cycle, schedule.latency,
-            schedule.initiation_interval, schedule.pipelined,
-            schedule.attempts, registers, memory_ops)
-
-
-def _inflate_slim(spec: "_Spec", slim: tuple) -> MemoValue:
-    start, latency, ii, pipelined, attempts, registers, memory_ops = slim
-    graph = spec.graph if spec.graph is not None else DFGBuilder().build(spec.body)
-    schedule = LoopSchedule(graph, start, latency, ii, pipelined, attempts)
-    return schedule, registers, memory_ops
-
-
-def _evaluate_worker(fork, body, pipelined, requested_ii, ports, graph,
-                     attempt_cache, order, unroll) -> MemoValue:
-    """Thread-pool task: evaluate one design point, recording its span into
-    the worker's forked tracer (None when tracing is off)."""
-    if fork is None:
-        return _evaluate_point(body, pipelined, requested_ii, ports, graph,
-                               attempt_cache)
-    with fork.span("dse.candidate", cat="dse", order=order, unroll=unroll,
-                   ii=requested_ii):
-        return _evaluate_point(body, pipelined, requested_ii, ports, graph,
-                               attempt_cache)
-
-
-def _make_candidate(spec: _Spec, value: MemoValue) -> Candidate:
-    schedule, registers, memory_ops = value
-    return Candidate(schedule.initiation_interval, spec.unroll,
-                     schedule.latency, registers, memory_ops, schedule)
 
 
 def _enumerate_specs(loop: For, array_ports: Optional[Dict[str, int]],
@@ -452,7 +368,9 @@ def _evaluate_spec(spec: _Spec, exploration: LoopExploration,
         exploration.scheduled += 1
         if memoize:
             _memo_put(key, value)
-    return _make_candidate(spec, value)
+    schedule, registers, memory_ops = value
+    return Candidate(schedule.initiation_interval, spec.unroll,
+                     schedule.latency, registers, memory_ops, schedule)
 
 
 def explore_loop(loop: For,
@@ -467,14 +385,9 @@ def explore_loop(loop: For,
     incumbent = _Incumbent(directive)
 
     with TRACER.span("dse.explore_loop", cat="dse", var=loop.var,
-                     specs=len(specs), jobs=options.jobs):
-        if options.jobs > 1 and len(specs) > 1:
-            self_candidates = _explore_parallel(specs, exploration, incumbent,
-                                                options)
-        else:
-            self_candidates = _explore_serial(specs, exploration, incumbent,
-                                              options)
-    exploration.candidates = self_candidates
+                     specs=len(specs)):
+        exploration.candidates = _explore_serial(specs, exploration,
+                                                 incumbent, options)
     exploration.chosen = _select(exploration.candidates, pragmas)
     TRACER.count("dse.sweeps")
     TRACER.count("dse.pruned", exploration.pruned)
@@ -495,246 +408,6 @@ def _explore_serial(specs: List[_Spec], exploration: LoopExploration,
         candidates.append(candidate)
         incumbent.observe(candidate)
     return candidates
-
-
-def _explore_parallel(specs: List[_Spec], exploration: LoopExploration,
-                      incumbent: _Incumbent,
-                      options: HLSOptions) -> List[Candidate]:
-    """Parallel sweep with a deterministic, order-preserving reduction.
-
-    One seed candidate — the one whose lower bound is most promising under
-    the selection rule — is evaluated first to establish the incumbent; the
-    surviving specs then run concurrently and are reduced in enumeration
-    order, so the candidate list (and every tie-break in :func:`_select`)
-    matches the serial sweep.
-    """
-    if incumbent.directive:
-        seed = min(specs, key=lambda s: (s.requested_ii, s.lb_cost, s.order))
-    else:
-        seed = min(specs, key=lambda s: (s.lb_cost, s.order))
-    try:
-        seed_candidate = _evaluate_spec(seed, exploration, options.memoize)
-    except KeyboardInterrupt:
-        raise
-    except Exception as error:
-        # The incumbent seed gets the same recovery ladder as pool workers.
-        value = _recover_inprocess(seed, options, exploration, error)
-        exploration.scheduled += 1
-        if options.memoize and seed.graph is not None:
-            _memo_put(seed.memo_key(), value)
-        seed_candidate = _make_candidate(seed, value)
-    incumbent.observe(seed_candidate)
-
-    survivors: List[_Spec] = []
-    for spec in specs:
-        if spec.order == seed.order:
-            continue
-        if options.prune and incumbent.can_prune(spec):
-            exploration.pruned += 1
-            continue
-        survivors.append(spec)
-
-    results: Dict[int, Candidate] = {seed.order: seed_candidate}
-    pending: List[_Spec] = []
-    #: Specs whose memo key is already being computed by an earlier pending
-    #: spec: they share that result (and count as memo hits, matching the
-    #: serial sweep's counters) instead of scheduling the point twice.
-    duplicates: Dict[int, int] = {}
-    in_flight: Dict[MemoKey, int] = {}
-    for spec in survivors:
-        if options.memoize and spec.graph is not None:
-            key = spec.memo_key()
-            value = _memo_get(key)
-            if value is not None:
-                exploration.memo_hits += 1
-                results[spec.order] = _make_candidate(spec, value)
-                continue
-            first_order = in_flight.get(key)
-            if first_order is not None:
-                duplicates[spec.order] = first_order
-                continue
-            in_flight[key] = spec.order
-        pending.append(spec)
-
-    if pending:
-        executor = _get_executor(options.executor, options.jobs)
-        use_processes = options.executor == "process"
-        if use_processes:
-            from repro.hls.scheduling import LEGACY_SCANS
-
-            futures = [
-                executor.submit(_evaluate_point_slim, spec.body,
-                                spec.pipelined, spec.requested_ii, spec.ports,
-                                LEGACY_SCANS)
-                for spec in pending
-            ]
-        else:
-            # Per-candidate spans under jobs>1: each submission records into
-            # its own forked tracer, merged back in enumeration order below,
-            # so the exported trace is deterministic regardless of worker
-            # completion order.  (Process pools skip spans: a child tracer
-            # cannot cross the pickle boundary.)
-            forks = ([TRACER.fork(f"dse.worker.{spec.order}")
-                      for spec in pending] if TRACER.enabled
-                     else [None] * len(pending))
-            futures = [
-                executor.submit(_evaluate_worker, fork, spec.body,
-                                spec.pipelined, spec.requested_ii, spec.ports,
-                                spec.graph,
-                                spec.attempt_cache if options.memoize else None,
-                                spec.order, spec.unroll)
-                for spec, fork in zip(pending, forks)
-            ]
-        values: Dict[int, MemoValue] = {}
-        try:
-            broken = False
-            for spec, future in zip(pending, futures):
-                value: Optional[MemoValue] = None
-                failure: Optional[BaseException] = None
-                if broken:
-                    # The pool died earlier in this sweep: degrade the rest
-                    # to serial in-process evaluation, no pool round-trips.
-                    failure = RuntimeError(
-                        "process pool broke earlier in this sweep")
-                else:
-                    try:
-                        raw = future.result(timeout=options.candidate_timeout)
-                        value = (_inflate_slim(spec, raw) if use_processes
-                                 else raw)
-                    except KeyboardInterrupt:
-                        raise
-                    except FutureTimeoutError as error:
-                        future.cancel()
-                        failure = error
-                    except BrokenProcessPool as error:
-                        # A SIGKILLed/crashed worker poisons the whole pool:
-                        # drop it (the next sweep builds a fresh one) and
-                        # finish this sweep serially.
-                        broken = True
-                        exploration.degraded = True
-                        bump("dse.degraded")
-                        TRACER.count("dse.degraded")
-                        _discard_executor(options.executor, options.jobs)
-                        failure = error
-                    except Exception as error:
-                        failure = error
-                if value is None:
-                    value = _recover_inprocess(spec, options, exploration,
-                                               failure)
-                exploration.scheduled += 1
-                if options.memoize and spec.graph is not None:
-                    _memo_put(spec.memo_key(), value)
-                values[spec.order] = value
-                results[spec.order] = _make_candidate(spec, value)
-        except BaseException:
-            # Interrupt or unrecoverable failure mid-sweep: cancel queued
-            # candidates and tear the cached pool down so no orphaned
-            # workers (or half-submitted futures) outlive the sweep.
-            _discard_executor(options.executor, options.jobs, futures)
-            raise
-        if not use_processes:
-            for fork in forks:
-                if fork is not None:
-                    TRACER.merge(fork)
-        by_order = {spec.order: spec for spec in survivors}
-        for dup_order, first_order in duplicates.items():
-            exploration.memo_hits += 1
-            results[dup_order] = _make_candidate(by_order[dup_order],
-                                                 values[first_order])
-
-    return [results[order] for order in sorted(results)]
-
-
-def _recover_inprocess(spec: _Spec, options: HLSOptions,
-                       exploration: LoopExploration,
-                       failure: Optional[BaseException]) -> MemoValue:
-    """The in-process recovery ladder for one failed worker evaluation.
-
-    Re-evaluates the candidate serially (1 + ``candidate_retries`` attempts);
-    if every attempt fails too, raises the typed
-    :class:`repro.resilience.WorkerError` so callers see one clean error
-    instead of a pool-internal traceback.
-    """
-    from repro.resilience import WorkerError
-    exploration.worker_failures += 1
-    bump("dse.worker_failures")
-    TRACER.count("dse.worker_failures")
-    TRACER.event("dse.worker_failure", cat="dse", order=spec.order,
-                 error=type(failure).__name__ if failure else "unknown")
-    last: Optional[BaseException] = failure
-    for _ in range(1 + max(0, options.candidate_retries)):
-        exploration.worker_retries += 1
-        bump("dse.worker_retries")
-        TRACER.count("dse.worker_retries")
-        try:
-            return _evaluate_point(
-                spec.body, spec.pipelined, spec.requested_ii, spec.ports,
-                spec.graph,
-                spec.attempt_cache if options.memoize else None)
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:
-            last = error
-    raise WorkerError(
-        f"DSE candidate order={spec.order} (unroll={spec.unroll}, "
-        f"ii={spec.requested_ii}) failed in a worker and in "
-        f"{1 + max(0, options.candidate_retries)} in-process attempt(s); "
-        f"last error: {type(last).__name__}: {last}")
-
-
-# Worker pools are reused across explore_loop calls: a compile sweeps many
-# loops, and paying pool start-up per loop would swamp the win.
-_EXECUTORS: Dict[Tuple[str, int], Executor] = {}
-
-
-def _process_worker_init() -> None:
-    """Run once in every process-pool worker: re-read ``REPRO_FAULT_PLAN``.
-
-    Fork-started workers inherit the parent's cached fault plan (often
-    explicitly suppressed in the parent while a chaos test injects into
-    children only); resetting makes each worker consult its own inherited
-    environment, with its own per-process hit counters.
-    """
-    from repro.resilience.faults import _reset_env_plan
-    _reset_env_plan()
-
-
-def _get_executor(kind: str, jobs: int) -> Executor:
-    executor = _EXECUTORS.get((kind, jobs))
-    if executor is None:
-        if kind == "process":
-            executor = ProcessPoolExecutor(max_workers=jobs,
-                                           initializer=_process_worker_init)
-        else:
-            executor = ThreadPoolExecutor(max_workers=jobs)
-        _EXECUTORS[(kind, jobs)] = executor
-    return executor
-
-
-def _discard_executor(kind: str, jobs: int, futures: Sequence = ()) -> None:
-    """Drop (and shut down) one cached pool, cancelling queued work.
-
-    Used on interrupt and on a broken process pool; the next sweep that
-    needs a pool builds a fresh one.  Never raises.
-    """
-    executor = _EXECUTORS.pop((kind, jobs), None)
-    for future in futures:
-        future.cancel()
-    if executor is not None:
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - teardown is best-effort
-            pass
-
-
-def shutdown_executors() -> None:
-    """Tear down the cached DSE worker pools (also runs at exit)."""
-    for executor in _EXECUTORS.values():
-        executor.shutdown(wait=True)
-    _EXECUTORS.clear()
-
-
-atexit.register(shutdown_executors)
 
 
 def _select(candidates: List[Candidate], pragmas) -> Candidate:

@@ -12,16 +12,10 @@ mechanisms added on top (all on by default, all result-preserving):
   evaluated candidate are skipped without scheduling (see
   :mod:`repro.hls.dse` for the bound and a proof sketch of why the chosen
   schedule cannot change).
-* **jobs** — surviving candidates are evaluated concurrently via
-  ``concurrent.futures`` with a deterministic, submission-ordered reduction.
-  Defaults to ``REPRO_DSE_JOBS`` (1 = serial).  ``executor`` selects
-  ``"thread"`` (default; no pickling or fork constraints, safe everywhere)
-  or ``"process"``.  Scheduling is pure Python, so *wall-clock* scaling
-  with ``jobs`` requires both ``executor="process"`` (or
-  ``REPRO_DSE_EXECUTOR=process``) to escape the GIL *and* more than one
-  CPU; the thread executor keeps results identical but mainly serves
-  correctness-critical determinism testing.
+* **reuse_graphs** — each unroll factor's dataflow graph is built once and
+  shared across port configurations and II candidates.
 
+The sweep itself is always serial (see :mod:`repro.hls.dse` for why).
 Every combination of options must choose the same schedules and emit the
 same Verilog as the seed compiler; ``tests/hls/test_dse_fastpath.py`` and
 ``benchmarks/bench_compile_time.py`` enforce this bit-for-bit.
@@ -29,80 +23,26 @@ same Verilog as the seed compiler; ``tests/hls/test_dse_fastpath.py`` and
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Optional
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_DSE_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-def _default_timeout() -> Optional[float]:
-    raw = os.environ.get("REPRO_DSE_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    try:
-        seconds = float(raw)
-    except ValueError:
-        return None
-    return seconds if seconds > 0 else None
-
-
-def _default_executor() -> str:
-    executor = os.environ.get("REPRO_DSE_EXECUTOR", "thread")
-    return executor if executor in ("thread", "process") else "thread"
+from dataclasses import dataclass
 
 
 @dataclass
 class HLSOptions:
     """Knobs of the baseline compiler's fast compile path."""
 
-    #: Concurrent candidate evaluations during DSE (1 = serial).
-    jobs: int = field(default_factory=_default_jobs)
     #: Reuse scheduling/binding results across identical design points.
     memoize: bool = True
     #: Skip candidates whose lower-bound cost cannot beat the incumbent.
     prune: bool = True
-    #: "thread" or "process" pool for parallel candidate evaluation.
-    executor: str = field(default_factory=_default_executor)
     #: Build each unroll factor's dataflow graph once and share it across
     #: port configurations and II candidates.  The seed compiler rebuilt the
     #: graph for every single design point; ``seed_equivalent`` turns this
     #: off so the frozen Table 6 baseline keeps the seed's cost profile.
     reuse_graphs: bool = True
-    #: Per-candidate wall-clock budget (seconds) during a parallel sweep:
-    #: a worker that stalls past it is abandoned and the candidate is
-    #: re-evaluated in-process.  ``None`` (default, or unset/invalid
-    #: ``REPRO_DSE_TIMEOUT``) waits forever.
-    candidate_timeout: Optional[float] = field(default_factory=_default_timeout)
-    #: In-process evaluation attempts after a worker failure (crash, timeout
-    #: or exception) before the sweep raises a typed
-    #: :class:`repro.resilience.WorkerError`.
-    candidate_retries: int = 2
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
-            )
-        if self.candidate_timeout is not None and self.candidate_timeout <= 0:
-            raise ValueError(
-                f"candidate_timeout must be positive, got {self.candidate_timeout}"
-            )
-        if self.candidate_retries < 0:
-            raise ValueError(
-                f"candidate_retries must be >= 0, got {self.candidate_retries}"
-            )
 
     @classmethod
     def seed_equivalent(cls) -> "HLSOptions":
         """Options reproducing the seed compiler's behaviour exactly:
-        serial, no memoization, no pruning, per-candidate graph rebuilds
-        (the benchmark baseline and the frozen Table 6 model)."""
-        return cls(jobs=1, memoize=False, prune=False, reuse_graphs=False)
+        no memoization, no pruning, per-candidate graph rebuilds (the
+        benchmark baseline and the frozen Table 6 model)."""
+        return cls(memoize=False, prune=False, reuse_graphs=False)

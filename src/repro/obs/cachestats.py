@@ -7,13 +7,11 @@ enumerate every cache with its capacity, current size, and hit rate:
 
 ``sim.compile``
     The per-design simulator compile cache
-    (:mod:`repro.sim.engine.cache`).  Capacity: ``REPRO_SIM_CACHE_SIZE``
-    environment variable (default 64), overridden programmatically by
-    :func:`repro.sim.engine.cache.set_cache_capacity`.
+    (:mod:`repro.sim.engine.cache`).  Capacity: the ``REPRO_SIM_CACHE_SIZE``
+    environment variable (default 64), read at call time.
 ``dse.memo``
     The DSE scheduling memo (:mod:`repro.hls.dse`).  Capacity:
-    ``REPRO_DSE_MEMO_SIZE`` (default 512), overridden by
-    :func:`repro.hls.dse.set_memo_capacity`.
+    ``REPRO_DSE_MEMO_SIZE`` (default 512), read at call time.
 ``flow.stages``
     The per-session Flow stage caches (:mod:`repro.flow`), summed over every
     live :class:`~repro.flow.Flow`.  Unbounded: one artifact per stage per

@@ -142,7 +142,7 @@ def chrome_trace_from_jsonl(records: Sequence[Mapping[str, Any]]
                             ) -> Dict[str, Any]:
     """Rebuild the Chrome trace from JSONL records (lossless round-trip:
     equals :func:`to_chrome_trace` of the tracer the JSONL came from)."""
-    replay = Tracer(name="jsonl", origin=0.0)
+    replay = Tracer()
     for record in records:
         kind = record.get("kind")
         if kind == "span":

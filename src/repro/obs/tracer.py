@@ -2,7 +2,7 @@
 
 Instrumentation across the toolchain — Flow stages, PassManager passes, DSE
 candidate evaluation, the simulation testbenches — all reports into one
-:class:`Tracer` (the module-level :data:`TRACER`).  Three design rules keep
+:class:`Tracer` (the module-level :data:`TRACER`).  Two design rules keep
 it safe to leave in hot paths:
 
 * **Off by default, ~free when off.**  ``span()`` returns a shared null
@@ -12,10 +12,6 @@ it safe to leave in hot paths:
 * **Thread-safe.**  Finished spans, counters and events are appended under a
   lock; the open-span stack is thread-local, so spans nest correctly per
   thread and carry a stable small ``tid``.
-* **Mergeable.**  Parallel workers (e.g. the DSE thread pool) record into
-  :meth:`fork` children sharing the parent's clock origin; the parent
-  :meth:`merge`\\ s them back in a deterministic order, so exported traces do
-  not depend on completion order.
 
 Export lives in :mod:`repro.obs.export` (Chrome ``trace_event`` JSON, JSONL,
 human stats tree).
@@ -28,7 +24,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List
 
 
 def _ring_capacity() -> int:
@@ -101,13 +97,10 @@ class _Span:
 class Tracer:
     """Spans + counters + gauges + a bounded structured-event ring."""
 
-    def __init__(self, name: str = "main",
-                 origin: Optional[float] = None) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.enabled = False
-        #: perf_counter value all span/event timestamps are relative to;
-        #: forked children share it so merged spans stay on one timeline.
-        self.origin = time.perf_counter() if origin is None else origin
+        #: perf_counter value all span/event timestamps are relative to.
+        self.origin = time.perf_counter()
         self.spans: List[Dict[str, Any]] = []
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
@@ -204,36 +197,6 @@ class Tracer:
         }
         with self._lock:
             self.events.append(record)
-
-    # -- parallel workers ----------------------------------------------------
-    def fork(self, name: str) -> "Tracer":
-        """A child tracer sharing this tracer's clock origin and enabled
-        state — hand one to each parallel worker, then :meth:`merge` them
-        back in a deterministic order."""
-        child = Tracer(name=name, origin=self.origin)
-        child.enabled = self.enabled
-        return child
-
-    def merge(self, child: "Tracer") -> None:
-        """Fold a forked child's records into this tracer.
-
-        Child threads get fresh ``tid``\\ s here, so two children that ran on
-        the same (pooled) OS thread still render as distinct tracks; call in
-        a fixed order for deterministic output.
-        """
-        with self._lock:
-            remap: Dict[int, int] = {}
-            for record in child.spans:
-                tid = record.get("tid", 0)
-                if tid not in remap:
-                    remap[tid] = len(self._tids)
-                    self._tids[f"{child.name}:{tid}"] = remap[tid]
-                self.spans.append({**record, "tid": remap[tid]})
-            for name, value in child.counters.items():
-                self.counters[name] = self.counters.get(name, 0) + value
-            self.gauges.update(child.gauges)
-            for record in child.events:
-                self.events.append(record)
 
 
 #: The process-wide tracer every subsystem reports into.

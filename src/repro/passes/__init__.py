@@ -15,7 +15,6 @@ from repro.passes.memport_opt import MemPortOptimizationPass
 from repro.passes.precision_opt import PrecisionOptimizationPass, RangeAnalysis
 from repro.passes.pipeline import (
     optimization_pipeline,
-    pipeline_for,
     verification_pipeline,
 )
 from repro.passes.schedule_verifier import (
@@ -40,7 +39,6 @@ __all__ = [
     "PrecisionOptimizationPass",
     "RangeAnalysis",
     "optimization_pipeline",
-    "pipeline_for",
     "verification_pipeline",
     "CROSS_REGION_USE",
     "INVALID_OPERAND_TIME",

@@ -74,10 +74,3 @@ def optimization_pipeline(verify_schedule: bool = True,
         CanonicalizePass(),
     )
     return manager
-
-
-def pipeline_for(optimize: bool, verify_schedule: bool = True) -> PassManager:
-    """Choose between the verification-only and full pipelines."""
-    if optimize:
-        return optimization_pipeline(verify_schedule=verify_schedule)
-    return verification_pipeline(raise_on_error=verify_schedule)

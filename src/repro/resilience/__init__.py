@@ -1,10 +1,10 @@
 """Deterministic fault injection and recovery primitives.
 
 :mod:`repro.resilience.faults` provides the seeded :class:`FaultPlan` and
-the :func:`fault_point` hooks that :mod:`repro.store`, the parallel DSE
-(:mod:`repro.hls.dse`) and the simulation-engine compile path declare.
-:class:`WorkerError` is the typed error a supervised DSE sweep raises when a
-candidate cannot be evaluated even after retry and serial fallback.
+the :func:`fault_point` hooks that :mod:`repro.store`, the ``repro serve``
+tier (:mod:`repro.serve`) and the simulation-engine compile path declare.
+:class:`WorkerError` is the typed error the serve pool raises when a job
+cannot be executed even after its in-place retries, or times out.
 
 See the README "Robustness & persistence" section for the fault-point map
 and the degradation ladder.
@@ -31,8 +31,8 @@ from repro.resilience.faults import (
 
 
 class WorkerError(HLSError):
-    """A DSE worker failed (crash/timeout) and every recovery attempt —
-    in-process retry, serial fallback — failed with it."""
+    """A serve-pool job failed every in-place retry, or its request timed
+    out (:mod:`repro.serve.pool`)."""
 
 
 __all__ = [

@@ -1,15 +1,15 @@
 """Deterministic fault injection: every failure mode is a seeded test input.
 
-A persistent artifact store (or a parallel DSE sweep) that survives faults
-only *probably* is worthless — the recovery paths must be exercised exactly
+A persistent artifact store (or a serving pool) that survives faults only
+*probably* is worthless — the recovery paths must be exercised exactly
 like the happy paths are.  This module turns each failure mode into a named,
 seeded, replayable event:
 
 * Code under test declares **fault points** — ``fault_point("store.write",
   payload=data)`` — at the places where the outside world can go wrong
-  (writes, fsyncs, renames, reads, locks, worker evaluations, engine
-  compiles).  With no plan installed a fault point is a no-op returning its
-  payload unchanged, so the hooks are free in production.
+  (writes, fsyncs, renames, reads, locks, serve requests and executions,
+  engine compiles).  With no plan installed a fault point is a no-op
+  returning its payload unchanged, so the hooks are free in production.
 * A :class:`FaultPlan` holds :class:`FaultRule`\\ s — *which* point misfires,
   *how* (``io_error``, ``torn``, ``corrupt``, ``error``, ``timeout``,
   ``crash``), and on which hit numbers.  Hit counting and payload corruption
@@ -17,16 +17,16 @@ seeded, replayable event:
   byte-for-byte from ``(program seed, plan spec)``.
 * Plans install process-wide via :func:`install_plan` (tests), or through
   the ``REPRO_FAULT_PLAN`` environment variable (CI chaos jobs, subprocess
-  crash tests, process-pool DSE workers — children inherit the environment
-  and self-install on their first fault point).
+  crash tests — children inherit the environment and self-install on their
+  first fault point).
 
 Plan specs are compact strings, validated by :func:`FaultPlan.parse`::
 
     store.write:io_error          # first write raises an injected OSError
     store.write:torn@2            # 2nd write is torn (partial temp + error)
     store.payload:corrupt         # first payload is bit-flipped
-    dse.candidate:error@3*2       # evaluations 3 and 4 raise
-    dse.candidate:timeout(0.4)    # first evaluation stalls 400 ms
+    serve.execute:error@3*2       # serve executions 3 and 4 raise
+    serve.request:timeout(0.4)    # first request stalls 400 ms
     store.rename:crash            # SIGKILL between temp write and publish
 
 Multiple rules join with ``;`` (or ``,``).  The injected exceptions subclass
@@ -172,8 +172,8 @@ class FaultPlan:
     """A seeded set of :class:`FaultRule`\\ s plus per-point hit counters.
 
     Hit counters are per *plan instance* (and therefore per process for
-    env-installed plans), guarded by a lock so concurrent DSE workers count
-    deterministically in aggregate.
+    env-installed plans), guarded by a lock so the serve pool's concurrent
+    workers count deterministically in aggregate.
     """
 
     def __init__(self, rules: Sequence[FaultRule] = (), seed: int = 0) -> None:
@@ -274,8 +274,8 @@ def active_plan() -> Optional[FaultPlan]:
     """The installed plan; reads ``REPRO_FAULT_PLAN`` once on first use.
 
     Returns ``None`` when fault injection is off (the overwhelmingly common
-    case).  Process-pool workers inherit the environment, so a plan set for
-    a CI chaos run reaches every process that hits a fault point.
+    case).  Child processes inherit the environment, so a plan set for a
+    CI chaos run reaches every process that hits a fault point.
     """
     global _ACTIVE
     if _ACTIVE is _UNSET:

@@ -14,7 +14,7 @@ HTTP and of what the work actually is:
   seeding), so the same request always lands on the same worker and
   distinct requests spread across the pool.
 
-Supervision follows the PR 7 worker ladder (the DSE pool's contract):
+Supervision:
 
 * each execution runs under the ``serve.execute`` fault point and is retried
   in place (``retries`` attempts) on injected faults and ``OSError``;

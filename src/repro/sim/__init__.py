@@ -24,7 +24,6 @@ from repro.sim.engine import (
     last_drain_cycle,
     run_design_batch_impl,
     run_design_vector,
-    set_cache_capacity,
 )
 from repro.sim.testbench import (
     InterfaceMemory,
@@ -57,7 +56,6 @@ __all__ = [
     "run_design_batch_impl",
     "run_design_impl",
     "run_design_vector",
-    "set_cache_capacity",
     "unflatten_tensor",
     "ExternalModel",
     "PipelinedMultiplierModel",

@@ -51,7 +51,6 @@ from repro.sim.engine.batch import (
 from repro.sim.engine.cache import (
     clear_compile_cache,
     compile_cache_size,
-    set_cache_capacity,
 )
 from repro.sim.engine.compiled import CompiledSimulator
 from repro.sim.engine.differential import DifferentialSimulator, DivergenceError
@@ -131,6 +130,5 @@ __all__ = [
     "lower_design",
     "run_design_batch_impl",
     "run_design_vector",
-    "set_cache_capacity",
     "steady_state_of",
 ]

@@ -17,9 +17,10 @@ simulator.
 The cache is bounded: long batched sweeps compile many distinct designs, and
 without a cap every compiled artifact would stay alive for as long as its
 design object does.  The least-recently-used design entries are evicted once
-the cache holds more than ``REPRO_SIM_CACHE_SIZE`` designs (default 64; 0
-disables caching entirely).  Eviction only drops the cache's references —
-simulators already built from the artifacts keep working.
+the cache holds more than ``REPRO_SIM_CACHE_SIZE`` designs (read at call
+time; default 64; 0 disables caching entirely).  Eviction only drops the
+cache's references — simulators already built from the artifacts keep
+working.
 
 Under :func:`persist_compiled`, every generated program is also read through
 the artifact store's ``simcode`` tier as one marshal'd module code object
@@ -70,24 +71,8 @@ _FINALIZED: set = set()
 _STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-#: Programmatic capacity override (wins over the environment); installed by
-#: :func:`set_cache_capacity`.
-_capacity_override: Optional[int] = None
-
-
-def set_cache_capacity(size: Optional[int]) -> Optional[int]:
-    """Override the compile-cache capacity (``None`` restores the
-    ``REPRO_SIM_CACHE_SIZE`` environment default); returns the previous
-    override so callers can restore it."""
-    global _capacity_override
-    previous = _capacity_override
-    _capacity_override = size if size is None else max(0, int(size))
-    return previous
-
-
 def _cache_capacity() -> int:
-    if _capacity_override is not None:
-        return _capacity_override
+    """``REPRO_SIM_CACHE_SIZE``, read at call time (default 64)."""
     try:
         return max(0, int(os.environ.get("REPRO_SIM_CACHE_SIZE", "64")))
     except ValueError:
@@ -311,4 +296,4 @@ _register_stats()
 
 __all__ = ["CompiledArtifacts", "base_artifacts", "clear_compile_cache",
            "compile_cache_size", "compiled_artifacts", "compiled_program",
-           "memoized", "persist_compiled", "set_cache_capacity"]
+           "memoized", "persist_compiled"]

@@ -24,7 +24,6 @@ from repro.store.store import (
     VerifyReport,
     default_store,
     get_store,
-    reset_store_counters,
     store_counters,
     toolchain_digest,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "fsync_directory",
     "get_store",
     "is_tmp_debris",
-    "reset_store_counters",
     "store_counters",
     "toolchain_digest",
 ]

@@ -140,12 +140,6 @@ def _bump(counter: str, delta: int = 1) -> None:
     TRACER.count(f"store.{counter}", delta)
 
 
-def reset_store_counters() -> None:
-    """Zero the counters (tests)."""
-    for key in _COUNTERS:
-        _COUNTERS[key] = 0
-
-
 @dataclass(frozen=True)
 class BlobInfo:
     """One on-disk blob."""

@@ -16,14 +16,8 @@ class TestValidateEnvironment:
         assert environment_error({}) is None
 
     @pytest.mark.parametrize("name,value", [
-        ("REPRO_DSE_JOBS", "banana"),
-        ("REPRO_DSE_JOBS", "0"),
-        ("REPRO_DSE_JOBS", "-2"),
         ("REPRO_DSE_MEMO_SIZE", "-1"),
         ("REPRO_SIM_CACHE_SIZE", "many"),
-        ("REPRO_DSE_TIMEOUT", "0"),
-        ("REPRO_DSE_TIMEOUT", "soon"),
-        ("REPRO_DSE_EXECUTOR", "gpu"),
         ("REPRO_SIM_ENGINE", "verilator"),
         ("REPRO_FAULT_PLAN", "store.write:frobnicate"),
         ("REPRO_FAULT_PLAN", "not a plan"),
@@ -39,11 +33,8 @@ class TestValidateEnvironment:
         assert problems[0].startswith(f"{name}:")
 
     @pytest.mark.parametrize("name,value", [
-        ("REPRO_DSE_JOBS", "4"),
         ("REPRO_DSE_MEMO_SIZE", "0"),
         ("REPRO_SIM_CACHE_SIZE", "16"),
-        ("REPRO_DSE_TIMEOUT", "2.5"),
-        ("REPRO_DSE_EXECUTOR", "process"),
         ("REPRO_SIM_ENGINE", "compiled"),
         ("REPRO_FAULT_PLAN", "store.write:io_error@2*3"),
         ("REPRO_STORE_DIR", ""),          # blank disables persistence
@@ -64,8 +55,8 @@ class TestValidateEnvironment:
             {"REPRO_STORE_DIR": str(tmp_path / "fresh")}) == []
 
     def test_multiple_problems_are_summarized(self):
-        error = environment_error({"REPRO_DSE_JOBS": "no",
-                                   "REPRO_DSE_EXECUTOR": "gpu"})
+        error = environment_error({"REPRO_SIM_CACHE_SIZE": "no",
+                                   "REPRO_SERVE_WORKERS": "lots"})
         assert error.startswith("invalid environment: ")
         assert "\n" not in error
         assert "+1 more" in error
@@ -73,12 +64,12 @@ class TestValidateEnvironment:
 
 class TestCliContract:
     def test_bad_env_exits_2_with_one_line(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "banana")
+        monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "banana")
         assert main(["list"]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: invalid environment: "
-                                       "REPRO_DSE_JOBS")
+                                       "REPRO_SIM_CACHE_SIZE")
 
     def test_bad_fault_plan_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "store.write:frobnicate")
@@ -86,7 +77,7 @@ class TestCliContract:
         assert "REPRO_FAULT_PLAN" in capsys.readouterr().err
 
     def test_clean_env_dispatches(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "2")
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "2")
         assert main(["list"]) == 0
         assert "kernels" in capsys.readouterr().out
 

@@ -2,8 +2,8 @@
 
 Precedence (highest wins): per-call kwarg > FlowConfig field > environment
 (``REPRO_SIM_ENGINE`` / ``REPRO_STORE_DIR``, read at call time) > built-in
-(the ``vector`` engine).  The DSE knobs are not config: ``HLSOptions``
-reads ``REPRO_DSE_*`` itself (``tests/hls/test_dse_fastpath.py::TestOptions``).
+(the ``vector`` engine).  The DSE is not config: its one environment knob,
+``REPRO_DSE_MEMO_SIZE``, is read by the schedule memo at call time.
 """
 
 from dataclasses import fields
@@ -64,12 +64,12 @@ class TestValidation:
             "store_dir", "trace", "profile"]
 
     def test_bad_jobs_rejected(self):
-        # DSE jobs are not a config field: a caller still passing one fails
-        # loudly instead of being ignored, and HLSOptions validates the count.
+        # The DSE is serial: a caller still passing a job count, to the
+        # config or to the HLS options, fails loudly instead of being ignored.
         with pytest.raises(TypeError, match="dse_jobs"):
             FlowConfig(dse_jobs=2)
-        with pytest.raises(ValueError, match="jobs"):
-            HLSOptions(jobs=0)
+        with pytest.raises(TypeError, match="jobs"):
+            HLSOptions(jobs=2)
 
     def test_with_returns_modified_copy(self):
         base = FlowConfig()
@@ -106,17 +106,6 @@ class TestEnginePrecedence:
         assert FlowConfig(engine="compiled").resolve_engine() == "compiled"
         assert FlowConfig(engine="compiled").resolve_engine(
             "differential") == "differential"
-
-
-class TestDsePrecedence:
-    def test_env_jobs_used_when_config_inherits(self, monkeypatch):
-        # A config snapshot does not capture REPRO_DSE_JOBS, so the DSE reads
-        # it from the environment whatever config the flow was built with.
-        monkeypatch.setenv("REPRO_DSE_JOBS", "8")
-        config = FlowConfig.from_env()
-        assert "REPRO_DSE_JOBS" not in ENV_VARS
-        assert not hasattr(config, "dse_jobs")
-        assert HLSOptions().jobs == 8
 
 
 class TestCacheBounds:

@@ -1,11 +1,17 @@
-"""Golden tests for the DSE fast path: memoization, pruning, parallelism.
+"""Golden tests for the DSE fast path: memoization and pruning.
 
 Every combination of :class:`HLSOptions` must pick the same schedules and
-emit byte-identical Verilog as the seed-equivalent (serial, unpruned,
-unmemoized) sweep — that is the fast path's contract.
+emit byte-identical Verilog as the seed-equivalent (unpruned, unmemoized)
+sweep — that is the fast path's contract.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro.hls.dse as dse
 
 from repro.hls import (
     HLSOptions,
@@ -46,21 +52,23 @@ def test_fast_path_matches_seed_bit_for_bit(kernel):
     assert fast_report.dse_scheduled < fast_report.dse_evaluations
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNEL_PARAMS))
-def test_parallel_dse_is_deterministic_and_identical(kernel):
-    serial_text, serial_report = _compile(kernel, HLSOptions(jobs=1))
-    thread_text, thread_report = _compile(kernel, HLSOptions(jobs=4))
-    assert thread_text == serial_text
-    # The same loops end up with the same chosen IIs.
-    assert ([loop.initiation_interval for loop in thread_report.loops]
-            == [loop.initiation_interval for loop in serial_report.loops])
-
-
-def test_parallel_process_pool_identical_on_gemm():
-    serial_text, _ = _compile("gemm", HLSOptions(jobs=1))
-    process_text, _ = _compile("gemm", HLSOptions(jobs=2,
-                                                  executor="process"))
-    assert process_text == serial_text
+def test_import_chain_loads_no_pool_modules():
+    """The sweep is serial, so the Flow / kernels / vector-engine import
+    chain (the import floor of every simulate) loads no thread- or
+    process-pool machinery."""
+    code = ("import sys\n"
+            "import repro.flow, repro.kernels, repro.sim.engine.vector\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('concurrent', 'multiprocessing'))))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(__file__), "..", "..",
+                                   "src"),
+                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestPruning:
@@ -72,7 +80,7 @@ class TestPruning:
         clear_schedule_memo()
         full = explore_loop(loop, options=HLSOptions.seed_equivalent())
         clear_schedule_memo()
-        pruned = explore_loop(loop, options=HLSOptions(jobs=1))
+        pruned = explore_loop(loop, options=HLSOptions())
         assert pruned.pruned > 0
         assert pruned.evaluations == full.evaluations  # points examined
         assert len(pruned.candidates) < len(full.candidates)
@@ -90,7 +98,7 @@ class TestPruning:
             clear_schedule_memo()
             full = explore_loop(loop, options=HLSOptions.seed_equivalent())
             clear_schedule_memo()
-            fast = explore_loop(loop, options=HLSOptions(jobs=1))
+            fast = explore_loop(loop, options=HLSOptions())
             assert (full.chosen.initiation_interval
                     == fast.chosen.initiation_interval)
             assert full.chosen.cost == fast.chosen.cost
@@ -103,12 +111,12 @@ class TestMemoization:
         loops = collect_innermost_loops(
             program.function(artifacts.hls_function).body)
         clear_schedule_memo()
-        first = explore_loop(loops[0][0], options=HLSOptions(jobs=1))
+        first = explore_loop(loops[0][0], options=HLSOptions())
         # Without port pragmas the three port scalings are identical design
         # points, so even the first sweep hits its own memo entries.
         assert first.scheduled > 0 and schedule_memo_size() > 0
         # Re-exploring the same loop answers everything from the cache.
-        again = explore_loop(loops[0][0], options=HLSOptions(jobs=1))
+        again = explore_loop(loops[0][0], options=HLSOptions())
         assert again.scheduled == 0
         assert again.memo_hits == len(again.candidates)
         assert (again.chosen.initiation_interval
@@ -121,7 +129,7 @@ class TestMemoization:
         program = artifacts.hls_program
         for loop, _ in collect_innermost_loops(
                 program.function(artifacts.hls_function).body):
-            explore_loop(loop, options=HLSOptions(jobs=1))
+            explore_loop(loop, options=HLSOptions())
         assert schedule_memo_size() <= 2
         clear_schedule_memo()
 
@@ -131,8 +139,34 @@ class TestMemoization:
         program = artifacts.hls_program
         loop, _ = collect_innermost_loops(
             program.function(artifacts.hls_function).body)[0]
-        explore_loop(loop, options=HLSOptions(jobs=1, memoize=False))
+        explore_loop(loop, options=HLSOptions(memoize=False))
         assert schedule_memo_size() == 0
+
+    def test_interrupted_sweep_keeps_the_memo_sound(self, monkeypatch):
+        # A sweep interrupted mid-way has memoized only the points it
+        # finished, so a rerun over that memo emits what a clean compile does.
+        clean_text, clean_report = _compile("gemm", HLSOptions())
+        evaluate = dse._evaluate_point
+        calls = []
+
+        def interrupt_third(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt()
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(dse, "_evaluate_point", interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            _compile("gemm", HLSOptions())
+        assert schedule_memo_size() == 2
+        monkeypatch.undo()
+
+        artifacts = build_kernel("gemm", **KERNEL_PARAMS["gemm"])
+        rerun = compile_program(artifacts.hls_program, artifacts.hls_function,
+                                options=HLSOptions())
+        assert emit_design(rerun.design) == clean_text
+        # The two finished points were answered from the memo.
+        assert rerun.report.dse_scheduled == clean_report.dse_scheduled - 2
 
 
 class TestGraphSignature:
@@ -154,25 +188,3 @@ class TestGraphSignature:
             s.hls_program.function(s.hls_function).body)[0]
         assert (graph_signature(DFGBuilder().build(t_loop.body))
                 != graph_signature(DFGBuilder().build(s_loop.body)))
-
-
-class TestOptions:
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "3")
-        monkeypatch.setenv("REPRO_DSE_EXECUTOR", "process")
-        options = HLSOptions()
-        assert options.jobs == 3 and options.executor == "process"
-
-    def test_garbage_env_jobs_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "lots")
-        assert HLSOptions().jobs == 1
-
-    def test_explicit_jobs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_JOBS", "8")
-        assert HLSOptions(jobs=2).jobs == 2
-
-    def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError):
-            HLSOptions(jobs=0)
-        with pytest.raises(ValueError):
-            HLSOptions(executor="rayon")

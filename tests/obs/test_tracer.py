@@ -1,4 +1,4 @@
-"""Tracer core: spans, counters, events, forking, the off-by-default rule."""
+"""Tracer core: spans, counters, events, the off-by-default rule."""
 
 import threading
 
@@ -135,41 +135,3 @@ class TestActivation:
         with tracing():
             assert TRACER.enabled
         assert not TRACER.enabled
-
-
-class TestForkMerge:
-    def test_fork_shares_origin_and_enabled(self, tracer):
-        tracer.enable()
-        child = tracer.fork("w0")
-        assert child.origin == tracer.origin
-        assert child.enabled
-
-    def test_merge_sums_counters_and_remaps_tids(self, tracer):
-        tracer.enable()
-        tracer.count("n", 1)
-        children = []
-        for index in range(3):
-            child = tracer.fork(f"w{index}")
-            with child.span("job"):
-                child.count("n", 10)
-            children.append(child)
-        for child in children:
-            tracer.merge(child)
-        assert tracer.counters["n"] == 31
-        # Each child renders as its own track even on pooled threads.
-        tids = [span["tid"] for span in tracer.spans]
-        assert len(set(tids)) == 3
-
-    def test_merge_order_is_deterministic(self):
-        def run(order):
-            parent = Tracer()
-            parent.enable()
-            children = [parent.fork(f"w{i}") for i in range(3)]
-            for index, child in enumerate(children):
-                with child.span(f"job{index}"):
-                    pass
-            for index in order:
-                parent.merge(children[index])
-            return [(s["name"], s["tid"]) for s in parent.spans]
-
-        assert run([0, 1, 2]) == run([0, 1, 2])

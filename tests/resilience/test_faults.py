@@ -44,13 +44,13 @@ class TestPlanParsing:
         assert plan.rules[0].at == 1 and plan.rules[0].count == 1
 
     def test_at_and_count(self):
-        rule = FaultPlan.parse("dse.candidate:error@3*2").rules[0]
+        rule = FaultPlan.parse("serve.execute:error@3*2").rules[0]
         assert (rule.at, rule.count) == (3, 2)
         assert [rule.fires_on(hit) for hit in (1, 2, 3, 4, 5)] == \
             [False, False, True, True, False]
 
     def test_timeout_seconds(self):
-        rule = FaultPlan.parse("dse.candidate:timeout(0.25)").rules[0]
+        rule = FaultPlan.parse("serve.request:timeout(0.25)").rules[0]
         assert rule.kind == "timeout" and rule.seconds == 0.25
 
     def test_multiple_rules_with_both_separators(self):
@@ -60,7 +60,7 @@ class TestPlanParsing:
             ["store.write", "store.read", "engine.compile"]
 
     def test_spec_round_trips(self):
-        text = "store.write:torn@2*3;dse.candidate:timeout(0.4)"
+        text = "store.write:torn@2*3;serve.request:timeout(0.4)"
         plan = FaultPlan.parse(text)
         assert FaultPlan.parse(plan.spec()).rules == plan.rules
 
