@@ -34,47 +34,18 @@ The same flow is scriptable from the shell: ``python -m repro --help``.
 
 __version__ = "0.2.0"
 
-#: Lazily resolved top-level exports (PEP 562): name -> (module, attribute).
-_LAZY_EXPORTS = {
-    "Artifact": ("repro.flow", "Artifact"),
-    "Flow": ("repro.flow", "Flow"),
-    "FlowConfig": ("repro.flow", "FlowConfig"),
-    "FlowError": ("repro.flow", "FlowError"),
-    "DesignGraph": ("repro.graph", "DesignGraph"),
-    "GraphError": ("repro.graph", "GraphError"),
-    "KernelArtifacts": ("repro.kernels.base", "KernelArtifacts"),
-    "build_kernel": ("repro.kernels", "build_kernel"),
-    "build_scenario": ("repro.graph", "build_scenario"),
-    "kernel_names": ("repro.kernels", "kernel_names"),
-    "register_kernel": ("repro.kernels", "register_kernel"),
-    "register_scenario": ("repro.graph", "register_scenario"),
-    "run_fuzz": ("repro.fuzz", "run_fuzz"),
-    "scenario_names": ("repro.graph", "scenario_names"),
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.flow": ("Artifact", "Flow", "FlowConfig", "FlowError"),
+    "repro.graph": ("DesignGraph", "GraphError", "build_scenario",
+                    "register_scenario", "scenario_names"),
+    "repro.kernels.base": ("KernelArtifacts",),
+    "repro.kernels": ("build_kernel", "kernel_names", "register_kernel"),
+    "repro.fuzz": ("run_fuzz",),
     # Observability (repro.obs)
-    "Tracer": ("repro.obs", "Tracer"),
-    "get_tracer": ("repro.obs", "get_tracer"),
-    "enable_tracing": ("repro.obs", "enable_tracing"),
-    "disable_tracing": ("repro.obs", "disable_tracing"),
-    "tracing": ("repro.obs", "tracing"),
-    "write_chrome_trace": ("repro.obs", "write_chrome_trace"),
-    "SimProfile": ("repro.obs", "SimProfile"),
-    "all_cache_stats": ("repro.obs", "all_cache_stats"),
-    "render_cache_report": ("repro.obs", "render_cache_report"),
-}
-
-__all__ = ["__version__", *sorted(_LAZY_EXPORTS)]
-
-
-def __getattr__(name):
-    entry = _LAZY_EXPORTS.get(name)
-    if entry is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(entry[0]), entry[1])
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+    "repro.obs": ("Tracer", "get_tracer", "enable_tracing", "disable_tracing",
+                  "tracing", "write_chrome_trace", "SimProfile",
+                  "all_cache_stats", "render_cache_report"),
+})
+__all__ = ["__version__", *__all__]

@@ -129,9 +129,11 @@ def render_compile_timing(quick: bool = False,
     Shows the HIR pipeline's per-pass report (including verifier time and
     analysis-cache hits) and the baseline compiler's per-phase seconds plus
     its DSE counters (design points examined / pruned / memoized /
-    scheduled) on the heaviest kernel, GEMM.
+    scheduled) on the heaviest kernel, GEMM.  The schedule memo is cleared
+    first, so the breakdown times one compile's sweep, not lookups of
+    points that Tables 4 and 5 scheduled earlier in the process.
     """
-    from repro.hls import HLSOptions, compile_program
+    from repro.hls import HLSOptions, clear_schedule_memo, compile_program
 
     config = config or FlowConfig()
     size = 4 if quick else 16
@@ -141,6 +143,7 @@ def render_compile_timing(quick: bool = False,
     flow.verilog()
 
     artifacts = flow.source
+    clear_schedule_memo()
     result = compile_program(artifacts.hls_program, artifacts.hls_function,
                              options=HLSOptions())
     report = result.report

@@ -22,6 +22,13 @@ content fingerprint of the source module, so mutating the module after a
 compile transparently invalidates every downstream artifact — there is no
 stale-design hazard.
 
+With a persistent store (:attr:`FlowConfig.store_dir`), a store hit
+decodes, analyzes and imports nothing until something reads it: the
+``optimized`` stage parses its stored IR on the first read of the value
+(:class:`Artifact`), the ``verilog`` stage lowers only when its design is
+read (:class:`VerilogArtifact`), and :meth:`Flow.simulate` takes the static
+done cycle that decides ``vector`` from the stored simulator image.
+
 Configuration lives in one place, :class:`FlowConfig`, with a single
 documented precedence (highest wins):
 
@@ -44,10 +51,12 @@ The stages are built on public cores — ``generate_verilog_impl``,
 from __future__ import annotations
 
 import os
+import sys
 import time as _time
 import weakref
 from dataclasses import dataclass, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -61,8 +70,6 @@ from typing import (
     TypeVar,
 )
 
-import numpy as np
-
 from repro.ir.errors import IRError
 from repro.ir.module import ModuleOp
 from repro.ir.printer import module_fingerprint
@@ -70,6 +77,9 @@ from repro.ir.verifier import verify as verify_structure
 from repro.hir.ops import FuncOp
 from repro.hir.types import MemrefType
 from repro.obs.tracer import TRACER
+
+if TYPE_CHECKING:
+    from repro.graph.graph import DesignGraph
 
 T = TypeVar("T")
 
@@ -128,8 +138,9 @@ class FlowConfig:
     #: simulator image) read through to disk and publish their results, so
     #: a cold process re-running a warm design skips the pass pipeline,
     #: Verilog lowering and emission, the resource estimate and simulator
-    #: codegen; a ``vector`` simulate then never lowers the design (the
-    #: laziness rule is on :class:`VerilogArtifact`).
+    #: codegen; a ``vector`` simulate then neither parses the stored IR
+    #: nor lowers the design (the laziness rules are on :class:`Artifact`
+    #: and :class:`VerilogArtifact`).
     store_dir: Optional[str] = None
     #: Observability: enable the process tracer (:data:`repro.obs.TRACER`)
     #: for the duration of every stage build and simulation of this flow.
@@ -203,7 +214,27 @@ class FlowConfig:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+class _Stored:
+    """A stage value the store served undecoded: decoded on first read.
+
+    ``load`` comes from :meth:`repro.store.ArtifactStore.read_later`; it runs
+    once (decoding, or rebuilding an undecodable blob) and is then dropped
+    with the payload it holds.
+    """
+
+    __slots__ = ("_load", "_value")
+
+    def __init__(self, load: Callable[[], Any]) -> None:
+        self._load: Optional[Callable[[], Any]] = load
+        self._value: Any = None
+
+    def get(self) -> Any:
+        if self._load is not None:
+            self._value = self._load()
+            self._load = None
+        return self._value
+
+
 class Artifact(Generic[T]):
     """A stage result that remembers its provenance and cost.
 
@@ -214,17 +245,50 @@ class Artifact(Generic[T]):
     *building* the value — a handle served from the stage cache keeps the
     original build time and reports the (tiny) cache lookup separately in
     ``fetch_seconds``.
+
+    A value the store served is decoded on the first read of ``value``, so
+    on a store hit the ``optimized`` stage's IR is parsed only when a caller
+    reads the module.  ``repr``, :meth:`Flow.report` and a stage-cache
+    re-fetch never decode it.
     """
 
-    stage: str
-    value: T
-    seconds: float
-    fingerprint: str
-    provenance: Tuple[Tuple[str, str], ...] = ()
-    cached: bool = False
-    #: Time this access spent fetching the handle from the stage cache;
-    #: ``None`` when the value was built fresh (``cached`` is False).
-    fetch_seconds: Optional[float] = None
+    __slots__ = ("stage", "_value", "seconds", "fingerprint", "provenance",
+                 "cached", "fetch_seconds")
+
+    def __init__(self, stage: str, value: Any, seconds: float,
+                 fingerprint: str,
+                 provenance: Tuple[Tuple[str, str], ...] = (),
+                 cached: bool = False,
+                 fetch_seconds: Optional[float] = None) -> None:
+        self.stage = stage
+        #: The value, or the :class:`_Stored` blob it is decoded from.
+        self._value = value
+        self.seconds = seconds
+        self.fingerprint = fingerprint
+        self.provenance = provenance
+        self.cached = cached
+        #: Time this access spent fetching the handle from the stage cache;
+        #: ``None`` when the value was built fresh (``cached`` is False).
+        self.fetch_seconds = fetch_seconds
+
+    @property
+    def value(self) -> T:
+        value = self._value
+        return value.get() if isinstance(value, _Stored) else value
+
+    def fetched(self, seconds: float) -> "Artifact[T]":
+        """This artifact as served from the stage cache in ``seconds``."""
+        return Artifact(self.stage, self._value, self.seconds,
+                        self.fingerprint, self.provenance, True, seconds)
+
+    def value_type(self) -> str:
+        """The value's type name; a stored value still undecoded says so."""
+        value = self._value
+        if isinstance(value, _Stored):
+            if value._load is not None:
+                return "stored, not decoded"
+            value = value.get()
+        return type(value).__name__
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.cached:
@@ -237,7 +301,7 @@ class Artifact(Generic[T]):
         if provenance:
             provenance = f" {{{provenance}}}"
         return (f"<Artifact {self.stage} [{self.fingerprint[:12]}] "
-                f"{type(self.value).__name__} ({origin}){provenance}>")
+                f"{self.value_type()} ({origin}){provenance}>")
 
 
 class VerilogArtifact:
@@ -252,21 +316,29 @@ class VerilogArtifact:
     with ``generate_verilog_impl().seconds`` — and a store miss lowers and
     emits inside the stage.  Only a warm store defers lowering, possibly
     forever: a ``vector`` simulate then runs from the stored simulator image
-    (:mod:`repro.sim.engine.vector`) and never reads ``design``.
+    (:mod:`repro.sim.engine.vector`) and never reads ``design``, nor
+    ``module``, which the store serves undecoded (see :class:`Artifact`).
     """
 
-    def __init__(self, lower: Callable[[], Any], top: str) -> None:
-        #: Returns the CodegenResult; must not reference the Flow, so a dead
-        #: session is freed without waiting for the cycle collector.
-        self._lower: Optional[Callable[[], Any]] = lower
+    def __init__(self, optimized: Artifact, top: str) -> None:
+        #: The ``optimized`` stage's artifact.  Nothing it holds references
+        #: the Flow, so a dead session is freed without waiting for the
+        #: cycle collector.
+        self._optimized = optimized
         self._result: Any = None
         self._text: Optional[str] = None
         self.top = top
 
+    @property
+    def module(self) -> ModuleOp:
+        """The optimized module the design is lowered from."""
+        return self._optimized.value
+
     def _lowered(self) -> Any:
         if self._result is None:
-            self._result = self._lower()
-            self._lower = None
+            from repro.verilog import codegen
+            self._result = codegen.generate_verilog_impl(self.module,
+                                                         top=self.top)
         return self._result
 
     @property
@@ -376,6 +448,7 @@ def outputs_match(expected: Mapping[str, Any],
     returns the simulated memory contents; ``output_warmup`` gives leading
     elements the hardware does not produce (skipped on both sides).
     """
+    import numpy as np
     warmup = output_warmup or {}
     for name, reference in expected.items():
         produced_array = np.asarray(produced(name))
@@ -387,6 +460,24 @@ def outputs_match(expected: Mapping[str, Any],
         if not np.array_equal(produced_array, reference_array):
             return False
     return True
+
+
+def _pass_manager(config: FlowConfig):
+    """The pass manager of ``config``'s (verifying or optimizing) pipeline."""
+    from repro.passes.pipeline import (
+        optimization_pipeline,
+        verification_pipeline,
+    )
+    if config.pipeline == "verify":
+        return verification_pipeline(verify_each=config.verify_each)
+    return optimization_pipeline(verify_each=config.verify_each,
+                                 legacy=(config.pipeline == "legacy"))
+
+
+def _parse_stored_ir(payload: bytes) -> ModuleOp:
+    """Decode an ``ir`` blob (only a read of the module gets here)."""
+    from repro.ir.parser import parse_module
+    return parse_module(payload.decode(), filename="<store:ir>")
 
 
 class Flow:
@@ -415,14 +506,19 @@ class Flow:
     ) -> None:
         #: stage name -> artifact (its provenance is the cache key)
         self._stages: Dict[str, Artifact] = {}
+        #: The last optimize run's per-pass timing report, in a list the
+        #: ``optimized`` build fills without referencing the Flow.
+        self._pass_report: List[str] = []
         # Config must exist before compose() runs (stages consult it for
         # tracing); the DesignGraph branch below builds a stage in __init__.
         self.config = config or FlowConfig()
         _LIVE_FLOWS.add(self)
-        from repro.graph.graph import DesignGraph  # local: layering
         #: The DesignGraph behind a composed flow (None for plain sources).
         self.graph: Optional[DesignGraph] = None
-        if isinstance(source, DesignGraph):
+        # A DesignGraph source means repro.graph is loaded already, so the
+        # check imports nothing.
+        graph = sys.modules.get("repro.graph.graph")
+        if graph is not None and isinstance(source, graph.DesignGraph):
             self.graph = source
             name = name or source.name
             # Build through the compose stage so the first composition is
@@ -526,7 +622,11 @@ class Flow:
         ``provenance`` is the stage-cache key: a cached artifact is served
         only while its provenance equals the new one.  ``tier`` — ``(kind,
         store key, encode, decode, decode errors)`` — reads ``build()``
-        through the configured store (``ArtifactStore.read_through``).
+        through the configured store (``ArtifactStore.read_later``): a miss
+        builds and publishes inside the stage, and a hit is decoded on the
+        first read of the artifact's value.  A ``build`` with a tier must not
+        reference the Flow: a stored artifact keeps it for a rebuild until
+        its value is read.
         """
         fetch_start = _time.perf_counter()
         cached = self._stages.get(stage)
@@ -536,8 +636,7 @@ class Flow:
                 TRACER.count("flow.stage.hit")
                 TRACER.event("flow.stage.hit", cat="flow", stage=stage,
                              fingerprint=fingerprint[:12])
-            return replace(cached, cached=True,
-                           fetch_seconds=_time.perf_counter() - fetch_start)
+            return cached.fetched(_time.perf_counter() - fetch_start)
         _STAGE_STATS["misses"] += 1
         with TRACER.activated(self.config.trace):
             TRACER.count("flow.stage.miss")
@@ -551,7 +650,7 @@ class Flow:
                     value = build()
                 else:
                     kind, key, *codec = tier
-                    value = store.read_through(kind, key, build, *codec)
+                    value = _Stored(store.read_later(kind, key, build, *codec))
                 seconds = _time.perf_counter() - start
         artifact = Artifact(stage=stage, value=value, seconds=seconds,
                             fingerprint=fingerprint, provenance=provenance,
@@ -627,41 +726,32 @@ class Flow:
                            (("module", parent.fingerprint),),
                            lambda: verify_schedule(self.module))
 
-    def _build_manager(self):
-        from repro.passes.pipeline import (
-            optimization_pipeline,
-            verification_pipeline,
-        )
-        pipeline = self.config.pipeline
-        if pipeline == "verify":
-            return verification_pipeline(verify_each=self.config.verify_each)
-        return optimization_pipeline(verify_each=self.config.verify_each,
-                                     legacy=(pipeline == "legacy"))
-
     def optimized(self) -> Artifact[ModuleOp]:
         """The module after the configured pass pipeline.
 
         ``pipeline="none"`` returns the source module untouched (what
         ``generate_verilog_impl`` compiles); the optimizing pipelines run on a
-        clone, so the source module is never mutated by a Flow.
+        clone, so the source module is never mutated by a Flow.  On a store
+        hit the stored module is parsed on the first read of the value.
         """
         parent = self.hir()
         pipeline = self.config.pipeline
         provenance = (("module", parent.fingerprint),
                       ("pipeline", pipeline),
                       ("verify_each", str(self.config.verify_each)))
+        module, config, report = self.module, self.config, self._pass_report
 
         def build():
             if pipeline == "none":
-                return self.module
+                return module
+            manager = _pass_manager(config)
             if pipeline == "verify":
                 # Verification does not mutate; run it on the source module.
-                self._build_manager().run(self.module)
-                return self.module
-            clone = self.module.clone()
-            manager = self._build_manager()
+                manager.run(module)
+                return module
+            clone = module.clone()
             manager.run(clone)
-            self._pass_report = manager.timing_report()
+            report[:] = [manager.timing_report()]
             return clone
 
         tier = None
@@ -672,20 +762,17 @@ class Flow:
             # Blobs are printed with_locations so the parsed module carries
             # the original source locations — Verilog regenerated from it is
             # byte-identical, location comments included.
-            from repro.ir.parser import parse_module
             from repro.ir.printer import print_module
             tier = ("ir", f"{parent.fingerprint}-{pipeline}-"
                           f"{int(self.config.verify_each)}",
                     lambda module: print_module(module, with_locations=True),
-                    lambda payload: parse_module(payload.decode(),
-                                                 filename="<store:ir>"),
-                    IRError)
+                    _parse_stored_ir, IRError)
         return self._stage("optimized", parent.fingerprint, provenance,
                            build, tier)
 
     def pass_report(self) -> Optional[str]:
         """Per-pass timing report of the last optimize run (None before)."""
-        return getattr(self, "_pass_report", None)
+        return self._pass_report[-1] if self._pass_report else None
 
     def verilog(self) -> Artifact[VerilogArtifact]:
         """Generate Verilog for the optimized module (cached per content).
@@ -693,7 +780,6 @@ class Flow:
         Lowers inside the stage unless the store serves the text (see
         :class:`VerilogArtifact`).
         """
-        from repro.verilog import codegen
         parent = self.optimized()
         # The optimized module is either the source itself (parent
         # fingerprint IS its content hash) or a Flow-internal clone that
@@ -705,13 +791,8 @@ class Flow:
                       ("pipeline", self.config.pipeline),
                       ("verify_each", str(self.config.verify_each)))
 
-        module, top = parent.value, self.top
-
-        def lower():
-            return codegen.generate_verilog_impl(module, top=top)
-
         def build():
-            value = VerilogArtifact(lower, top)
+            value = VerilogArtifact(parent, self.top)
             store = self.config.resolve_store()
             if store is None:
                 value._lowered()
@@ -791,6 +872,7 @@ class Flow:
                         f"of @{self.top}; only write-only interfaces may be "
                         "omitted (they are zero-filled)"
                     )
+                import numpy as np
                 resolved[name] = np.zeros(memref_type.shape, dtype=np.int64)
         return resolved
 
@@ -826,8 +908,9 @@ class Flow:
         if self.config.profile if profile is None else profile:
             from repro.obs.simprofile import SimProfiler
             profiler = SimProfiler()
-        engine_name, reason, steady = self._choose_engine(requested, profiler)
         resolved = self._resolve_inputs(seed, inputs)
+        memories = {name: (memref_type, resolved[name])
+                    for name, memref_type in self.interfaces.items()}
         scalars = {**self.scalar_args, **(scalar_args or {})}
         # Persist generated simulator code only for pure designs:
         # external models change elaboration in ways the design key cannot
@@ -838,33 +921,37 @@ class Flow:
         def run_engine(name):
             return run_design_impl(
                 design_artifact.value,
-                memories={name_: (memref_type, resolved[name_])
-                          for name_, memref_type in self.interfaces.items()},
+                memories=memories,
                 scalar_inputs=scalars,
                 external_models=self.external_models or None,
                 drain_cycles=drain_cycles,
                 max_cycles=max_cycles,
                 engine=name,
                 profiler=profiler,
-                steady_state=steady if name == "vector" else None,
             )
 
+        engine_name, reason = requested, None
         start = _time.perf_counter()
         with TRACER.activated(self.config.trace), \
                 TRACER.span("flow.simulate", cat="flow", flow=self.name,
-                            engine=engine_name, seed=seed,
+                            engine=requested, seed=seed,
                             fingerprint=design_artifact.fingerprint[:12]
                             ) as span, \
                 persist_compiled(store,
                                  self._design_key(design_artifact.fingerprint)):
-            if reason is not None:
-                self._note_substitution(requested, engine_name, reason)
             try:
+                engine_name, reason = self._choose_engine(
+                    requested, profiler, design_artifact.value, memories)
+                span.set(engine=engine_name)
+                if reason is not None:
+                    self._note_substitution(requested, engine_name, reason)
                 run = run_engine(engine_name)
             except InjectedFault:
                 # The one post-failure substitution: an injected
-                # engine-compile fault.  The interpreter compiles nothing,
-                # so it re-runs the design; every real failure propagates.
+                # engine-compile fault (in the run, or while the engine
+                # choice loaded the fused run).  The interpreter compiles
+                # nothing, so it re-runs the design; every real failure
+                # propagates.
                 if engine_name == "interpreted":
                     raise
                 engine_name, reason = "interpreted", "compile-fault"
@@ -886,27 +973,29 @@ class Flow:
                         fingerprint=design_artifact.fingerprint,
                         provenance=provenance)
 
-    def _choose_engine(self, requested: str, profiler
-                       ) -> Tuple[str, Optional[str], Any]:
-        """``(engine, reason, steady_state)`` for a ``requested`` engine.
+    def _choose_engine(self, requested: str, profiler, design: Any,
+                       memories: Mapping[str, Any]
+                       ) -> Tuple[str, Optional[str]]:
+        """``(engine, reason)`` for a ``requested`` engine.
 
         Only ``vector`` has capability gaps: its fused loop cannot call
-        external models or a per-cycle profiler, and it needs a static
-        steady state.  Each gap runs the semantically identical ``compiled``
-        engine with its reason.  Other names pass through unchanged.
+        external models or a per-cycle profiler, and it needs the static
+        done cycle its simulator image records.  The image is loaded here,
+        inside :meth:`simulate`'s ``persist_compiled`` scope, so a warm store
+        answers without parsing or analyzing the module, and the run finds
+        the fused program cached.  Each gap runs the semantically identical
+        ``compiled`` engine with its reason.  Other names pass through.
         """
         if requested != "vector":
-            return requested, None, None
+            return requested, None
         if self.external_models:
-            return "compiled", "external-models", None
+            return "compiled", "external-models"
         if profiler is not None:
-            return "compiled", "profiling", None
-        from repro.sim.engine.vector import VectorUnsupported, steady_state_of
-        try:
-            return "vector", None, steady_state_of(self.optimized().value,
-                                                   self.top)
-        except VectorUnsupported:
-            return "compiled", "no-static-steady-state", None
+            return "compiled", "profiling"
+        from repro.sim.engine.vector import predicted_done
+        if predicted_done(design, memories) is None:
+            return "compiled", "no-static-steady-state"
+        return "vector", None
 
     def _note_substitution(self, requested: str, engine: str,
                            reason: str) -> None:
@@ -1009,7 +1098,7 @@ class Flow:
         for stage, artifact in self._stages.items():
             lines.append(f"  {stage:<10} [{artifact.fingerprint[:12]}] "
                          f"{artifact.seconds * 1e3:9.2f} ms  "
-                         f"{type(artifact.value).__name__}")
+                         f"{artifact.value_type()}")
         if not self._stages:
             lines.append("  (no stages built yet)")
         return "\n".join(lines)

@@ -570,12 +570,20 @@ def check_faults(spec: ProgramSpec,
        behind (torn temp files, corrupt blobs, missing fsyncs), a clean
        session over that store must reproduce the baseline exactly.  A
        fault may cost a rebuild; it may never poison a served artifact.
+
+    One more session runs over the filled baseline store as if under
+    another Python version (``repro.sim.engine.cache._BYTECODE`` patched):
+    every ``simcode`` read is a plain miss (no blob counts as corrupt), the
+    session publishes its own code blobs beside the old ones (their count
+    doubles), and both engines reproduce the baseline.
     """
     import tempfile
 
     from repro.flow import Flow, FlowConfig
     from repro.resilience import FaultPlan, FaultPlanError, InjectedFault, \
         install_plan
+    from repro.sim.engine import cache
+    from repro.store import get_store, store_counters
 
     program = materialize(spec)
     inputs = make_lane_inputs(spec, program.interfaces, program.input_names,
@@ -616,8 +624,30 @@ def check_faults(spec: ProgramSpec,
                             f"'{name}' differs from the fault-free run")
         return None
 
+    def simcode_blobs(store_dir: str) -> int:
+        return sum(1 for blob in get_store(store_dir).iter_blobs()
+                   if blob.kind == "simcode")
+
     with tempfile.TemporaryDirectory(prefix="repro-faults-base-") as base_dir:
         base_verilog, base_runs = run_session(base_dir)
+        blobs, corrupt = simcode_blobs(base_dir), store_counters()["corrupt"]
+        magic = cache._BYTECODE
+        cache._BYTECODE = "0" * len(magic)
+        try:
+            foreign = run_session(base_dir)
+        finally:
+            cache._BYTECODE = magic
+        message = describe_mismatch("bytecode", "foreign-bytecode session",
+                                    foreign)
+        if message is None and (store_counters()["corrupt"] != corrupt
+                                or simcode_blobs(base_dir) != 2 * blobs):
+            message = (f"foreign-bytecode session counted "
+                       f"{store_counters()['corrupt'] - corrupt} corrupt "
+                       f"blob(s); the store holds {simcode_blobs(base_dir)} "
+                       f"simcode blobs, expected twice the baseline's "
+                       f"{blobs}")
+        if message is not None:
+            return OracleFailure("faults", message)
 
     for plan in plans:
         try:

@@ -33,8 +33,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.ir.errors import IRError
 from repro.ir.module import ModuleOp
 from repro.ir.printer import module_fingerprint
@@ -468,6 +466,7 @@ class DesignGraph:
 
     # -- numpy-side composition ----------------------------------------------
     def _make_inputs(self, inputs, outputs):
+        import numpy as np
         graph = self
 
         def make(seed: int) -> Dict[str, np.ndarray]:
@@ -492,6 +491,7 @@ class DesignGraph:
         return make
 
     def _reference(self, inputs, outputs):
+        import numpy as np
         if any(node.artifacts.reference is None for node in self.nodes.values()):
             return None
         graph = self

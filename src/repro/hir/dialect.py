@@ -5,7 +5,8 @@ Importing this module (or :mod:`repro.hir`) registers
 * every HIR operation class with the generic op registry (done by the
   ``@register_operation`` decorators in :mod:`repro.hir.ops`), and
 * the ``!hir.*`` type parser with the textual parser, so modules printed in
-  generic form round-trip.
+  generic form round-trip (the registry lives in :mod:`repro.ir.types`, so
+  registering does not load the parser).
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.errors import ParseError
-from repro.ir.parser import register_dialect_type_parser
-from repro.ir.types import Type
+from repro.ir.types import Type, register_dialect_type_parser
 from repro.hir import ops as _ops  # noqa: F401 - imported for registration side effects
 from repro.hir.types import CONST, TIME, parse_memref_body
 

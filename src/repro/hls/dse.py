@@ -34,12 +34,14 @@ mechanisms preserve the chosen schedule and emitted Verilog bit for bit):
   (which minimises (II, cost), and the bound's II component never exceeds
   the achieved II) — and is skipped without scheduling.
 
-* **Serial order.**  Candidates are evaluated one at a time in the seed
-  compiler's enumeration order, so ties resolve exactly as in the seed
-  sweep.  There is no parallel sweep: scheduling is pure Python, so thread
-  pools only add hand-off cost under the GIL and process pools add pickling
-  and start-up; both were slower than this memoized, pruned loop on the
-  paper-scale Table 6 sweep and no faster at CI's smoke sizes.
+* **Serial order.**  Candidates are evaluated one at a time: with pruning
+  on, the spec with the most promising lower bound first (it seeds the
+  incumbent), then the rest in the seed compiler's enumeration order.  The
+  candidate list keeps enumeration order, so ties resolve exactly as in
+  the seed sweep.  There is no parallel sweep: scheduling is pure Python,
+  so thread pools only add hand-off cost under the GIL and process pools
+  add pickling and start-up; both were slower than this memoized, pruned
+  loop on the paper-scale Table 6 sweep and no faster at CI's smoke sizes.
 """
 
 from __future__ import annotations
@@ -399,8 +401,26 @@ def explore_loop(loop: For,
 def _explore_serial(specs: List[_Spec], exploration: LoopExploration,
                     incumbent: _Incumbent,
                     options: HLSOptions) -> List[Candidate]:
+    """Evaluate (or prune) every spec; the candidates keep enumeration order.
+
+    With pruning on, the spec with the most promising lower bound under the
+    selection rule (the lowest ``(requested II, bound)`` in directive mode,
+    else the lowest bound; the first in enumeration order on a tie) is
+    evaluated first, so the incumbent starts near the winner and prunes
+    more of the rest.  Its candidate keeps its enumeration position, so
+    :func:`_select`'s tie-breaks do not move.
+    """
+    seed: Optional[_Spec] = None
+    if options.prune and specs:
+        seed = min(specs, key=(lambda spec: (spec.requested_ii, spec.lb_cost))
+                   if incumbent.directive else (lambda spec: spec.lb_cost))
+        seeded = _evaluate_spec(seed, exploration, options.memoize)
+        incumbent.observe(seeded)
     candidates: List[Candidate] = []
     for spec in specs:
+        if spec is seed:
+            candidates.append(seeded)
+            continue
         if options.prune and incumbent.can_prune(spec):
             exploration.pruned += 1
             continue

@@ -7,16 +7,17 @@ The grammar is the MLIR generic operation form::
     regions    ::= `(` `{` block+ `}` (`,` `{` block+ `}`)* `)`
     block      ::= `^bb0` (`(` block-args `)`)? `:` operation*
 
-Dialect types (anything starting with ``!``) are parsed through a registry so
-the HIR dialect can install parsers for ``!hir.memref<...>`` et al. without
-this module depending on the dialect.
+Dialect types (anything starting with ``!``) are parsed through a registry
+(:func:`repro.ir.types.register_dialect_type_parser`) so the HIR dialect can
+install parsers for ``!hir.memref<...>`` et al. without this module
+depending on the dialect, or the dialect on this module.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.ir.attributes import (
     ArrayAttr,
@@ -33,32 +34,16 @@ from repro.ir.errors import ParseError
 from repro.ir.location import Location
 from repro.ir.operation import Operation, create_operation
 from repro.ir.types import (
+    _DIALECT_TYPE_PARSERS,
     FloatType,
     FunctionType,
     IndexType,
     IntegerType,
     NoneType,
     Type,
+    register_dialect_type_parser,  # noqa: F401 - re-exported
 )
 from repro.ir.values import Value
-
-# --------------------------------------------------------------------------- #
-# Dialect type registry
-# --------------------------------------------------------------------------- #
-
-DialectTypeParser = Callable[[str, Optional[str]], Type]
-_DIALECT_TYPE_PARSERS: Dict[str, DialectTypeParser] = {}
-
-
-def register_dialect_type_parser(dialect: str, parser: DialectTypeParser) -> None:
-    """Register a parser for ``!<dialect>.<name>`` types.
-
-    ``parser`` receives the type's mnemonic (the part after the dialect
-    prefix) and the raw body between ``<`` and ``>`` (or ``None`` when the
-    type has no body) and returns a :class:`Type`.
-    """
-    _DIALECT_TYPE_PARSERS[dialect] = parser
-
 
 # --------------------------------------------------------------------------- #
 # Lexer

@@ -14,7 +14,7 @@ the *same object* and every comparison hits the identity fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.ir.interning import HashConsMeta
 
@@ -154,3 +154,24 @@ F32 = FloatType(32)
 F64 = FloatType(64)
 INDEX = IndexType()
 NONE = NoneType()
+
+
+# --------------------------------------------------------------------------- #
+# Dialect type registry
+# --------------------------------------------------------------------------- #
+
+#: Parses one ``!<dialect>.<mnemonic><body>`` type: ``(mnemonic, body)``.
+DialectTypeParser = Callable[[str, Optional[str]], Type]
+#: Filled by the dialects and read by :mod:`repro.ir.parser`; it lives here so
+#: a dialect registers without importing the parser.
+_DIALECT_TYPE_PARSERS: Dict[str, DialectTypeParser] = {}
+
+
+def register_dialect_type_parser(dialect: str, parser: DialectTypeParser) -> None:
+    """Register a parser for ``!<dialect>.<name>`` types.
+
+    ``parser`` receives the type's mnemonic (the part after the dialect
+    prefix) and the raw body between ``<`` and ``>`` (or ``None`` when the
+    type has no body) and returns a :class:`Type`.
+    """
+    _DIALECT_TYPE_PARSERS[dialect] = parser

@@ -5,37 +5,47 @@ returns a :class:`~repro.kernels.base.KernelArtifacts` with the HIR design,
 the matching HLS-baseline program, reference models and input generators.
 Out-of-tree kernels plug into the same registry via :func:`register_kernel`,
 which makes them visible to :meth:`repro.flow.Flow.from_kernel`, the
-``python -m repro`` CLI and the evaluation harness alike.
+``python -m repro`` CLI and the evaluation harness alike.  A built-in
+kernel's module is imported when the kernel is first built.
 """
 
-from typing import Callable, Dict, List
+from __future__ import annotations
 
-from repro.kernels import (
-    convolution,
-    fifo,
-    gemm,
-    histogram,
-    matvec,
-    prefix_sum,
-    sorting_network,
-    spmv,
-    stencil1d,
-    transpose,
-)
-from repro.kernels.base import KernelArtifacts, default_rng
+import importlib
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.kernels.base import KernelArtifacts
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.kernels.base": ("KernelArtifacts", "default_rng"),
+})[:2]
+
+
+def _builtin(module: str) -> Callable[..., KernelArtifacts]:
+    """The ``build`` of ``repro.kernels.<module>``, imported on first call,
+    so listing the kernels or building one loads no other kernel."""
+    def build(**parameters: Any) -> KernelArtifacts:
+        kernel = importlib.import_module(f"{__name__}.{module}")
+        return kernel.build(**parameters)
+
+    return build
+
 
 KERNEL_BUILDERS: Dict[str, Callable[..., KernelArtifacts]] = {
-    "transpose": transpose.build,
-    "stencil_1d": stencil1d.build,
-    "histogram": histogram.build,
-    "gemm": gemm.build,
-    "convolution": convolution.build,
-    "fifo": fifo.build,
+    "transpose": _builtin("transpose"),
+    "stencil_1d": _builtin("stencil1d"),
+    "histogram": _builtin("histogram"),
+    "gemm": _builtin("gemm"),
+    "convolution": _builtin("convolution"),
+    "fifo": _builtin("fifo"),
     # New workloads (beyond the paper's six), composable via repro.graph.
-    "matvec": matvec.build,
-    "prefix_sum": prefix_sum.build,
-    "spmv": spmv.build,
-    "sorting_network": sorting_network.build,
+    "matvec": _builtin("matvec"),
+    "prefix_sum": _builtin("prefix_sum"),
+    "spmv": _builtin("spmv"),
+    "sorting_network": _builtin("sorting_network"),
 }
 
 

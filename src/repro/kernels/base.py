@@ -13,13 +13,16 @@ evaluation harness, the tests and the benchmarks can treat them uniformly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.ir.module import ModuleOp
 from repro.hir.types import MemrefType
-from repro.hls.swir import Program
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.hls.swir import Program
 
 
 @dataclass
@@ -35,8 +38,10 @@ class KernelArtifacts:
     interfaces: Dict[str, MemrefType] = field(default_factory=dict)
     #: Scalar arguments of the top function (argument name -> value).
     scalar_args: Dict[str, int] = field(default_factory=dict)
-    #: The matching software-IR program for the baseline HLS compiler.
-    hls_program: Optional[Program] = None
+    #: Builds the matching software-IR program for the baseline HLS
+    #: compiler, on the first read of :attr:`hls_program` (so building a
+    #: kernel does not import the HLS compiler); None: the kernel has none.
+    hls_builder: Optional[Callable[[], Program]] = None
     #: Name of the HLS function to compile (defaults to the program's last).
     hls_function: Optional[str] = None
     #: Generate input tensors: seed -> {interface name: numpy array}.
@@ -50,6 +55,11 @@ class KernelArtifacts:
     output_warmup: Dict[str, int] = field(default_factory=dict)
     #: Free-form notes (design decisions, paper correspondence).
     notes: str = ""
+
+    @cached_property
+    def hls_program(self) -> Optional[Program]:
+        """The matching software-IR program for the baseline HLS compiler."""
+        return None if self.hls_builder is None else self.hls_builder()
 
     # -- simulation conveniences ------------------------------------------------
     def check_outputs(self, run, inputs) -> bool:
@@ -114,4 +124,5 @@ class KernelArtifacts:
 
 
 def default_rng(seed: int) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng(seed)

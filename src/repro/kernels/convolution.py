@@ -10,6 +10,7 @@ result is written out.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -17,7 +18,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import Param, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 #: The constant 3x3 filter (an integer Gaussian blur).
@@ -61,6 +61,8 @@ def build_hir(size: int = 16) -> DesignBuilder:
 
 
 def build_hls(size: int = 16):
+    from repro.hls.swir import Param, SwBuilder, Var
+
     out_size = size - 2
     sw = SwBuilder("convolution_hls")
     function = sw.function(
@@ -112,7 +114,7 @@ def build(size: int = 16) -> KernelArtifacts:
         module=design.module,
         top="convolution",
         interfaces={"img": in_type, "out": out_type},
-        hls_program=build_hls(size),
+        hls_builder=partial(build_hls, size),
         hls_function="convolution",
         make_inputs=make_inputs,
         reference=reference,

@@ -23,6 +23,7 @@ paper.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -30,7 +31,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import LocalArray, Param, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 
@@ -125,6 +125,8 @@ def build_hls(size: int = 16):
     ``size*size`` multiply-accumulates, and the local buffers are partitioned
     so one row / column can be read per cycle.
     """
+    from repro.hls.swir import LocalArray, Param, SwBuilder, Var
+
     sw = SwBuilder("gemm_hls")
     function = sw.function(
         "gemm",
@@ -192,7 +194,7 @@ def build(size: int = 16) -> KernelArtifacts:
         module=design.module,
         top="gemm",
         interfaces={"A": a_type, "B": b_type, "C": c_type},
-        hls_program=build_hls(size),
+        hls_builder=partial(build_hls, size),
         hls_function="gemm",
         make_inputs=make_inputs,
         reference=reference,

@@ -9,6 +9,7 @@ loops are pipelined at II=1.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import Param, LocalArray, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 
@@ -55,6 +55,8 @@ def build_hir(pixels: int = 256, bins: int = 256) -> DesignBuilder:
 
 
 def build_hls(pixels: int = 256, bins: int = 256):
+    from repro.hls.swir import Param, LocalArray, SwBuilder, Var
+
     sw = SwBuilder("histogram_hls")
     function = sw.function(
         "histogram",
@@ -102,7 +104,7 @@ def build(pixels: int = 256, bins: int = 256) -> KernelArtifacts:
         module=design.module,
         top="histogram",
         interfaces={"img": image_type, "hist": out_type},
-        hls_program=build_hls(pixels, bins),
+        hls_builder=partial(build_hls, pixels, bins),
         hls_function="histogram",
         make_inputs=make_inputs,
         reference=reference,

@@ -11,6 +11,7 @@ finished accumulator out through the output interface at II = 1.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import LocalArray, Param, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 
@@ -61,6 +61,8 @@ def build_hir(size: int = 16) -> DesignBuilder:
 
 
 def build_hls(size: int = 16):
+    from repro.hls.swir import LocalArray, Param, SwBuilder, Var
+
     sw = SwBuilder("matvec_hls")
     function = sw.function(
         "matvec",
@@ -114,7 +116,7 @@ def build(size: int = 16) -> KernelArtifacts:
         module=design.module,
         top="matvec",
         interfaces={"A": a_type, "x": x_type, "y": y_type},
-        hls_program=build_hls(size),
+        hls_builder=partial(build_hls, size),
         hls_function="matvec",
         make_inputs=make_inputs,
         reference=reference,

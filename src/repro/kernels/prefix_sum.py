@@ -10,6 +10,7 @@ important when it runs mid-stream inside a composed design.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -17,7 +18,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import Param, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 
@@ -45,6 +45,8 @@ def build_hir(size: int = 64) -> DesignBuilder:
 
 
 def build_hls(size: int = 64):
+    from repro.hls.swir import Param, SwBuilder, Var
+
     sw = SwBuilder("prefix_sum_hls")
     function = sw.function(
         "prefix_sum",
@@ -81,7 +83,7 @@ def build(size: int = 64) -> KernelArtifacts:
         module=design.module,
         top="prefix_sum",
         interfaces={"xs": in_type, "sums": out_type},
-        hls_program=build_hls(size),
+        hls_builder=partial(build_hls, size),
         hls_function="prefix_sum",
         make_inputs=make_inputs,
         reference=reference,

@@ -11,6 +11,7 @@ II = 3.  A flush loop streams the accumulator out at II = 1.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import LocalArray, Param, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 
@@ -65,6 +65,8 @@ def build_hir(rows: int = 16, nnz: int = 4) -> DesignBuilder:
 
 
 def build_hls(rows: int = 16, nnz: int = 4):
+    from repro.hls.swir import LocalArray, Param, SwBuilder, Var
+
     sw = SwBuilder("spmv_hls")
     function = sw.function(
         "spmv",
@@ -124,7 +126,7 @@ def build(rows: int = 16, nnz: int = 4) -> KernelArtifacts:
         top="spmv",
         interfaces={"vals": values_type, "cols": cols_type,
                     "x": x_type, "y": y_type},
-        hls_program=build_hls(rows, nnz),
+        hls_builder=partial(build_hls, rows, nnz),
         hls_function="spmv",
         make_inputs=make_inputs,
         reference=reference,

@@ -9,6 +9,7 @@ what give the kernel its six DSP slices in the paper's Table 5.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import Param, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 
@@ -60,6 +60,8 @@ def build_hir(size: int = 64) -> DesignBuilder:
 
 
 def build_hls(size: int = 64):
+    from repro.hls.swir import Param, SwBuilder, Var
+
     sw = SwBuilder("stencil1d_hls")
     function = sw.function(
         "stencil_1d",
@@ -105,7 +107,7 @@ def build(size: int = 64) -> KernelArtifacts:
         top="stencil_1d",
         interfaces={"Ai": in_type, "Bw": out_type},
         scalar_args=weights,
-        hls_program=build_hls(size),
+        hls_builder=partial(build_hls, size),
         hls_function="stencil_1d",
         make_inputs=make_inputs,
         reference=reference,

@@ -9,6 +9,7 @@ cycle later, and the write uses the one-cycle-delayed column index
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from repro.ir.types import I32
 from repro.hir.build import DesignBuilder
 from repro.hir.types import MemrefType
-from repro.hls.swir import Param, SwBuilder, Var
 from repro.kernels.base import KernelArtifacts, default_rng
 
 
@@ -47,6 +47,8 @@ def build_hls(size: int = 16, manual_precision: bool = False):
     Table 4: the programmer rewrites the loop counters with narrow arbitrary-
     precision integer types because the tool will not narrow them itself.
     """
+    from repro.hls.swir import Param, SwBuilder, Var
+
     counter_width = max(2, (size).bit_length() + 1) if manual_precision else 32
     sw = SwBuilder("transpose_hls")
     function = sw.function(
@@ -86,7 +88,7 @@ def build(size: int = 16) -> KernelArtifacts:
         module=design.module,
         top="transpose",
         interfaces={"Ai": in_type, "Co": out_type},
-        hls_program=build_hls(size),
+        hls_builder=partial(build_hls, size),
         hls_function="transpose",
         make_inputs=make_inputs,
         reference=reference,

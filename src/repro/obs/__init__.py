@@ -20,69 +20,23 @@ The observability layer the rest of the toolchain reports into:
   benchmark artifacts plus its validator.
 
 Zero dependencies beyond the standard library and numpy (already required
-by the simulators).
+by the simulators).  The names below are re-exported lazily, so a module
+that only reports into :data:`~repro.obs.tracer.TRACER` loads neither the
+exporters nor the profiler.
 """
 
-from repro.obs.cachestats import (
-    CacheStats,
-    all_cache_stats,
-    register_cache,
-    render_cache_report,
-)
-from repro.obs.export import (
-    chrome_trace_from_jsonl,
-    read_jsonl,
-    stats_tree,
-    to_chrome_trace,
-    to_jsonl_lines,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.metrics import (
-    SCHEMA_VERSION,
-    bench_payload,
-    validate_bench_payload,
-)
-from repro.obs.simprofile import (
-    BatchSimProfiler,
-    MemProfile,
-    PortProfile,
-    SimProfile,
-    SimProfiler,
-)
-from repro.obs.tracer import (
-    TRACER,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    tracing,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchSimProfiler",
-    "CacheStats",
-    "MemProfile",
-    "PortProfile",
-    "SCHEMA_VERSION",
-    "SimProfile",
-    "SimProfiler",
-    "TRACER",
-    "Tracer",
-    "all_cache_stats",
-    "bench_payload",
-    "chrome_trace_from_jsonl",
-    "disable_tracing",
-    "enable_tracing",
-    "get_tracer",
-    "read_jsonl",
-    "register_cache",
-    "render_cache_report",
-    "stats_tree",
-    "to_chrome_trace",
-    "to_jsonl_lines",
-    "tracing",
-    "validate_bench_payload",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.obs.cachestats": ("CacheStats", "all_cache_stats", "register_cache",
+                             "render_cache_report"),
+    "repro.obs.export": ("chrome_trace_from_jsonl", "read_jsonl", "stats_tree",
+                         "to_chrome_trace", "to_jsonl_lines",
+                         "write_chrome_trace", "write_jsonl"),
+    "repro.obs.metrics": ("SCHEMA_VERSION", "bench_payload",
+                          "validate_bench_payload"),
+    "repro.obs.simprofile": ("BatchSimProfiler", "MemProfile", "PortProfile",
+                             "SimProfile", "SimProfiler"),
+    "repro.obs.tracer": ("TRACER", "Tracer", "disable_tracing",
+                         "enable_tracing", "get_tracer", "tracing"),
+})

@@ -1,58 +1,32 @@
-"""Verification and optimization passes of the HIR compiler (Sections 6 and 7)."""
+"""Verification and optimization passes of the HIR compiler (Sections 6 and 7).
 
-from repro.passes.canonicalize import CanonicalizePass
-from repro.passes.constant_propagation import ConstantPropagationPass
-from repro.passes.cse import CSEPass
-from repro.passes.delay_elimination import DelayEliminationPass
-from repro.passes.legacy import (
-    LegacyCanonicalizePass,
-    LegacyConstantPropagationPass,
-    LegacyCSEPass,
-    LegacyDelayEliminationPass,
-    LegacyStrengthReductionPass,
-)
-from repro.passes.memport_opt import MemPortOptimizationPass
-from repro.passes.precision_opt import PrecisionOptimizationPass, RangeAnalysis
-from repro.passes.pipeline import (
-    optimization_pipeline,
-    verification_pipeline,
-)
-from repro.passes.schedule_verifier import (
-    CROSS_REGION_USE,
-    INVALID_OPERAND_TIME,
-    PIPELINE_IMBALANCE,
-    PORT_CONFLICT,
-    RESULT_DELAY_MISMATCH,
-    ScheduleDiagnostic,
-    ScheduleVerifierPass,
-    VerificationReport,
-    verify_schedule,
-)
-from repro.passes.strength_reduction import StrengthReductionPass
+The names below are re-exported lazily, so a process that reads optimized
+IR from the store never loads a pass.
+"""
 
-__all__ = [
-    "CanonicalizePass",
-    "ConstantPropagationPass",
-    "CSEPass",
-    "DelayEliminationPass",
-    "MemPortOptimizationPass",
-    "PrecisionOptimizationPass",
-    "RangeAnalysis",
-    "optimization_pipeline",
-    "verification_pipeline",
-    "CROSS_REGION_USE",
-    "INVALID_OPERAND_TIME",
-    "PIPELINE_IMBALANCE",
-    "PORT_CONFLICT",
-    "RESULT_DELAY_MISMATCH",
-    "ScheduleDiagnostic",
-    "ScheduleVerifierPass",
-    "VerificationReport",
-    "verify_schedule",
-    "StrengthReductionPass",
-    "LegacyCanonicalizePass",
-    "LegacyConstantPropagationPass",
-    "LegacyCSEPass",
-    "LegacyDelayEliminationPass",
-    "LegacyStrengthReductionPass",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.passes.canonicalize": ("CanonicalizePass",),
+    "repro.passes.constant_propagation": ("ConstantPropagationPass",),
+    "repro.passes.cse": ("CSEPass",),
+    "repro.passes.delay_elimination": ("DelayEliminationPass",),
+    "repro.passes.legacy": ("LegacyCanonicalizePass",
+                            "LegacyConstantPropagationPass", "LegacyCSEPass",
+                            "LegacyDelayEliminationPass",
+                            "LegacyStrengthReductionPass"),
+    "repro.passes.memport_opt": ("MemPortOptimizationPass",),
+    "repro.passes.precision_opt": ("PrecisionOptimizationPass",
+                                   "RangeAnalysis"),
+    "repro.passes.pipeline": ("optimization_pipeline",
+                              "verification_pipeline"),
+    "repro.passes.schedule_verifier": ("CROSS_REGION_USE",
+                                       "INVALID_OPERAND_TIME",
+                                       "PIPELINE_IMBALANCE", "PORT_CONFLICT",
+                                       "RESULT_DELAY_MISMATCH",
+                                       "ScheduleDiagnostic",
+                                       "ScheduleVerifierPass",
+                                       "VerificationReport",
+                                       "verify_schedule"),
+    "repro.passes.strength_reduction": ("StrengthReductionPass",),
+})

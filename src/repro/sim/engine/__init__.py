@@ -35,40 +35,46 @@ names.  An engine nobody named is decided in one place,
 :meth:`repro.flow.FlowConfig.resolve_engine`: per call
 (``flow.simulate(seed, engine="compiled")``), then ``FlowConfig.engine``,
 then ``REPRO_SIM_ENGINE`` (read at call time), then :data:`DEFAULT_ENGINE`.
+
+Each engine's module is imported when that engine runs (:data:`ENGINES`,
+and the lazily re-exported names below): a ``vector`` run loads neither
+the interpreter nor the compiled, differential or batched engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import importlib
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
+from repro._lazy import lazy_exports
 from repro.ir.errors import SimulationError
-from repro.sim.engine.batch import (
-    BatchedInterfaceMemory,
-    BatchedSimulationRun,
-    BatchedSimulator,
-    run_design_batch_impl,
-)
-from repro.sim.engine.cache import (
-    clear_compile_cache,
-    compile_cache_size,
-)
-from repro.sim.engine.compiled import CompiledSimulator
-from repro.sim.engine.differential import DifferentialSimulator, DivergenceError
-from repro.sim.engine.levelize import LoweredDesign, lower_design
-from repro.sim.engine.vector import (
-    VectorState,
-    VectorUnsupported,
-    run_design_vector,
-    steady_state_of,
-)
-from repro.sim.engine.window import SimulationTimeout, last_drain_cycle
-from repro.sim.verilog_sim import ExternalModel, Simulator
-from repro.verilog.ast import Design
 
-ENGINES: Dict[str, type] = {
-    "interpreted": Simulator,
-    "compiled": CompiledSimulator,
-    "differential": DifferentialSimulator,
+if TYPE_CHECKING:
+    from repro.sim.verilog_sim import ExternalModel
+    from repro.verilog.ast import Design
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.engine.batch": ("BatchedInterfaceMemory",
+                               "BatchedSimulationRun", "BatchedSimulator",
+                               "run_design_batch_impl"),
+    "repro.sim.engine.cache": ("clear_compile_cache", "compile_cache_size"),
+    "repro.sim.engine.compiled": ("CompiledSimulator",),
+    "repro.sim.engine.differential": ("DifferentialSimulator",
+                                      "DivergenceError"),
+    "repro.sim.engine.levelize": ("LoweredDesign", "lower_design"),
+    "repro.sim.engine.vector": ("VectorState", "VectorUnsupported",
+                                "run_design_vector", "steady_state_of"),
+    "repro.sim.engine.window": ("SimulationTimeout", "last_drain_cycle"),
+})
+__all__ = sorted([*__all__, "DEFAULT_ENGINE", "ENGINES", "RUN_ENGINES",
+                  "available_engines", "create_simulator"])
+
+#: Per-cycle engines: name -> (module, simulator class), imported when the
+#: engine runs.
+ENGINES: Dict[str, Tuple[str, str]] = {
+    "interpreted": ("repro.sim.verilog_sim", "Simulator"),
+    "compiled": ("repro.sim.engine.compiled", "CompiledSimulator"),
+    "differential": ("repro.sim.engine.differential", "DifferentialSimulator"),
 }
 
 #: Run-level engines: valid everywhere an engine *name* is accepted, but they
@@ -94,8 +100,8 @@ def create_simulator(
     engine: str,
 ):
     """Instantiate the per-cycle ``engine`` for ``design``."""
-    simulator_class = ENGINES.get(engine)
-    if simulator_class is None:
+    entry = ENGINES.get(engine)
+    if entry is None:
         if engine in RUN_ENGINES:
             raise SimulationError(
                 f"engine '{engine}' executes whole runs and has no per-cycle "
@@ -105,30 +111,6 @@ def create_simulator(
             f"unknown simulation engine '{engine}'; choose one of "
             f"{available_engines()}"
         )
+    module, name = entry
+    simulator_class = getattr(importlib.import_module(module), name)
     return simulator_class(design, top=top, external_models=external_models)
-
-
-__all__ = [
-    "BatchedInterfaceMemory",
-    "BatchedSimulationRun",
-    "BatchedSimulator",
-    "CompiledSimulator",
-    "DEFAULT_ENGINE",
-    "DifferentialSimulator",
-    "DivergenceError",
-    "ENGINES",
-    "LoweredDesign",
-    "RUN_ENGINES",
-    "SimulationTimeout",
-    "VectorState",
-    "VectorUnsupported",
-    "available_engines",
-    "clear_compile_cache",
-    "compile_cache_size",
-    "create_simulator",
-    "last_drain_cycle",
-    "lower_design",
-    "run_design_batch_impl",
-    "run_design_vector",
-    "steady_state_of",
-]

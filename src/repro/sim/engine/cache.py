@@ -25,11 +25,14 @@ working.
 Under :func:`persist_compiled`, every generated program is also read through
 the artifact store's ``simcode`` tier as one marshal'd module code object
 (:func:`compiled_program`); the fused run's blob pairs it with the run's
-simulator image.  For the step functions and the fused run that module holds
-shapes plus an instance table (:mod:`repro.sim.engine.codegen`), and the
-``compile_*`` loader that turns it into functions runs as the store's
-decoder, so a stored code object (or image) that is not the expected program
-counts as a corrupt blob.
+simulator image, which also records the static done cycle that
+:meth:`repro.flow.Flow.simulate` chooses the engine by.  For the step
+functions and the fused run that module holds shapes plus an instance table
+(:mod:`repro.sim.engine.codegen`), and the ``compile_*`` loader that turns
+it into functions runs as the store's decoder, so a stored code object (or
+image) that is not the expected program counts as a corrupt blob.
+Elaboration imports the interpreter's elaborator only on a miss, so a run
+served from the store never loads :mod:`repro.sim.verilog_sim`.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import CodeType
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.resilience.faults import fault_point
 from repro.sim.engine.codegen import (
@@ -55,8 +58,10 @@ from repro.sim.engine.codegen import (
     compile_comb_vector,
 )
 from repro.sim.engine.levelize import LoweredDesign, lower_design
-from repro.sim.verilog_sim import _Elaborator, _FlatDesign
 from repro.verilog.ast import Design
+
+if TYPE_CHECKING:
+    from repro.sim.verilog_sim import _FlatDesign
 
 # Designs are eq-comparing dataclasses (unhashable), so key on identity and
 # evict via a finalizer when the design object dies.  Ordered by recency of
@@ -220,6 +225,8 @@ def compiled_program(top: Optional[str], name: str,
 
 def _elaborate(design: Design, top: Optional[str],
                external_models) -> Tuple[_FlatDesign, LoweredDesign]:
+    # Local: a warm store runs the fused engine without the interpreter.
+    from repro.sim.verilog_sim import _Elaborator
     if top is not None:
         design = Design(top=top, modules=design.modules)
     flat = _Elaborator(design, external_models).elaborate()

@@ -39,14 +39,19 @@ the step functions without lowering, elaborating or levelizing the design.
 Only a blob miss lowers it (:func:`_load_run`).  A stored image that is not
 the program's is a corrupt blob (:func:`compile_vector_run`).
 
-:func:`steady_state_of` ties the engine to the static-timing analysis of
-:mod:`repro.graph.timing`: a design whose schedule is not statically
-analyzable (data-dependent bounds, external callees) has no provable steady
-state and raises :class:`VectorUnsupported`.  :meth:`repro.flow.Flow.simulate`
-makes that check before the run and executes such designs on the compiled
-engine, with ``fallback_reason`` provenance.  When the analysis *does*
-succeed, :func:`run_design_vector` verifies the observed ``done`` cycle
-against the prediction, so a drifting static model is a loud
+The image also records the run's static ``done`` cycle: what
+:func:`steady_state_of` (the static-timing analysis of
+:mod:`repro.graph.timing`) predicts for a :class:`repro.flow.VerilogArtifact`'s
+optimized module, or ``None`` when the schedule is not statically analyzable
+(data-dependent bounds, external callees) or the run was built from a bare
+Design.  It depends only on the design key, so whichever engine builds the
+blob (``vector``, or the differential engine's vector leg) records the same
+value.  :meth:`repro.flow.Flow.simulate` reads it through
+:func:`predicted_done` before the run, so a warm store answers without
+parsing or analyzing the module, and executes designs with no prediction on
+the compiled engine, with ``fallback_reason`` provenance.
+:func:`run_design_vector` verifies the observed ``done`` cycle against the
+prediction, so a drifting static model is a loud
 :class:`~repro.ir.errors.SimulationError` that propagates to the caller
 rather than a silent mis-speedup.
 
@@ -88,9 +93,10 @@ class VectorUnsupported(SimulationError):
 
     Raised for external behavioural models and per-cycle profiling (both
     need Python callbacks inside the cycle loop) and by
-    :func:`steady_state_of` when the schedule has no static steady state.
-    No executor catches it: :meth:`repro.flow.Flow.simulate` checks the same
-    three gaps before the run and picks the compiled engine instead.
+    :func:`steady_state_of` when the schedule has no static steady state
+    (the simulator image then records no ``done`` prediction).  No executor
+    catches it: :meth:`repro.flow.Flow.simulate` checks the same three gaps
+    before the run and picks the compiled engine instead.
     """
 
 
@@ -391,7 +397,8 @@ def vector_run_source(lowered: LoweredDesign,
 #: program's globals.
 _BOUND = ("_TARGETS", "_FANOUT", "_MARKS", "_MFAN", "_MM", "_PSLOT", "_PMEM")
 
-#: Every simulator-image field and its exact type (``marshal`` keeps both).
+#: Every simulator-image field and its exact type (``marshal`` keeps both),
+#: beside ``done``: the static done cycle, an ``int`` or ``None``.
 _IMAGE_FIELDS: Dict[str, type] = {
     **{name: list for name in _BOUND}, "_MM": tuple,
     "assigns": int, "processes": int, "slots": int, "memories": int,
@@ -505,10 +512,15 @@ def _check_image(image: Any) -> None:
                     f"{len(image[table])} entries for {image[count]} {count}")
     if len(image["names"]) > image["slots"]:
         raise ValueError("simulator image names more signals than slots")
+    if "done" not in image or not (image["done"] is None
+                                   or type(image["done"]) is int):
+        raise ValueError("simulator image field 'done' is missing or neither "
+                         "an int nor None")
 
 
 def compile_vector_run(tables: Union[Dict[str, Any], LoweredDesign],
-                       source: Union[str, CodeType]
+                       source: Union[str, CodeType],
+                       done: Optional[int] = None
                        ) -> Tuple[Tuple[CodeType, Dict[str, Any]],
                                   Tuple[Dict[str, Any], Callable]]:
     """Compile a :func:`vector_run_source` text (or exec its code object)
@@ -516,16 +528,19 @@ def compile_vector_run(tables: Union[Dict[str, Any], LoweredDesign],
 
     ``tables`` is the program's simulator image or, on a miss, the
     :class:`~repro.sim.engine.levelize.LoweredDesign` the image is built
-    from (:func:`_image_of`).  The image's static tables are bound as the
+    from (:func:`_image_of`), recording ``done`` as its static done cycle.
+    The image's static tables are bound as the
     program's globals, and so are the clocked processes, instantiated from
     the program's shapes and instance table
     (:func:`~repro.sim.engine.codegen.instantiate`), so the code itself
     stays a pure function of the design.  The store keeps ``(code, image)``,
     which runs without a Design.  An image with a missing or mistyped field,
-    tables whose lengths disagree with its counts, or a process count other
-    than the instance table's raises :class:`ValueError`.
+    tables whose lengths disagree with its counts, a ``done`` that is
+    neither an ``int`` nor ``None``, or a process count other than the
+    instance table's raises :class:`ValueError`.
     """
-    image = tables if isinstance(tables, dict) else _image_of(tables)
+    image = (tables if isinstance(tables, dict)
+             else dict(_image_of(tables), done=done))
     _check_image(image)
     code, namespace = load_module(
         source,
@@ -573,6 +588,23 @@ class _FusedRun:
                 for index, name in enumerate(self.image["mem_names"])}
 
 
+def _static_done(source: Any, top: Optional[str]) -> Optional[int]:
+    """The static done cycle of ``@top`` in ``source``'s optimized module,
+    or ``None``.
+
+    ``source`` is a :class:`repro.flow.VerilogArtifact`, whose optimized
+    module :func:`steady_state_of` analyzes (``top`` defaults to the
+    artifact's), or a bare Design, which carries no HIR to analyze.
+    """
+    if isinstance(source, Design):
+        return None
+    try:
+        return steady_state_of(source.module,
+                               source.top if top is None else top).done
+    except VectorUnsupported:
+        return None
+
+
 def _load_run(source: Any, top: Optional[str],
               specs: Tuple[_InterfaceSpec, ...], signature: str) -> _FusedRun:
     """Load the fused run of ``source`` through the store, lowering only
@@ -580,9 +612,10 @@ def _load_run(source: Any, top: Optional[str],
 
     The run blob comes first: its image gives the step count the
     ``comb-scalar`` blob is loaded with, so a warm store runs without a
-    Design.  Once a miss has lowered the design, the step functions live on
-    its cached artifacts, shared with the compiled engine.  The scalar
-    clock program is never built.
+    Design.  A miss lowers the design and analyzes its static steady state
+    for the image.  Once a miss has lowered the design, the step functions
+    live on its cached artifacts, shared with the compiled engine.  The
+    scalar clock program is never built.
     """
     artifacts = None
 
@@ -596,7 +629,8 @@ def _load_run(source: Any, top: Optional[str],
 
     image, run = compiled_program(
         top, f"run-vector-{signature}",
-        lambda: (lowered(), vector_run_source(lowered(), specs)),
+        lambda: (lowered(), vector_run_source(lowered(), specs),
+                 _static_done(source, top)),
         lambda program: compile_vector_run(*program), unpack=_stored_run)
     steps = None if artifacts is None else artifacts.step_fns
     if steps is None:
@@ -616,6 +650,19 @@ def _cached_run(source: Any, top: Optional[str], memories) -> _FusedRun:
     signature = vector_signature(specs)
     return cache.memoized(source, (top, signature),
                           lambda: _load_run(source, top, specs, signature))
+
+
+def predicted_done(design: Any, memories) -> Optional[int]:
+    """The static done cycle the fused run of ``design`` records in its
+    simulator image (``None``: no static steady state).
+
+    Loads the run as :func:`run_design_vector` will (through the compile
+    cache, and the store under :func:`~repro.sim.engine.cache.
+    persist_compiled`), so a warm store answers from the stored image, and
+    the run that follows finds it cached.  Only the memref types of
+    ``memories`` matter.
+    """
+    return _cached_run(design, None, memories).image["done"]
 
 
 # --------------------------------------------------------------------------- #
@@ -668,9 +715,10 @@ def run_design_vector(
     run either finishes (``done=True``) or raises
     :class:`~repro.sim.engine.window.SimulationTimeout` — and
     :class:`VectorUnsupported` when the design needs per-cycle Python
-    (external models, profiling).  ``steady_state`` is the optional
-    :func:`steady_state_of` prediction; when given, the observed ``done``
-    cycle is verified against it.  ``design`` is a
+    (external models, profiling).  The observed ``done`` cycle is verified
+    against the static done cycle the simulator image records, or against
+    ``steady_state`` (a :func:`steady_state_of` timing) when one is given.
+    ``design`` is a
     :class:`~repro.verilog.ast.Design` or a :class:`repro.flow.
     VerilogArtifact`, whose design is lowered only if a store blob misses.
     """
@@ -709,10 +757,11 @@ def run_design_vector(
         raise SimulationTimeout(
             f"design never asserted done within {max_cycles} cycles "
             "(vector engine)", undone_lanes=(0,), max_cycles=max_cycles)
-    if steady_state is not None and done_cycle != steady_state.done:
+    predicted = image["done"] if steady_state is None else steady_state.done
+    if predicted is not None and done_cycle != predicted:
         raise SimulationError(
             f"static steady-state timing predicted done at cycle "
-            f"{steady_state.done} but simulation observed cycle {done_cycle}; "
+            f"{predicted} but simulation observed cycle {done_cycle}; "
             "the timing model and the generated design disagree")
     for memory, (reads, writes) in zip(interface_memories.values(), counters):
         memory.reads = reads
@@ -731,6 +780,7 @@ __all__ = [
     "VectorState",
     "VectorUnsupported",
     "compile_vector_run",
+    "predicted_done",
     "run_design_vector",
     "steady_state_of",
     "vector_run_source",

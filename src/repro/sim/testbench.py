@@ -11,17 +11,19 @@ accelerator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ir.errors import SimulationError
 from repro.hir.types import MemrefType
 from repro.obs.tracer import TRACER
-from repro.sim.verilog_sim import ExternalModel, Simulator
 from repro.sim.engine import create_simulator
 from repro.sim.engine.window import SimulationTimeout, last_drain_cycle
 from repro.verilog.ast import Design
+
+if TYPE_CHECKING:  # the vector engine runs without the interpreter
+    from repro.sim.verilog_sim import ExternalModel, Simulator
 
 
 def flatten_tensor(memref_type: MemrefType, data) -> List[int]:
@@ -132,7 +134,6 @@ def run_design_impl(
     *,
     engine: str,
     profiler=None,
-    steady_state=None,
 ) -> SimulationRun:
     """Run a generated design from ``start`` until its ``done`` pulse.
 
@@ -143,12 +144,12 @@ def run_design_impl(
     there is no default here — :meth:`repro.flow.FlowConfig.resolve_engine`
     decides an unnamed one.  ``profiler`` is an
     optional :class:`repro.obs.simprofile.SimProfiler`; the run then carries
-    its profile in ``SimulationRun.profile``.  ``steady_state`` is an
-    optional :class:`repro.graph.timing.FunctionTiming` hint for the vector
-    engine (the observed ``done`` cycle is verified against it).
-    ``design`` may also be a :class:`repro.flow.VerilogArtifact`: the vector
-    engine (and the differential engine's vector leg) then lowers it only
-    when a store blob misses, and every other engine lowers it up front.
+    its profile in ``SimulationRun.profile``.  The vector engine verifies the
+    observed ``done`` cycle against the static one its simulator image
+    records (:mod:`repro.sim.engine.vector`).  ``design`` may also be a
+    :class:`repro.flow.VerilogArtifact`: the vector engine (and the
+    differential engine's vector leg) then lowers it only when a store blob
+    misses, and every other engine lowers it up front.
 
     The named engine executes the run, or its error propagates: engine
     substitution is decided once, by :meth:`repro.flow.Flow.simulate`.  A
@@ -162,7 +163,7 @@ def run_design_impl(
             design, memories=memories, scalar_inputs=scalar_inputs,
             top=top, external_models=external_models,
             max_cycles=max_cycles, drain_cycles=drain_cycles,
-            steady_state=steady_state, profiler=profiler)
+            profiler=profiler)
 
     source = design
     if not isinstance(design, Design):
@@ -237,10 +238,12 @@ def _vector_leg(run: SimulationRun, design, memories, scalar_inputs,
     """The differential engine's third leg: replay the run through the fused
     vector engine and require bit-exactness against the lockstep pair.
 
-    Designs without a fused-run execution (no static requirement here — the
-    vector engine only refuses external models / profiling at this layer)
-    are skipped; any mismatch or vector-side timeout is a
-    :class:`~repro.sim.engine.differential.DivergenceError`.
+    Designs without a fused-run execution (the vector engine refuses only
+    external models and profiling at this layer) are skipped; any mismatch
+    or vector-side timeout is a
+    :class:`~repro.sim.engine.differential.DivergenceError`.  A fused run
+    this leg builds records the same static done cycle a ``vector`` run
+    would, and the replay is checked against it.
     """
     from repro.sim.engine.differential import DivergenceError
     from repro.sim.engine.vector import VectorUnsupported, run_design_vector

@@ -1,53 +1,24 @@
-"""Verilog backend: AST, emitter, FSM synthesis and the HIR code generator."""
+"""Verilog backend: AST, emitter, FSM synthesis and the HIR code generator.
 
-from repro.verilog.ast import (
-    AlwaysFF,
-    Assign,
-    BinOp,
-    Comment,
-    Const,
-    Design,
-    Expr,
-    If,
-    INPUT,
-    Instance,
-    MemIndex,
-    MemoryDecl,
-    MemWrite,
-    Module,
-    NonBlockingAssign,
-    OUTPUT,
-    Port,
-    Ref,
-    RegDecl,
-    Ternary,
-    UnOp,
-    Wire,
-    const,
-    or_reduce,
-    ref,
-)
-from repro.verilog.codegen import (
-    CodegenOptions,
-    CodegenResult,
-    FunctionLowering,
-    VerilogCodeGenerator,
-    generate_verilog_impl,
-)
-from repro.verilog.emitter import emit_design, emit_expr, emit_module
-from repro.verilog.fsm import LoopController, LoopSignals, PulseGenerator
-from repro.verilog.memory import MemAccess, MemoryLowering, interface_signals
-from repro.verilog.naming import SignalNamer, sanitize
+The names below are re-exported lazily: reading a design's AST or emitting
+it does not load the code generator (or the passes it uses).
+"""
 
-__all__ = [
-    "AlwaysFF", "Assign", "BinOp", "Comment", "Const", "Design",
-    "Expr", "If", "INPUT", "Instance", "MemIndex", "MemoryDecl", "MemWrite",
-    "Module", "NonBlockingAssign", "OUTPUT", "Port", "Ref", "RegDecl",
-    "Ternary", "UnOp", "Wire", "const", "or_reduce", "ref",
-    "CodegenOptions", "CodegenResult", "FunctionLowering",
-    "VerilogCodeGenerator", "generate_verilog_impl",
-    "emit_design", "emit_expr", "emit_module",
-    "LoopController", "LoopSignals", "PulseGenerator",
-    "MemAccess", "MemoryLowering", "interface_signals",
-    "SignalNamer", "sanitize",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.verilog.ast": ("AlwaysFF", "Assign", "BinOp", "Comment", "Const",
+                          "Design", "Expr", "If", "INPUT", "Instance",
+                          "MemIndex", "MemoryDecl", "MemWrite", "Module",
+                          "NonBlockingAssign", "OUTPUT", "Port", "Ref",
+                          "RegDecl", "Ternary", "UnOp", "Wire", "const",
+                          "or_reduce", "ref"),
+    "repro.verilog.codegen": ("CodegenOptions", "CodegenResult",
+                              "FunctionLowering", "VerilogCodeGenerator",
+                              "generate_verilog_impl"),
+    "repro.verilog.emitter": ("emit_design", "emit_expr", "emit_module"),
+    "repro.verilog.fsm": ("LoopController", "LoopSignals", "PulseGenerator"),
+    "repro.verilog.memory": ("MemAccess", "MemoryLowering",
+                             "interface_signals"),
+    "repro.verilog.naming": ("SignalNamer", "sanitize"),
+})

@@ -161,6 +161,21 @@ class TestCompileTimeBypassesTheStore:
         table6.measure_kernel("transpose")
         assert store_counters() == before
 
+    def test_timing_breakdown_times_a_sweep_not_the_memo(self):
+        """A compile earlier in the process (Tables 4 and 5 in ``repro
+        report``) filled the schedule memo; the breakdown still times a
+        sweep that schedules its design points."""
+        from repro.hls import HLSOptions, compile_program
+        from repro.kernels import build_kernel
+        artifacts = build_kernel("gemm", size=4)
+        compile_program(artifacts.hls_program, artifacts.hls_function,
+                        options=HLSOptions())
+        (line,) = [line for line in
+                   runner.render_compile_timing(quick=True).splitlines()
+                   if line.startswith("DSE design points:")]
+        assert ", 0 memoized, " in line
+        assert not line.endswith(" 0 scheduled")
+
 
 class TestFigures:
     def test_figure1_reproduced(self):

@@ -45,9 +45,9 @@ def no_ambient_plan():
         set_plan(previous)
 
 
-def _matvec(**config):
+def _matvec(store_dir="", **config):
     return Flow.from_kernel("matvec", size=4,
-                            config=FlowConfig(store_dir="", **config))
+                            config=FlowConfig(store_dir=store_dir, **config))
 
 
 def _fallbacks():
@@ -60,26 +60,50 @@ def _engine_keys(artifact):
             ("engine", "requested", "fallback_reason") if key in provenance}
 
 
+def _off_by_one_mismatch(monkeypatch, root, warm):
+    """Validate matvec on ``vector`` with a static-timing prediction one
+    cycle late: the run must raise, naming both cycles, substituting
+    nothing.  ``warm``: a first session fills the store ``root`` under the
+    bad prediction, and a second one must take it from the stored image
+    without analyzing the module again."""
+    real = vector_engine.steady_state_of
+
+    def off_by_one(module, top):
+        timing = real(module, top)
+        return dataclasses.replace(timing, done=timing.done + 1)
+
+    flow = _matvec(root)
+    predicted = real(flow.optimized().value, flow.top).done + 1
+    monkeypatch.setattr(vector_engine, "steady_state_of", off_by_one)
+    clear_compile_cache()
+    if warm:
+        with pytest.raises(SimulationError):
+            flow.validate(seed=0, engine="vector")
+        clear_compile_cache()
+        flow = _matvec(root)
+        monkeypatch.setattr(vector_engine, "steady_state_of", None)
+    before = resilience_counters()
+    with pytest.raises(SimulationError) as excinfo:
+        flow.validate(seed=0, engine="vector")
+    message = str(excinfo.value)
+    assert f"predicted done at cycle {predicted}" in message
+    assert f"observed cycle {predicted - 1}" in message
+    assert resilience_counters() == before
+
+
 class TestFindingsPropagate:
     def test_steady_state_mismatch_raises(self, monkeypatch):
         """An off-by-one static-timing prediction is a finding: the vector
         run raises, naming both cycles, and nothing is substituted."""
-        real = vector_engine.steady_state_of
+        _off_by_one_mismatch(monkeypatch, "", warm=False)
 
-        def off_by_one(module, top):
-            timing = real(module, top)
-            return dataclasses.replace(timing, done=timing.done + 1)
-
-        flow = _matvec()
-        predicted = real(flow.optimized().value, flow.top).done + 1
-        monkeypatch.setattr(vector_engine, "steady_state_of", off_by_one)
-        before = resilience_counters()
-        with pytest.raises(SimulationError) as excinfo:
-            flow.validate(seed=0, engine="vector")
-        message = str(excinfo.value)
-        assert f"predicted done at cycle {predicted}" in message
-        assert f"observed cycle {predicted - 1}" in message
-        assert resilience_counters() == before
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_steady_state_mismatch_raises_through_a_store(self, monkeypatch,
+                                                          tmp_path, warm):
+        """The same finding when the prediction is stored with the fused
+        run: built into the image on a cold store, read from it on a warm
+        one."""
+        _off_by_one_mismatch(monkeypatch, str(tmp_path / "store"), warm)
 
     def test_unknown_engine_name_raises(self):
         before = resilience_counters()
@@ -192,6 +216,31 @@ class TestCapabilityGaps:
         assert _engine_keys(outcome) == {"engine": engine}
         assert outcome.value.run.engine == engine
         assert resilience_counters() == before
+
+
+class TestPredictionFollowsTheDesign:
+    """The static done cycle in the fused run's simulator image depends on
+    the design alone: a run built by the differential engine's vector leg
+    records the same prediction a ``vector`` run would."""
+
+    def test_a_differential_fill_serves_a_warm_vector_run(self, tmp_path):
+        root = str(tmp_path / "store")
+        clear_compile_cache()
+        _matvec(root).simulate(seed=0, engine="differential")
+        clear_compile_cache()
+        before = resilience_counters()
+        outcome = _matvec(root).simulate(seed=0, engine="vector")
+        assert _engine_keys(outcome) == {"engine": "vector"}
+        assert outcome.value.run.engine == "vector"
+        assert resilience_counters() == before
+
+    def test_a_differential_run_serves_a_vector_run_in_process(self):
+        flow = _matvec()
+        clear_compile_cache()
+        flow.simulate(seed=0, engine="differential")
+        outcome = flow.simulate(seed=0, engine="vector")
+        assert _engine_keys(outcome) == {"engine": "vector"}
+        assert outcome.value.run.engine == "vector"
 
 
 QUICK_KERNELS = {**QUICK_TABLE5_PARAMS, **QUICK_NEW_WORKLOAD_PARAMS}

@@ -9,12 +9,15 @@ contract: the run re-executes on the interpreter with identical results.
 
 import marshal
 import os
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
 from repro.flow import Flow, FlowConfig
+from repro.ir.module import ModuleOp
 from repro.kernels import build_kernel
 from repro.resilience import (
     FaultPlan,
@@ -191,7 +194,11 @@ class TestCodeTier:
         lambda code, image: (code, {}),
         lambda code, image: (code, {**image, "_MARKS": image["_MARKS"][:-1]}),
         lambda code, image: compile("x = 1", "<s>", "exec"),
-    ], ids=["empty-image", "truncated-table", "foreign-code"])
+        lambda code, image: (code, {name: value for name, value
+                                    in image.items() if name != "done"}),
+        lambda code, image: (code, {**image, "done": str(image["done"])}),
+    ], ids=["empty-image", "truncated-table", "foreign-code", "missing-done",
+            "done-not-int"])
     def test_malformed_image_is_a_corrupt_blob(self, tmp_path, malform):
         root = str(tmp_path / "store")
         cold = _vector_run(root)
@@ -297,6 +304,90 @@ class TestWarmStoreNeverLowers:
         assert cold[2] == "vector" and cold[3]
         # Unpatched, the design lowers on demand, as a no-store run does.
         assert emit_design(flow.design) == _flow("").verilog().value.text
+
+
+class TestWarmStoreNeverParses:
+    """A warm store serves every stage without parsing the stored IR or
+    analyzing its timing: ``optimized`` decodes on first read, and the
+    static done cycle comes from the fused run's simulator image."""
+
+    def test_warm_session_never_parses(self, tmp_path, monkeypatch):
+        import repro.graph.timing as timing
+        import repro.ir.parser as parser
+        from repro.sim.engine import clear_compile_cache
+        root = str(tmp_path / "store")
+        clear_compile_cache()
+        cold = _session(_flow(root))
+
+        clear_compile_cache()
+        flow = _flow(root)
+        with monkeypatch.context() as patch:
+            patch.setattr(parser, "parse_module", _refuse_parsing)
+            patch.setattr(timing, "analyze_function", _refuse_parsing)
+            assert _session(flow) == cold
+            flow.report()
+            repr(flow.optimized())
+        assert cold[2] == "vector" and cold[3]
+        # Unpatched, the first read of the module parses it.
+        assert isinstance(flow.optimized().value, ModuleOp)
+        assert "stored, not decoded" not in flow.report()
+
+    def test_a_fresh_process_reads_typed_ops(self, tmp_path):
+        """The lazy packages keep the HIR dialect registered: a new process
+        parses the stored module into HIR op classes, not generic ops."""
+        root = str(tmp_path / "store")
+        _flow(root).verilog()
+        names = _in_fresh_process(
+            "from repro.flow import Flow, FlowConfig\n"
+            "from repro.kernels import build_kernel\n"
+            f"config = FlowConfig(verify_each=False, store_dir={root!r})\n"
+            "flow = Flow(build_kernel('matvec', size=4), config=config)\n"
+            "assert flow.optimized().value_type() == 'stored, not decoded'\n"
+            "module = flow.optimized().value\n"
+            "print(sorted({type(op).__name__ for op in module.walk()}))")
+        assert "ForOp" in names and "FuncOp" in names
+        assert "'Operation'" not in names
+
+    def test_a_warm_validate_loads_only_what_runs(self, tmp_path):
+        """A cold process on a warm store imports no pass, no HLS compiler,
+        no graph or timing analysis, no IR parser, no Verilog code
+        generator, no exporter or profiler, and no engine but ``vector``."""
+        root = str(tmp_path / "store")
+        config = FlowConfig(store_dir=root)
+        assert Flow.from_kernel("gemm", size=4, config=config).validate(0) \
+            .value.ok
+        loaded = _in_fresh_process(
+            "import sys\n"
+            "from repro.flow import Flow, FlowConfig\n"
+            f"config = FlowConfig(store_dir={root!r})\n"
+            "flow = Flow.from_kernel('gemm', size=4, config=config)\n"
+            "assert flow.validate(0).value.ok\n"
+            "print('\\n'.join(sys.modules))").split()
+        for name in ("repro.passes", "repro.hls", "repro.graph",
+                     "repro.ir.parser", "repro.verilog.codegen",
+                     "repro.obs.export", "repro.obs.simprofile",
+                     "repro.sim.engine.compiled",
+                     "repro.sim.engine.differential",
+                     "repro.sim.engine.batch", "repro.sim.verilog_sim"):
+            assert name not in loaded
+        assert "repro.sim.engine.vector" in loaded
+
+
+def _refuse_parsing(*args, **kwargs):
+    raise AssertionError("parsed or analyzed stored IR on a warm store")
+
+
+def _in_fresh_process(code):
+    """Run ``code`` in a new interpreter on this checkout; its stdout."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+        env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 class TestLazyLowering:

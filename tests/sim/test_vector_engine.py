@@ -184,8 +184,12 @@ class TestImageValidation:
         lambda image: image.update(names=image["names"] + ["extra"]
                                    * (image["slots"] + 1)),
         lambda image: image.update(processes=image["processes"] + 1),
+        lambda image: image.pop("done"),
+        lambda image: image.update(done="12"),
+        lambda image: image.update(done=True),
     ], ids=["missing-field", "wrong-type", "bool-count", "assign-table",
-            "slot-table", "memory-table", "names", "process-count"])
+            "slot-table", "memory-table", "names", "process-count",
+            "missing-done", "done-not-int", "done-bool"])
     def test_a_malformed_image_is_a_value_error(self, program, damage):
         from repro.sim.engine.vector import compile_vector_run
         code, image = program
@@ -197,4 +201,7 @@ class TestImageValidation:
     def test_the_real_image_loads(self, program):
         from repro.sim.engine.vector import compile_vector_run
         code, image = program
+        assert image["done"] is None        # built from a bare Design
         assert compile_vector_run(dict(image), code)[1][0] == image
+        predicted = dict(image, done=12)
+        assert compile_vector_run(dict(predicted), code)[1][0] == predicted
