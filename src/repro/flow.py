@@ -89,7 +89,7 @@ PIPELINES: Tuple[str, ...] = ("optimize", "verify", "none", "legacy")
 #: Why :meth:`Flow.simulate` executed another engine than the one requested
 #: (the closed set behind the ``fallback_reason`` provenance key).
 FALLBACK_REASONS: Tuple[str, ...] = (
-    "no-static-steady-state", "external-models", "profiling", "compile-fault")
+    "external-models", "profiling", "compile-fault")
 
 #: Environment variables :meth:`FlowConfig.from_env` snapshots, mapped to the
 #: config field each one feeds.
@@ -930,28 +930,23 @@ class Flow:
                 profiler=profiler,
             )
 
-        engine_name, reason = requested, None
+        engine_name, reason = self._choose_engine(requested, profiler)
         start = _time.perf_counter()
         with TRACER.activated(self.config.trace), \
                 TRACER.span("flow.simulate", cat="flow", flow=self.name,
-                            engine=requested, seed=seed,
+                            engine=engine_name, seed=seed,
                             fingerprint=design_artifact.fingerprint[:12]
                             ) as span, \
                 persist_compiled(store,
                                  self._design_key(design_artifact.fingerprint)):
+            if reason is not None:
+                self._note_substitution(requested, engine_name, reason)
             try:
-                engine_name, reason = self._choose_engine(
-                    requested, profiler, design_artifact.value, memories)
-                span.set(engine=engine_name)
-                if reason is not None:
-                    self._note_substitution(requested, engine_name, reason)
                 run = run_engine(engine_name)
             except InjectedFault:
                 # The one post-failure substitution: an injected
-                # engine-compile fault (in the run, or while the engine
-                # choice loaded the fused run).  The interpreter compiles
-                # nothing, so it re-runs the design; every real failure
-                # propagates.
+                # engine-compile fault.  The interpreter compiles nothing,
+                # so it re-runs the design; every real failure propagates.
                 if engine_name == "interpreted":
                     raise
                 engine_name, reason = "interpreted", "compile-fault"
@@ -973,18 +968,15 @@ class Flow:
                         fingerprint=design_artifact.fingerprint,
                         provenance=provenance)
 
-    def _choose_engine(self, requested: str, profiler, design: Any,
-                       memories: Mapping[str, Any]
+    def _choose_engine(self, requested: str, profiler
                        ) -> Tuple[str, Optional[str]]:
-        """``(engine, reason)`` for a ``requested`` engine.
+        """``(engine, reason)`` for a ``requested`` engine, from the request,
+        the external models and the profiler alone: nothing is loaded.
 
         Only ``vector`` has capability gaps: its fused loop cannot call
-        external models or a per-cycle profiler, and it needs the static
-        done cycle its simulator image records.  The image is loaded here,
-        inside :meth:`simulate`'s ``persist_compiled`` scope, so a warm store
-        answers without parsing or analyzing the module, and the run finds
-        the fused program cached.  Each gap runs the semantically identical
-        ``compiled`` engine with its reason.  Other names pass through.
+        external models or a per-cycle profiler.  Each gap runs the
+        semantically identical ``compiled`` engine with its reason.  Other
+        names pass through.
         """
         if requested != "vector":
             return requested, None
@@ -992,9 +984,6 @@ class Flow:
             return "compiled", "external-models"
         if profiler is not None:
             return "compiled", "profiling"
-        from repro.sim.engine.vector import predicted_done
-        if predicted_done(design, memories) is None:
-            return "compiled", "no-static-steady-state"
         return "vector", None
 
     def _note_substitution(self, requested: str, engine: str,

@@ -16,8 +16,11 @@ paths and demands equivalence:
     optimized IR text and byte-identical emitted Verilog.
 ``engines``
     Interpreted vs compiled simulation in lockstep (every signal and memory
-    word, every phase, via :class:`DifferentialSimulator`), plus the batched
-    engine lane-for-lane against per-lane interpreted runs.
+    word, every phase, via :class:`DifferentialSimulator`), plus the vector
+    and batched engines lane-for-lane against per-lane interpreted runs.
+    The program's runtime-bound twin (its outermost loop bounded by a
+    runtime argument, so it has no static steady state) runs through the
+    differential and vector engines too.
 ``compose``
     The generated program composed with a derived downstream program into a
     two-node :class:`repro.graph.DesignGraph` (producer output streaming
@@ -133,8 +136,9 @@ def make_lane_inputs(spec: ProgramSpec,
     return inputs
 
 
-def _optimized_module(spec: ProgramSpec, legacy: bool):
-    program = materialize(spec)
+def _optimized_module(spec: ProgramSpec, legacy: bool,
+                      runtime_bound: bool = False):
+    program = materialize(spec, runtime_bound=runtime_bound)
     optimization_pipeline(verify_each=False, legacy=legacy).run(program.module)
     return program
 
@@ -193,13 +197,46 @@ def check_pipeline(spec: ProgramSpec) -> Optional[OracleFailure]:
     return None
 
 
+def _vector_mismatch(label: str, reference, replay,
+                     output_names: Sequence[str]) -> Optional[OracleFailure]:
+    """The first way the ``vector`` run ``replay`` differs from the
+    per-cycle run ``reference``: cycles, an output memory, or an interface's
+    access counts."""
+    if replay.cycles != reference.cycles:
+        return OracleFailure(
+            "engines",
+            f"{label} took {replay.cycles} cycles, the per-cycle run took "
+            f"{reference.cycles}")
+    for name in output_names:
+        expected = np.asarray(reference.memory_array(name))
+        produced = np.asarray(replay.memory_array(name))
+        if not np.array_equal(produced, expected):
+            bad = np.argwhere(produced != expected)
+            return OracleFailure(
+                "engines",
+                f"{label} output '{name}' differs from the per-cycle run at "
+                f"{len(bad)} position(s), first at {tuple(bad[0])}: vector="
+                f"{produced[tuple(bad[0])]} per-cycle="
+                f"{expected[tuple(bad[0])]}")
+    for name, memory in reference.memories.items():
+        other = replay.memories[name]
+        if (other.reads, other.writes) != (memory.reads, memory.writes):
+            return OracleFailure(
+                "engines",
+                f"{label} access counts on '{name}' differ: "
+                f"{(other.reads, other.writes)} != "
+                f"{(memory.reads, memory.writes)}")
+    return None
+
+
 def check_engines(spec: ProgramSpec,
                   lanes: int = DEFAULT_LANES) -> Optional[OracleFailure]:
     """Interpreted, compiled, batched and vector engines: one trace.
 
     Lane 0 runs the differential engine (interpreted + compiled in lockstep,
     plus its fused-run vector leg); every lane is then replayed through the
-    vector engine and the batched engine and compared bit-for-bit.
+    vector engine and the batched engine and compared bit-for-bit.  Last,
+    the runtime-bound twin runs (:func:`_check_runtime_bound_twin`).
     """
     from repro.ir.errors import SimulationError
     from repro.sim.engine.batch import run_design_batch_impl
@@ -254,31 +291,10 @@ def check_engines(spec: ProgramSpec,
         except SimulationError as error:
             return OracleFailure(
                 "engines", f"vector engine crashed (lane {lane}): {error}")
-        if replay.cycles != single.cycles:
-            return OracleFailure(
-                "engines",
-                f"vector lane {lane} took {replay.cycles} cycles, the "
-                f"per-cycle run took {single.cycles}")
-        for name in program.output_names:
-            expected = single.memory_array(name)
-            produced = replay.memory_array(name)
-            if not np.array_equal(produced, expected):
-                bad = np.argwhere(np.asarray(produced) != np.asarray(expected))
-                return OracleFailure(
-                    "engines",
-                    f"vector lane {lane} output '{name}' differs from the "
-                    f"per-cycle run at {len(bad)} position(s), first at "
-                    f"{tuple(bad[0])}: vector="
-                    f"{np.asarray(produced)[tuple(bad[0])]} per-cycle="
-                    f"{np.asarray(expected)[tuple(bad[0])]}")
-        for name, memory in single.memories.items():
-            other = replay.memories[name]
-            if (other.reads, other.writes) != (memory.reads, memory.writes):
-                return OracleFailure(
-                    "engines",
-                    f"vector lane {lane} access counts on '{name}' differ: "
-                    f"{(other.reads, other.writes)} != "
-                    f"{(memory.reads, memory.writes)}")
+        failure = _vector_mismatch(f"vector lane {lane}", single, replay,
+                                   program.output_names)
+        if failure is not None:
+            return failure
 
     try:
         batch = run_design_batch_impl(
@@ -313,6 +329,45 @@ def check_engines(spec: ProgramSpec,
                     f"{tuple(bad[0])}: batched="
                     f"{np.asarray(produced)[tuple(bad[0])]} single="
                     f"{np.asarray(expected)[tuple(bad[0])]}")
+    return _check_runtime_bound_twin(spec)
+
+
+def _check_runtime_bound_twin(spec: ProgramSpec) -> Optional[OracleFailure]:
+    """The spec's runtime-bound twin (:func:`materialize` with
+    ``runtime_bound``) at n = extent and n = max(1, extent - 1): the
+    differential engine, vector leg included, must finish, and a ``vector``
+    run must match it bit for bit."""
+    from repro.ir.errors import SimulationError
+    from repro.sim.testbench import run_design_impl
+
+    try:
+        program = _optimized_module(spec, legacy=False, runtime_bound=True)
+        design = generate_verilog_impl(program.module,
+                                       top=program.top).design
+    except IRError as error:
+        return OracleFailure(
+            "engines", f"runtime-bound twin compilation crashed: {error}")
+    inputs = make_lane_inputs(spec, program.interfaces, program.input_names,
+                              program.output_names, lane=0)
+    memories = {name: (memref_type, inputs[name])
+                for name, memref_type in program.interfaces.items()}
+    extent = spec.sizes[0]
+    for n in dict.fromkeys((extent, max(1, extent - 1))):
+        label = f"runtime-bound twin (n={n})"
+        runs = {}
+        for engine in ("differential", "vector"):
+            try:
+                runs[engine] = run_design_impl(
+                    design, memories=memories, scalar_inputs={"n": n},
+                    max_cycles=MAX_CYCLES, drain_cycles=16, engine=engine)
+            except SimulationError as error:
+                return OracleFailure(
+                    "engines", f"{label} failed on the {engine} engine: "
+                    f"{type(error).__name__}: {error}")
+        failure = _vector_mismatch(f"{label} on vector", runs["differential"],
+                                   runs["vector"], program.output_names)
+        if failure is not None:
+            return failure
     return None
 
 

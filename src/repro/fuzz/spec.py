@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.ir.types import I32, IntegerType
 from repro.ir.values import Value
@@ -321,8 +321,16 @@ def _output_type(spec: ProgramSpec, write: WriteSpec, port: str) -> MemrefType:
     return MemrefType(shape, I32, port)
 
 
-def materialize(spec: ProgramSpec, name: Optional[str] = None) -> MaterializedProgram:
-    """Deterministically build the HIR module described by ``spec``."""
+def materialize(spec: ProgramSpec, name: Optional[str] = None,
+                runtime_bound: bool = False) -> MaterializedProgram:
+    """Deterministically build the HIR module described by ``spec``.
+
+    ``runtime_bound`` builds the spec's runtime-bound twin: the outermost
+    loop runs to the stable ``i32`` argument ``n`` (the last argument)
+    instead of its extent, so the schedule has no static steady state.  The
+    interfaces keep their shapes; callers pass ``n`` (at most the extent)
+    as a scalar input.
+    """
     design = DesignBuilder(name or f"fuzz_{spec.seed}")
     input_names = [f"A{k}" for k in range(spec.n_inputs)]
     output_names = [f"O{k}" for k in range(spec.n_outputs)]
@@ -336,11 +344,17 @@ def materialize(spec: ProgramSpec, name: Optional[str] = None) -> MaterializedPr
         )
     args = [(name_, interfaces[name_])
             for name_ in input_names + output_names]
+    if runtime_bound:
+        args.append(("n", I32))
     iter_offsets = spec.loop_iter_offsets()
     read_offsets = spec.input_read_offsets()
 
-    with design.func("fuzz_top", args) as func:
-        _build_nest(spec, func, iter_offsets, read_offsets,
+    with design.func("fuzz_top", args,
+                     stable_args=("n",) if runtime_bound else None) as func:
+        bounds = list(spec.sizes)
+        if runtime_bound:
+            bounds[0] = func.arg("n")
+        _build_nest(spec, func, bounds, iter_offsets, read_offsets,
                     input_names, output_names, outer_ivs=[], depth=0,
                     time=func.time)
         func.return_()
@@ -355,12 +369,12 @@ def materialize(spec: ProgramSpec, name: Optional[str] = None) -> MaterializedPr
 
 
 def _build_nest(spec: ProgramSpec, func: FuncBuilder,
+                bounds: Sequence[Union[int, Value]],
                 iter_offsets: Tuple[int, ...], read_offsets: Tuple[int, ...],
                 input_names: List[str], output_names: List[str],
                 outer_ivs: List[Value], depth: int, time: Value) -> Value:
-    size = spec.sizes[depth]
     innermost = depth == spec.rank - 1
-    with func.for_loop(0, size, 1, time=time,
+    with func.for_loop(0, bounds[depth], 1, time=time,
                        iter_offset=iter_offsets[depth],
                        iv_name=f"i{depth}") as loop:
         if innermost:
@@ -368,8 +382,8 @@ def _build_nest(spec: ProgramSpec, func: FuncBuilder,
                         outer_ivs + [loop.iv], loop.time)
             func.yield_(loop.time, offset=spec.ii)
         else:
-            inner_done = _build_nest(spec, func, iter_offsets, read_offsets,
-                                     input_names, output_names,
+            inner_done = _build_nest(spec, func, bounds, iter_offsets,
+                                     read_offsets, input_names, output_names,
                                      outer_ivs + [loop.iv], depth + 1,
                                      loop.time)
             func.yield_(inner_done, offset=1)

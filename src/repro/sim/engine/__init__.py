@@ -1,7 +1,7 @@
 """Pluggable simulation engines behind the ``Simulator``/``run_design_impl`` API.
 
-Three engines execute the same elaborated design with the same cycle-level
-semantics:
+Four named engines execute the same elaborated design with the same
+cycle-level semantics.  Three are per-cycle simulators:
 
 ``interpreted``
     The original AST-walking :class:`~repro.sim.verilog_sim.Simulator` —
@@ -15,20 +15,21 @@ semantics:
     of the above in lockstep and raises on the first trace divergence (the
     cross-checking harness used by the test suite).
 
-The batched engine (:mod:`~repro.sim.engine.batch`) vectorizes N stimulus
-sets over one compiled design; it has its own entry point,
-:func:`~repro.sim.engine.batch.run_design_batch_impl`, because its state is
-per-lane arrays rather than ints.
-
-A fourth name, ``vector`` (:mod:`~repro.sim.engine.vector`), is a *run-level*
+The fourth, ``vector`` (:mod:`~repro.sim.engine.vector`), is a *run-level*
 engine and the default (:data:`DEFAULT_ENGINE`): it compiles the entire
 start-to-done run — prologue, steady state, drain — into one fused generated
 program, so there is no per-cycle simulator object to instantiate.  It is
 selectable everywhere a per-cycle engine is (``run_design_impl``,
 ``REPRO_SIM_ENGINE``, ``FlowConfig``, ``--engine``) but not through
-:func:`create_simulator`.  :meth:`repro.flow.Flow.simulate` runs designs the
-fused program cannot execute (no static steady state, external models,
-profiling) on the compiled engine and records why in provenance.
+:func:`create_simulator`.  It runs every pure design, with or without a
+static steady state; :meth:`repro.flow.Flow.simulate` runs the two kinds of
+run it cannot fuse (external models, profiling) on the compiled engine and
+records why in provenance.
+
+The batched engine (:mod:`~repro.sim.engine.batch`) vectorizes N stimulus
+sets over one compiled design; it has its own entry point,
+:func:`~repro.sim.engine.batch.run_design_batch_impl`, because its state is
+per-lane arrays rather than ints.
 
 ``run_design_impl`` and :func:`create_simulator` run the engine their caller
 names.  An engine nobody named is decided in one place,

@@ -42,18 +42,16 @@ the program's is a corrupt blob (:func:`compile_vector_run`).
 The image also records the run's static ``done`` cycle: what
 :func:`steady_state_of` (the static-timing analysis of
 :mod:`repro.graph.timing`) predicts for a :class:`repro.flow.VerilogArtifact`'s
-optimized module, or ``None`` when the schedule is not statically analyzable
-(data-dependent bounds, external callees) or the run was built from a bare
-Design.  It depends only on the design key, so whichever engine builds the
-blob (``vector``, or the differential engine's vector leg) records the same
-value.  :meth:`repro.flow.Flow.simulate` reads it through
-:func:`predicted_done` before the run, so a warm store answers without
-parsing or analyzing the module, and executes designs with no prediction on
-the compiled engine, with ``fallback_reason`` provenance.
-:func:`run_design_vector` verifies the observed ``done`` cycle against the
-prediction, so a drifting static model is a loud
-:class:`~repro.ir.errors.SimulationError` that propagates to the caller
-rather than a silent mis-speedup.
+optimized module, or ``None`` when the schedule has no static steady state
+(a loop bound read from a runtime argument, an external callee) or the run
+was built from a bare Design.  It depends only on the design key, so
+whichever engine builds the blob (``vector``, or the differential engine's
+vector leg) records the same value.  The prediction is a check, not a
+requirement: the fused loop is event-driven, so it runs a design with no
+static steady state just as exactly, and :func:`run_design_vector` verifies
+the observed ``done`` cycle against a prediction whenever one exists, so a
+drifting static model is a loud :class:`~repro.ir.errors.SimulationError`
+that propagates to the caller rather than a silent mis-speedup.
 
 Bit-exactness versus the interpreted reference is enforced by the
 differential engine's vector leg (every ``engine="differential"`` run
@@ -89,39 +87,33 @@ from repro.verilog.ast import Design
 
 
 class VectorUnsupported(SimulationError):
-    """The design (or run mode) cannot be executed as one fused program.
+    """The run needs per-cycle Python, which one fused program cannot call.
 
-    Raised for external behavioural models and per-cycle profiling (both
-    need Python callbacks inside the cycle loop) and by
-    :func:`steady_state_of` when the schedule has no static steady state
-    (the simulator image then records no ``done`` prediction).  No executor
-    catches it: :meth:`repro.flow.Flow.simulate` checks the same three gaps
-    before the run and picks the compiled engine instead.
+    Raised for external behavioural models and per-cycle profiling.  No
+    executor catches it: :meth:`repro.flow.Flow.simulate` checks both before
+    the run and picks the compiled engine instead.
     """
 
 
 def steady_state_of(module, top: str):
-    """Static :class:`~repro.graph.timing.FunctionTiming` of ``@top``.
+    """Static :class:`~repro.graph.timing.FunctionTiming` of ``@top``, or
+    ``None`` when ``module`` has no such function or its schedule has no
+    static steady state.
 
     The timing analysis splits the run: ``[0, done)`` is the prologue plus
     steady-state window, ``done`` the cycle the generated module's ``done``
-    output rises, and ``(done, last_activity]`` the drain traffic.  Designs
-    outside the statically schedulable fragment raise
-    :class:`VectorUnsupported` (chaining the
-    :class:`~repro.graph.timing.TimingError`).
+    output rises, and ``(done, last_activity]`` the drain traffic.
     """
     from repro.graph.timing import TimingError, analyze_function
     from repro.hir.ops import FuncOp
 
     func = module.lookup(top) if module is not None else None
     if not isinstance(func, FuncOp):
-        raise VectorUnsupported(
-            f"cannot analyze steady state: top function @{top} not found")
+        return None
     try:
         return analyze_function(module, func)
-    except TimingError as error:
-        raise VectorUnsupported(
-            f"design has no static steady state: {error}") from error
+    except TimingError:
+        return None
 
 
 # --------------------------------------------------------------------------- #
@@ -598,11 +590,9 @@ def _static_done(source: Any, top: Optional[str]) -> Optional[int]:
     """
     if isinstance(source, Design):
         return None
-    try:
-        return steady_state_of(source.module,
-                               source.top if top is None else top).done
-    except VectorUnsupported:
-        return None
+    timing = steady_state_of(source.module,
+                             source.top if top is None else top)
+    return None if timing is None else timing.done
 
 
 def _load_run(source: Any, top: Optional[str],
@@ -652,19 +642,6 @@ def _cached_run(source: Any, top: Optional[str], memories) -> _FusedRun:
                           lambda: _load_run(source, top, specs, signature))
 
 
-def predicted_done(design: Any, memories) -> Optional[int]:
-    """The static done cycle the fused run of ``design`` records in its
-    simulator image (``None``: no static steady state).
-
-    Loads the run as :func:`run_design_vector` will (through the compile
-    cache, and the store under :func:`~repro.sim.engine.cache.
-    persist_compiled`), so a warm store answers from the stored image, and
-    the run that follows finds it cached.  Only the memref types of
-    ``memories`` matter.
-    """
-    return _cached_run(design, None, memories).image["done"]
-
-
 # --------------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------------- #
@@ -706,7 +683,6 @@ def run_design_vector(
     external_models=None,
     max_cycles: int = 100000,
     drain_cycles: int = 4,
-    steady_state=None,
     profiler=None,
 ):
     """Run a design start-to-done as one fused generated program.
@@ -716,9 +692,8 @@ def run_design_vector(
     :class:`~repro.sim.engine.window.SimulationTimeout` — and
     :class:`VectorUnsupported` when the design needs per-cycle Python
     (external models, profiling).  The observed ``done`` cycle is verified
-    against the static done cycle the simulator image records, or against
-    ``steady_state`` (a :func:`steady_state_of` timing) when one is given.
-    ``design`` is a
+    against the static done cycle the simulator image records, when it
+    records one.  ``design`` is a
     :class:`~repro.verilog.ast.Design` or a :class:`repro.flow.
     VerilogArtifact`, whose design is lowered only if a store blob misses.
     """
@@ -757,7 +732,7 @@ def run_design_vector(
         raise SimulationTimeout(
             f"design never asserted done within {max_cycles} cycles "
             "(vector engine)", undone_lanes=(0,), max_cycles=max_cycles)
-    predicted = image["done"] if steady_state is None else steady_state.done
+    predicted = image["done"]
     if predicted is not None and done_cycle != predicted:
         raise SimulationError(
             f"static steady-state timing predicted done at cycle "
@@ -780,7 +755,6 @@ __all__ = [
     "VectorState",
     "VectorUnsupported",
     "compile_vector_run",
-    "predicted_done",
     "run_design_vector",
     "steady_state_of",
     "vector_run_source",

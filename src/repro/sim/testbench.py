@@ -238,22 +238,19 @@ def _vector_leg(run: SimulationRun, design, memories, scalar_inputs,
     """The differential engine's third leg: replay the run through the fused
     vector engine and require bit-exactness against the lockstep pair.
 
-    Designs without a fused-run execution (the vector engine refuses only
-    external models and profiling at this layer) are skipped; any mismatch
-    or vector-side timeout is a
+    Its caller skips external models and profilers, the only runs the fused
+    engine refuses; any mismatch or vector-side timeout is a
     :class:`~repro.sim.engine.differential.DivergenceError`.  A fused run
     this leg builds records the same static done cycle a ``vector`` run
     would, and the replay is checked against it.
     """
     from repro.sim.engine.differential import DivergenceError
-    from repro.sim.engine.vector import VectorUnsupported, run_design_vector
+    from repro.sim.engine.vector import run_design_vector
 
     try:
         replay = run_design_vector(
             design, memories=memories, scalar_inputs=scalar_inputs, top=top,
             max_cycles=max_cycles, drain_cycles=drain_cycles)
-    except VectorUnsupported:
-        return
     except SimulationTimeout as error:
         raise DivergenceError(
             f"vector leg timed out where the lockstep pair finished: {error}"

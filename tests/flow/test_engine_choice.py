@@ -1,11 +1,15 @@
 """Flow decides the executing simulation engine once, before the run.
 
 With no engine named, ``vector`` runs (``TestDefaultEngine``: every
-registered kernel and scenario).  Only the fused ``vector`` engine has
-capability gaps (external models, profiling, no static steady state); those
-run on ``compiled`` with a typed ``fallback_reason``.  After a failure, only
-an injected engine-compile fault re-runs on ``interpreted``.  Everything else
-is a finding and propagates: a static-timing mismatch, a timeout, an unknown
+registered kernel and scenario, and a design whose loop bound is a runtime
+argument).  Only the fused ``vector`` engine has capability gaps (external
+models, profiling); those run on ``compiled`` with a typed
+``fallback_reason``.  A design with no static steady state is not a gap:
+``vector`` runs it bit-exactly with or without a store (``TestRuntimeBound``),
+and the engine choice loads nothing, so the run's own load of the fused
+program is the only one (``TestOneLoad``).  After a failure, only an injected
+engine-compile fault re-runs on ``interpreted``.  Everything else is a
+finding and propagates: a static-timing mismatch, a timeout, an unknown
 engine name.
 """
 
@@ -156,7 +160,7 @@ def _external_model_flow():
                 external_models={"mult_2stage": _DoneMultiplier})
 
 
-def _dyn_bound_flow():
+def _dyn_bound_flow(store_dir=""):
     """A loop bounded by a runtime argument: no static steady state."""
     from repro.hir.build import DesignBuilder
     from repro.hir.types import MemrefType
@@ -173,15 +177,15 @@ def _dyn_bound_flow():
                         time=loop.time, offset=1)
             f.yield_(loop.time, offset=1)
         f.return_()
-    return Flow(design, scalar_args={"n": 8})
+    return Flow(design, scalar_args={"n": 8},
+                config=FlowConfig(store_dir=store_dir))
 
 
 class TestCapabilityGaps:
     @pytest.mark.parametrize("build,kwargs,reason", [
         (_matvec, {"profile": True}, "profiling"),
         (_external_model_flow, {}, "external-models"),
-        (_dyn_bound_flow, {}, "no-static-steady-state"),
-    ], ids=["profiling", "external-models", "no-static-steady-state"])
+    ], ids=["profiling", "external-models"])
     def test_vector_gap_runs_compiled(self, build, kwargs, reason):
         flow = build()
         # Flows without a stimulus generator have no readable interfaces.
@@ -216,6 +220,61 @@ class TestCapabilityGaps:
         assert _engine_keys(outcome) == {"engine": engine}
         assert outcome.value.run.engine == engine
         assert resilience_counters() == before
+
+
+def _assert_same_run(run, reference):
+    assert run.cycles == reference.cycles
+    assert run.results == reference.results
+    for name, memory in reference.memories.items():
+        other = run.memories[name]
+        assert other.data == memory.data, name
+        assert (other.reads, other.writes) == (memory.reads, memory.writes)
+
+
+class TestRuntimeBound:
+    """A loop bounded by a runtime argument has no static steady state, and
+    ``vector`` runs it bit-exactly against ``interpreted``, substituting
+    nothing, with no store, into a cold store and from a warm one."""
+
+    @pytest.mark.parametrize("store", ["no-store", "cold", "warm"])
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, 8])
+    def test_runs_on_vector(self, monkeypatch, tmp_path, n, store):
+        root = "" if store == "no-store" else str(tmp_path / "store")
+        reference = _dyn_bound_flow().simulate(
+            inputs={}, engine="interpreted", scalar_args={"n": n}).value.run
+        clear_compile_cache()
+        if store == "warm":
+            _dyn_bound_flow(root).simulate(inputs={}, engine="vector",
+                                           scalar_args={"n": n})
+            clear_compile_cache()
+            # The warm session takes everything from the stored image.
+            monkeypatch.setattr(vector_engine, "steady_state_of", None)
+        before = _fallbacks()
+        outcome = _dyn_bound_flow(root).simulate(inputs={}, engine="vector",
+                                                 scalar_args={"n": n})
+        assert _engine_keys(outcome) == {"engine": "vector"}
+        assert outcome.value.run.engine == "vector"
+        assert _fallbacks() == before
+        _assert_same_run(outcome.value.run, reference)
+
+
+class TestOneLoad:
+    def test_a_vector_simulate_builds_the_fused_run_once(self, monkeypatch):
+        """With the compile cache and the store off, nothing memoizes the
+        fused run, so each load generates it: the engine choice loads
+        nothing, and the run's own load is the only one."""
+        monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "0")
+        real = vector_engine.vector_run_source
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vector_engine, "vector_run_source", counting)
+        outcome = _matvec().simulate(seed=0, engine="vector")
+        assert _engine_keys(outcome) == {"engine": "vector"}
+        assert len(calls) == 1
 
 
 class TestPredictionFollowsTheDesign:
@@ -275,3 +334,11 @@ class TestDefaultEngine:
         self._check(Flow.from_scenario(scenario,
                                        config=FlowConfig(store_dir=""),
                                        **QUICK_SCENARIO_PARAMS[scenario]))
+
+    def test_runtime_bound_design_runs_on_vector(self):
+        flow = _dyn_bound_flow()
+        reference = flow.simulate(inputs={}, engine="interpreted").value.run
+        outcome = flow.simulate(inputs={})
+        assert _engine_keys(outcome) == {"engine": "vector"}
+        assert outcome.value.run.engine == "vector"
+        _assert_same_run(outcome.value.run, reference)

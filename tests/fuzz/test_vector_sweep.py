@@ -1,12 +1,14 @@
 """Differential sweep pinning the vector engine against the interpreted
 reference over randomly generated programs.
 
-The ``engines`` oracle grew a vector leg (bit-exact cycles, outputs and
-interface counters, with a typed skip when no static steady state exists);
-this suite drives it across fixed seeds — 25 programs on tier-1, 250 on the
-``slow`` tier — plus the composed scenarios from :func:`Flow.from_scenario`
-and an explicit data-dependent design that Flow runs on the compiled engine
-instead of the fused run, with typed provenance.
+The ``engines`` oracle has a vector leg (bit-exact cycles, outputs and
+interface counters) and runs each program's runtime-bound twin (outermost
+loop bounded by a runtime argument, so no static steady state) through the
+differential and vector engines; this suite drives it across fixed seeds —
+25 programs on tier-1, 250 on the ``slow`` tier.  The tier-1 twins also run
+through :meth:`Flow.simulate`, which must execute them on ``vector``, as
+must the composed scenarios from :func:`Flow.from_scenario` and an explicit
+data-dependent design.
 
 Failures name the seed; replay with
 ``python -m repro fuzz --seed <N> --count 1``.
@@ -14,8 +16,11 @@ Failures name the seed; replay with
 
 import pytest
 
-from repro.flow import Flow
+from repro.flow import Flow, FlowConfig
 from repro.fuzz import check_program, generate_spec
+from repro.fuzz.oracles import make_lane_inputs
+from repro.fuzz.spec import materialize
+from repro.sim.engine.vector import steady_state_of
 
 #: Tier-1 sweep: 25 programs through the engines oracle (incl. vector leg).
 TIER1_SEEDS = 25
@@ -46,6 +51,44 @@ def test_vector_differential_sweep(chunk):
           max_ops=40)
 
 
+def _engine_keys(artifact):
+    provenance = dict(artifact.provenance)
+    return {key: provenance[key] for key in
+            ("engine", "requested", "fallback_reason") if key in provenance}
+
+
+def _assert_same_run(run, reference, label):
+    assert run.engine == "vector", label
+    assert run.cycles == reference.cycles, label
+    assert run.results == reference.results, label
+    for name, memory in reference.memories.items():
+        other = run.memories[name]
+        assert other.data == memory.data, (label, name)
+        assert (other.reads, other.writes) == (memory.reads, memory.writes), \
+            (label, name)
+
+
+@pytest.mark.tier1
+def test_runtime_bound_twins_run_on_vector():
+    """Each tier-1 seed's runtime-bound twin has no static steady state, and
+    Flow runs it on ``vector``, substituting nothing, bit-exact against
+    ``interpreted``."""
+    for seed in range(TIER1_SEEDS):
+        spec = generate_spec(seed, max_ops=25)
+        program = materialize(spec, runtime_bound=True)
+        flow = Flow(program.module, top=program.top,
+                    scalar_args={"n": spec.sizes[0]},
+                    config=FlowConfig(store_dir=""))
+        assert steady_state_of(flow.optimized().value, flow.top) is None, seed
+        inputs = make_lane_inputs(spec, program.interfaces,
+                                  program.input_names, program.output_names,
+                                  lane=0)
+        outcome = flow.simulate(inputs=inputs, engine="vector")
+        assert _engine_keys(outcome) == {"engine": "vector"}, seed
+        reference = flow.simulate(inputs=inputs, engine="interpreted")
+        _assert_same_run(outcome.value.run, reference.value.run, seed)
+
+
 #: Composed scenarios: multi-kernel graphs lowered through Flow.from_scenario.
 SCENARIOS = [
     ("gemm_pipeline", {"size": 3}),
@@ -70,10 +113,10 @@ def test_composed_scenarios_are_bit_exact(scenario, parameters):
         assert (other.reads, other.writes) == (memory.reads, memory.writes)
 
 
-class TestNoSteadyStateFallback:
-    """A data-dependent schedule has no static steady state: asking for the
-    vector engine must run on the compiled engine, with provenance saying
-    so — never a crash, never wrong data."""
+class TestNoStaticSteadyState:
+    """A data-dependent schedule has no static steady state.  That is no
+    capability gap: asking for the vector engine runs it on the vector
+    engine, bit-exact against the interpreted reference."""
 
     def build_flow(self):
         from repro.hir.build import DesignBuilder
@@ -94,19 +137,14 @@ class TestNoSteadyStateFallback:
             f.return_()
         return Flow(design, scalar_args={"n": 8})
 
-    def test_flow_falls_back_with_typed_provenance(self):
-        outcome = self.build_flow().simulate(inputs={}, engine="vector")
-        provenance = dict(outcome.provenance)
-        assert provenance["engine"] == "compiled"
-        assert provenance["requested"] == "vector"
-        assert provenance["fallback_reason"] == "no-static-steady-state"
-        assert outcome.value.run.engine == "compiled"
-        assert outcome.value.run.memories["out"].data == list(range(8))
-
-    def test_steady_state_of_raises_typed_error(self):
-        from repro.sim.engine.vector import (VectorUnsupported,
-                                             steady_state_of)
+    def test_flow_runs_it_on_vector_bit_exact(self):
         flow = self.build_flow()
-        design = flow.optimized().value
-        with pytest.raises(VectorUnsupported):
-            steady_state_of(design, flow.top)
+        outcome = flow.simulate(inputs={}, engine="vector")
+        assert _engine_keys(outcome) == {"engine": "vector"}
+        assert outcome.value.run.memories["out"].data == list(range(8))
+        reference = flow.simulate(inputs={}, engine="interpreted")
+        _assert_same_run(outcome.value.run, reference.value.run, "dyn")
+
+    def test_steady_state_of_returns_none(self):
+        flow = self.build_flow()
+        assert steady_state_of(flow.optimized().value, flow.top) is None
