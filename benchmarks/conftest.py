@@ -6,7 +6,6 @@ kernel sizes match the paper's configuration (16x16 GEMM, 256-bin histogram,
 a single round so the whole harness stays in the minutes range.
 """
 
-import json
 import os
 import sys
 

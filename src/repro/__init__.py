@@ -17,8 +17,8 @@ Top-level layout:
                             lowered to one statically scheduled design.
 * :mod:`repro.fuzz`       — differential fuzzing of all of the above: random
                             programs cross-checked over pipelines/engines/cache.
-* :mod:`repro.obs`        — observability: tracing spans/counters, Chrome-trace
-                            and JSONL exporters, cache-stats registry, the
+* :mod:`repro.obs`        — observability: tracing spans/counters, the
+                            Chrome-trace exporter, cache-stats registry, the
                             engine-identical simulation profiler, bench schema.
 * :mod:`repro.evaluation` — harness regenerating every table and figure.
 

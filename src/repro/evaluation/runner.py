@@ -1,7 +1,7 @@
 """Run the whole evaluation: every table and figure of the paper.
 
-``python -m repro.evaluation.runner`` regenerates Tables 4–6 and Figures 1–3
-and prints them next to the published numbers.  ``quick=True`` shrinks the
+``python -m repro report`` regenerates Tables 4–6 and Figures 1–3 and
+prints them next to the published numbers.  ``quick=True`` shrinks the
 kernel sizes so the full sweep finishes in seconds (used by tests); the
 default parameters match the paper's configuration.
 """
@@ -127,7 +127,7 @@ def render_compile_timing(quick: bool = False,
     """A ``--timing`` breakdown of one representative compile of each flow.
 
     Shows the HIR pipeline's per-pass report (including verifier time and
-    analysis-cache hits) and the baseline compiler's per-phase seconds plus
+    pass statistics) and the baseline compiler's per-phase seconds plus
     its DSE counters (design points examined / pruned / memoized /
     scheduled) on the heaviest kernel, GEMM.  The schedule memo is cleared
     first, so the breakdown times one compile's sweep, not lookups of
@@ -227,23 +227,3 @@ def run_all(quick: bool = False, validate: bool = False,
         results.compile_timing = render_compile_timing(quick=quick,
                                                        config=config)
     return results
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="use reduced kernel sizes for a fast run")
-    parser.add_argument("--validate", action="store_true",
-                        help="cross-check every kernel against its reference")
-    parser.add_argument("--timing", action="store_true",
-                        help="append per-pass / per-phase compile timing "
-                             "breakdowns")
-    arguments = parser.parse_args()
-    print(run_all(quick=arguments.quick, validate=arguments.validate,
-                  timing=arguments.timing).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -26,8 +26,8 @@ With a persistent store (:attr:`FlowConfig.store_dir`), a store hit
 decodes, analyzes and imports nothing until something reads it: the
 ``optimized`` stage parses its stored IR on the first read of the value
 (:class:`Artifact`), the ``verilog`` stage lowers only when its design is
-read (:class:`VerilogArtifact`), and :meth:`Flow.simulate` takes the static
-done cycle that decides ``vector`` from the stored simulator image.
+read (:class:`VerilogArtifact`), and a ``vector`` simulate takes the static
+done cycle it checks its run against from the stored simulator image.
 
 Configuration lives in one place, :class:`FlowConfig`, with a single
 documented precedence (highest wins):

@@ -10,9 +10,6 @@ The names below are re-exported lazily: importing one submodule (say
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.ir.analysis": ("AnalysisManager", "DefUseInfo", "LevelizationInfo",
-                          "LoopInfo", "PRESERVE_ALL", "register_analysis",
-                          "registered_analyses"),
     "repro.ir.attributes": ("ArrayAttr", "Attribute", "BoolAttr", "FloatAttr",
                             "IntegerAttr", "StringAttr", "SymbolRefAttr",
                             "TypeAttr", "attr", "int_of", "ints_of"),

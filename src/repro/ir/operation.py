@@ -43,8 +43,6 @@ class Operation:
         self.parent_block: Optional[Block] = None
         self._operands: List[Value] = []
         self.attributes: Dict[str, Attribute] = {}
-        #: Cached structural signature for CSE; invalidated on mutation.
-        self._cse_signature: Optional[tuple] = None
         self.results: List[OpResult] = [
             OpResult(self, i, t) for i, t in enumerate(result_types)
         ]
@@ -66,14 +64,12 @@ class Operation:
         index = len(self._operands)
         self._operands.append(value)
         value._add_use(Use(self, index))
-        self._cse_signature = None
 
     def set_operand(self, index: int, value: Value) -> None:
         old = self._operands[index]
         old._remove_use(self, index)
         self._operands[index] = value
         value._add_use(Use(self, index))
-        self._cse_signature = None
 
     def operand(self, index: int) -> Value:
         return self._operands[index]
@@ -108,40 +104,9 @@ class Operation:
 
     def set_attr(self, key: str, value: AttributeValue) -> None:
         self.attributes[key] = attr(value)
-        self._cse_signature = None
 
     def has_attr(self, key: str) -> bool:
         return key in self.attributes
-
-    # -- CSE signature --------------------------------------------------------
-    def _invalidate_signature(self) -> None:
-        self._cse_signature = None
-
-    def cse_signature(self) -> tuple:
-        """Hashable structural signature: two pure ops with equal signatures
-        compute the same value.
-
-        Operands are compared by identity (SSA values), attributes and result
-        types by their interned objects.  The signature is cached and
-        invalidated whenever operands, attributes or result types change, so
-        repeated CSE/pipeline runs do not recompute it.
-        """
-        signature = self._cse_signature
-        if signature is None:
-            operand_ids = tuple(id(operand) for operand in self._operands)
-            if getattr(self, "COMMUTATIVE", False):
-                operand_ids = tuple(sorted(operand_ids))
-            signature = (
-                self.name,
-                operand_ids,
-                # Attributes compare by printed form, not ==: floats 0.0 and
-                # -0.0 are == but print differently and must not CSE-merge.
-                # The str() cost is paid once per op thanks to the cache.
-                tuple(sorted((k, str(v)) for k, v in self.attributes.items())),
-                tuple(r.type for r in self.results),
-            )
-            self._cse_signature = signature
-        return signature
 
     # -- regions ---------------------------------------------------------------
     def region(self, index: int = 0) -> Region:
@@ -215,7 +180,6 @@ class Operation:
         cloned.location = self.location
         cloned.parent_block = None
         cloned.attributes = dict(self.attributes)  # attributes are immutable
-        cloned._cse_signature = None
         cloned._operands = []
         cloned.results = []
         for index, old_res in enumerate(self.results):

@@ -3,28 +3,23 @@
 Modelled after MLIR's pass manager, trimmed down to what the HIR compiler and
 the baseline HLS compiler need: module-level passes run in sequence, each pass
 can record statistics (e.g. "ops removed by CSE"), and the manager can verify
-the IR after each pass.
-
-The manager also owns an :class:`~repro.ir.analysis.AnalysisManager`: passes
-reach cached analyses through ``self.analyses`` and declare which analyses
-they keep valid via ``PRESERVES``; everything else is invalidated after the
-pass runs.  ``timing_report()`` is the ``--timing``-style breakdown: per-pass
-transform and verifier seconds, pass statistics, and analysis cache hit/miss
-counts.
+the IR after each pass.  A pass computes what it needs from the module it is
+given; nothing is cached between passes.  ``timing_report()`` is the
+``--timing``-style breakdown: per-pass transform and verifier seconds and
+pass statistics.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.ir.analysis import AnalysisManager, PRESERVE_ALL
 from repro.ir.operation import Operation
 from repro.ir.verifier import verify
 from repro.obs.tracer import TRACER
 
-__all__ = ["Pass", "PassManager", "PassTiming", "PRESERVE_ALL"]
+__all__ = ["Pass", "PassManager", "PassTiming"]
 
 
 class Pass:
@@ -33,16 +28,8 @@ class Pass:
     #: Human-readable pass name, used in statistics and timing reports.
     name: str = "unnamed-pass"
 
-    #: Analyses (by name) this pass keeps valid; the pass manager invalidates
-    #: every other cached analysis after the pass runs.  Analysis-only passes
-    #: can declare :data:`~repro.ir.analysis.PRESERVE_ALL`.
-    PRESERVES: Tuple[str, ...] = ()
-
     def __init__(self) -> None:
         self.statistics: Dict[str, int] = {}
-        #: Set by the pass manager before ``run``; passes may use it to fetch
-        #: cached analyses (``self.analyses.get("loop-info", module)``).
-        self.analyses: Optional[AnalysisManager] = None
 
     def run(self, module: Operation) -> None:  # pragma: no cover - abstract
         raise NotImplementedError(
@@ -72,7 +59,6 @@ class PassManager:
         self.passes: List[Pass] = []
         self.verify_each = verify_each
         self.timings: List[PassTiming] = []
-        self.analysis_manager = AnalysisManager()
 
     def add(self, *passes: Pass) -> "PassManager":
         self.passes.extend(passes)
@@ -86,11 +72,8 @@ class PassManager:
         run, not a stale accumulation over all previous runs.
         """
         self.timings = []
-        analyses = self.analysis_manager
-        analyses.clear()
         for pass_ in self.passes:
             pass_.statistics = {}
-            pass_.analyses = analyses
             start = time.perf_counter()
             with TRACER.span("pass", cat="pass", name_=pass_.name):
                 pass_.run(module)
@@ -104,7 +87,6 @@ class PassManager:
                 PassTiming(pass_.name, elapsed, dict(pass_.statistics),
                            verify_elapsed)
             )
-            analyses.invalidate_all_except(pass_.PRESERVES)
             TRACER.count("pass.runs")
             for key, value in pass_.statistics.items():
                 TRACER.count(f"pass.{pass_.name}.{key}", value)
@@ -127,11 +109,6 @@ class PassManager:
         lines.append(
             f"{'total':<32} {total * 1e3:8.3f} ms"
             f"  (+{total_verify * 1e3:.3f} ms verify)"
-        )
-        manager = self.analysis_manager
-        lines.append(
-            f"analysis cache: {manager.hits} hits, {manager.misses} misses, "
-            f"{manager.invalidations} invalidations"
         )
         return "\n".join(lines)
 

@@ -31,27 +31,13 @@ class Value:
     """Base class for SSA values."""
 
     def __init__(self, type: Type, name_hint: Optional[str] = None) -> None:
-        self._type = type
+        self.type = type
         self.name_hint = name_hint
         # Uses keyed by (operation identity, operand index): add/remove are
         # O(1) while insertion order — what passes iterate — is preserved.
         # The Use holds a strong reference to the operation, so the id() key
         # stays unambiguous for the lifetime of the entry.
         self._uses: Dict[Tuple[int, int], Use] = {}
-
-    # -- type -------------------------------------------------------------
-    @property
-    def type(self) -> Type:
-        return self._type
-
-    @type.setter
-    def type(self, new_type: Type) -> None:
-        # Changing a result type (precision optimization) invalidates the
-        # defining operation's cached CSE signature.
-        self._type = new_type
-        owner = getattr(self, "operation", None)
-        if owner is not None:
-            owner._invalidate_signature()
 
     # -- use tracking -----------------------------------------------------
     @property

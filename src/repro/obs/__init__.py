@@ -7,8 +7,8 @@ The observability layer the rest of the toolchain reports into:
   Off by default, ~free when off; enable per Flow session with
   ``FlowConfig(trace=True)``, per block with :func:`tracing`, or from the
   CLI with ``--trace out.json``.
-* :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto), flat
-  JSONL, and the human stats tree.
+* :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto) and the
+  human stats tree.
 * :mod:`~repro.obs.cachestats` — one registry enumerating every in-memory
   cache (sim compile cache, DSE memo, Flow stages) with capacity/size/
   hit-rate; the substrate of ``python -m repro stats``.
@@ -30,9 +30,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.obs.cachestats": ("CacheStats", "all_cache_stats", "register_cache",
                              "render_cache_report"),
-    "repro.obs.export": ("chrome_trace_from_jsonl", "read_jsonl", "stats_tree",
-                         "to_chrome_trace", "to_jsonl_lines",
-                         "write_chrome_trace", "write_jsonl"),
+    "repro.obs.export": ("stats_tree", "to_chrome_trace",
+                         "write_chrome_trace"),
     "repro.obs.metrics": ("SCHEMA_VERSION", "bench_payload",
                           "validate_bench_payload"),
     "repro.obs.simprofile": ("BatchSimProfiler", "MemProfile", "PortProfile",

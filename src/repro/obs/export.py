@@ -1,24 +1,19 @@
 """Exporters for :class:`~repro.obs.tracer.Tracer` recordings.
 
-Three formats, all derived from the same span/counter/event records:
+Two formats, both derived from the same span/counter/event records:
 
 * :func:`to_chrome_trace` — Chrome ``trace_event`` JSON (the ``{"traceEvents":
   [...]}`` array form), loadable in ``chrome://tracing`` and
   https://ui.perfetto.dev.  Spans become complete ``"X"`` events with
   microsecond timestamps, counters become ``"C"`` events, ring-buffer events
   become instants.
-* :func:`to_jsonl_lines` / :func:`write_jsonl` — a flat, line-per-record JSON
-  log (kind-tagged), convenient for grep and downstream tooling.  The JSONL
-  form is lossless: :func:`chrome_trace_from_jsonl` rebuilds the exact Chrome
-  trace from it (the round-trip the tier-1 suite asserts).
 * :func:`stats_tree` — a human-readable tree aggregating spans by call path
   with counts and total/self time, plus the counter and gauge tables.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.tracer import Tracer
 
@@ -98,67 +93,6 @@ def write_chrome_trace(path: str, tracer: Optional[Tracer] = None) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# JSONL
-# --------------------------------------------------------------------------- #
-
-
-def to_jsonl_lines(tracer: Tracer) -> List[str]:
-    """One kind-tagged JSON object per line (spans, events, counters,
-    gauges), in deterministic order."""
-    lines = []
-    for span in tracer.spans:
-        lines.append(json.dumps({"kind": "span", **span}, sort_keys=True))
-    for record in tracer.events:
-        lines.append(json.dumps({"kind": "event", **record}, sort_keys=True))
-    for name in sorted(tracer.counters):
-        lines.append(json.dumps({"kind": "counter", "name": name,
-                                 "value": tracer.counters[name]},
-                                sort_keys=True))
-    for name in sorted(tracer.gauges):
-        lines.append(json.dumps({"kind": "gauge", "name": name,
-                                 "value": tracer.gauges[name]},
-                                sort_keys=True))
-    return lines
-
-
-def write_jsonl(path: str, tracer: Optional[Tracer] = None) -> str:
-    from repro.obs.tracer import TRACER
-    from repro.store.io import atomic_write_text
-    lines = to_jsonl_lines(tracer or TRACER)
-    return atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
-def read_jsonl(source: Any) -> List[Dict[str, Any]]:
-    """Parse JSONL records from a path or an iterable of lines."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines: Iterable[str] = handle.readlines()
-    else:
-        lines = source
-    return [json.loads(line) for line in lines if line.strip()]
-
-
-def chrome_trace_from_jsonl(records: Sequence[Mapping[str, Any]]
-                            ) -> Dict[str, Any]:
-    """Rebuild the Chrome trace from JSONL records (lossless round-trip:
-    equals :func:`to_chrome_trace` of the tracer the JSONL came from)."""
-    replay = Tracer()
-    for record in records:
-        kind = record.get("kind")
-        if kind == "span":
-            replay.spans.append({key: value for key, value in record.items()
-                                 if key != "kind"})
-        elif kind == "event":
-            replay.events.append({key: value for key, value in record.items()
-                                  if key != "kind"})
-        elif kind == "counter":
-            replay.counters[record["name"]] = record["value"]
-        elif kind == "gauge":
-            replay.gauges[record["name"]] = record["value"]
-    return to_chrome_trace(replay)
-
-
-# --------------------------------------------------------------------------- #
 # Human stats tree
 # --------------------------------------------------------------------------- #
 
@@ -201,11 +135,7 @@ def stats_tree(tracer: Optional[Tracer] = None) -> str:
 
 
 __all__ = [
-    "chrome_trace_from_jsonl",
-    "read_jsonl",
     "stats_tree",
     "to_chrome_trace",
-    "to_jsonl_lines",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -13,25 +13,17 @@ it safe to leave in hot paths:
   lock; the open-span stack is thread-local, so spans nest correctly per
   thread and carry a stable small ``tid``.
 
-Export lives in :mod:`repro.obs.export` (Chrome ``trace_event`` JSON, JSONL,
+Export lives in :mod:`repro.obs.export` (Chrome ``trace_event`` JSON and a
 human stats tree).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Deque, Dict, List
-
-
-def _ring_capacity() -> int:
-    try:
-        return max(16, int(os.environ.get("REPRO_OBS_EVENTS", "4096")))
-    except ValueError:
-        return 4096
 
 
 class _NullSpan:
@@ -104,7 +96,8 @@ class Tracer:
         self.spans: List[Dict[str, Any]] = []
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.events: Deque[Dict[str, Any]] = deque(maxlen=_ring_capacity())
+        #: The event ring keeps the latest 4096 events.
+        self.events: Deque[Dict[str, Any]] = deque(maxlen=4096)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._tids: Dict[int, int] = {}

@@ -108,7 +108,6 @@ class CanonicalizePass(Pass):
     """Apply local simplifications, unique constants, and run DCE."""
 
     name = "canonicalize"
-    PRESERVES = ("loop-info",)  # loops are never erased, only their bodies
 
     def run(self, module: Operation) -> None:
         for func in functions_in(module):

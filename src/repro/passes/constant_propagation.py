@@ -88,7 +88,6 @@ class ConstantPropagationPass(Pass):
     """Fold constant expressions to ``hir.constant`` until a fixpoint."""
 
     name = "constant-propagation"
-    PRESERVES = ("loop-info",)
 
     def run(self, module: Operation) -> None:
         for func in functions_in(module):

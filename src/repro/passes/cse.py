@@ -21,21 +21,29 @@ Signature = Tuple
 
 
 def _signature(op: Operation) -> Signature:
-    """The op's structural signature.
+    """Hashable structural signature: two pure ops with equal signatures
+    compute the same value.
 
-    Delegates to :meth:`Operation.cse_signature`, which caches the tuple and
-    invalidates it on mutation — with interned types/attributes the signature
-    compares by identity, so repeated CSE runs cost hash lookups, not string
-    formatting of every attribute and type.
+    Operands compare by identity (SSA values) and result types by their
+    interned objects.  Attributes compare by printed form, not ``==``: the
+    floats 0.0 and -0.0 are equal but print differently and must not merge.
     """
-    return op.cse_signature()
+    operand_ids = tuple(id(operand) for operand in op.operands)
+    if getattr(op, "COMMUTATIVE", False):
+        operand_ids = tuple(sorted(operand_ids))
+    return (
+        op.name,
+        operand_ids,
+        tuple(sorted((key, str(value))
+                     for key, value in op.attributes.items())),
+        tuple(result.type for result in op.results),
+    )
 
 
 class CSEPass(Pass):
     """Eliminate duplicate pure operations."""
 
     name = "cse"
-    PRESERVES = ("loop-info",)
 
     def run(self, module: Operation) -> None:
         for func in functions_in(module):

@@ -84,7 +84,6 @@ class DelayEliminationPass(Pass):
     """Remove redundant ``hir.delay`` operations and share shift registers."""
 
     name = "delay-elimination"
-    PRESERVES = ("loop-info",)
 
     def run(self, module: Operation) -> None:
         for func in functions_in(module):

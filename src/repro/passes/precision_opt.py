@@ -135,31 +135,19 @@ class PrecisionOptimizationPass(Pass):
     """Narrow integer widths using value-range analysis."""
 
     name = "precision-optimization"
-    #: Only value types change; the loop structure is untouched.
-    PRESERVES = ("loop-info",)
 
     def run(self, module: Operation) -> None:
-        # The loop forest comes from the shared analysis cache when a pass
-        # manager drives us (earlier pipeline passes preserve it).
-        loop_info = (self.analyses.get("loop-info", module)
-                     if self.analyses is not None else None)
         for func in functions_in(module):
-            self._run_on_function(func, loop_info)
+            self._run_on_function(func)
 
-    def _run_on_function(self, func: FuncOp, loop_info=None) -> None:
+    def _run_on_function(self, func: FuncOp) -> None:
         analysis = RangeAnalysis(func)
         ranges = analysis.run()
         # Narrow loop induction variables first (defs are processed before
         # uses, so dependent delays pick up the new width below).
-        if loop_info is not None:
-            for_ops = [nest.loop for nest in loop_info.loops
-                       if isinstance(nest.loop, ForOp)
-                       and any(ancestor is func
-                               for ancestor in nest.loop.ancestors())]
-        else:
-            for_ops = [op for op in func.walk() if isinstance(op, ForOp)]
-        for op in for_ops:
-            self._narrow_induction_var(op, ranges)
+        for op in func.walk():
+            if isinstance(op, ForOp):
+                self._narrow_induction_var(op, ranges)
         for op in func.walk():
             if isinstance(op, DelayOp):
                 self._narrow_delay(op, ranges)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.ir.analysis import PRESERVE_ALL
 from repro.ir.errors import ScheduleError
 from repro.ir.location import Location
 from repro.ir.module import ModuleOp
@@ -427,8 +426,6 @@ class ScheduleVerifierPass(Pass):
     """Pass wrapper: verify the schedule of every function in a module."""
 
     name = "schedule-verifier"
-    #: Analysis-only: the module is not mutated, so cached analyses survive.
-    PRESERVES = PRESERVE_ALL
 
     def __init__(self, raise_on_error: bool = True) -> None:
         super().__init__()

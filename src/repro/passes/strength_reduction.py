@@ -121,7 +121,6 @@ class StrengthReductionPass(Pass):
     """Rewrite multiplications by constants into shifts and adds."""
 
     name = "strength-reduction"
-    PRESERVES = ("loop-info",)
 
     #: Maximum number of set bits in the constant for the shift/add rewrite.
     max_terms = MAX_TERMS

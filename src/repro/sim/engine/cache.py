@@ -25,8 +25,8 @@ working.
 Under :func:`persist_compiled`, every generated program is also read through
 the artifact store's ``simcode`` tier as one marshal'd module code object
 (:func:`compiled_program`); the fused run's blob pairs it with the run's
-simulator image, which also records the static done cycle that
-:meth:`repro.flow.Flow.simulate` chooses the engine by.  For the step
+simulator image, which also records the static done cycle that the run's
+observed ``done`` cycle is checked against.  For the step
 functions and the fused run that module holds shapes plus an instance table
 (:mod:`repro.sim.engine.codegen`), and the ``compile_*`` loader that turns
 it into functions runs as the store's decoder, so a stored code object (or

@@ -4,13 +4,36 @@ A typo in a ``REPRO_*`` tuning knob must be a one-line error at parse time
 (exit 2), never a silent fallback to a default — and never a traceback.
 """
 
+import ast
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.__main__ import main
-from repro.envcheck import environment_error, validate_environment
+from repro.envcheck import (
+    VALIDATED_VARS,
+    environment_error,
+    validate_environment,
+)
 
 
 class TestValidateEnvironment:
+    def test_every_variable_the_source_names_is_validated(self):
+        """Each ``"REPRO_..."`` string literal in ``src/repro`` is a key of
+        ``VALIDATED_VARS``, so no variable can fall back silently."""
+        names = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                           str(path))):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)):
+                    names.add(node.value)
+        assert names
+        assert names - set(VALIDATED_VARS) == set()
+
     def test_empty_environment_is_clean(self):
         assert validate_environment({}) == []
         assert environment_error({}) is None

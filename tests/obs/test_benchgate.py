@@ -9,8 +9,6 @@ and both CLI exit modes against synthetic payloads.
 import json
 import os
 
-import pytest
-
 from repro.obs.benchgate import (compare, load_records, main, new_records,
                                  slowdown)
 from repro.obs.metrics import bench_payload

@@ -1,9 +1,8 @@
-"""Exporters: Chrome trace shape, JSONL round-trip, full-Flow-session trace.
+"""Exporters: Chrome trace shape, full-Flow-session trace, stats tree.
 
-The tier-1 contract of satellite 4: a complete Flow session (build →
-optimize → codegen → simulate) produces a Chrome-loadable trace with
-properly nested Flow-stage and engine spans, and the JSONL form is lossless
-— rebuilding the Chrome trace from it is byte-identical.
+The tier-1 contract: a complete Flow session (build → optimize → codegen →
+simulate) produces a Chrome-loadable trace with properly nested Flow-stage
+and engine spans, and the written file reads back as the same trace.
 """
 
 import json
@@ -12,15 +11,7 @@ import pytest
 
 from repro.flow import Flow, FlowConfig
 from repro.kernels import build_kernel
-from repro.obs.export import (
-    chrome_trace_from_jsonl,
-    read_jsonl,
-    stats_tree,
-    to_chrome_trace,
-    to_jsonl_lines,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.export import stats_tree, to_chrome_trace, write_chrome_trace
 from repro.obs.tracer import Tracer
 
 
@@ -73,23 +64,9 @@ class TestChromeTrace:
             assert json.load(handle)["traceEvents"]
 
 
-class TestJsonlRoundTrip:
-    def test_jsonl_lines_parse_and_tag_kinds(self, recorded):
-        records = read_jsonl(to_jsonl_lines(recorded))
-        kinds = sorted(r["kind"] for r in records)
-        assert kinds == ["counter", "event", "gauge", "span", "span"]
-
-    def test_round_trip_is_lossless(self, recorded, tmp_path):
-        direct = to_chrome_trace(recorded)
-        path = write_jsonl(str(tmp_path / "trace.jsonl"), recorded)
-        rebuilt = chrome_trace_from_jsonl(read_jsonl(path))
-        assert json.dumps(rebuilt, sort_keys=True) == \
-            json.dumps(direct, sort_keys=True)
-
-
 @pytest.mark.tier1
 class TestFlowSessionTrace:
-    """One full Flow session, exported both ways."""
+    """One full Flow session, exported as a Chrome trace."""
 
     @pytest.fixture
     def session_tracer(self, monkeypatch):
@@ -118,12 +95,10 @@ class TestFlowSessionTrace:
         assert paths["pass"] == "flow.optimized/pass"
         assert paths["sim.run"] == "flow.simulate/sim.run"
 
-        jsonl = str(tmp_path / "session.jsonl")
-        write_jsonl(jsonl, session_tracer)
-        rebuilt = chrome_trace_from_jsonl(read_jsonl(jsonl))
-        direct = to_chrome_trace(session_tracer)
-        assert json.dumps(rebuilt, sort_keys=True) == \
-            json.dumps(direct, sort_keys=True)
+        path = write_chrome_trace(str(tmp_path / "session.json"),
+                                  session_tracer)
+        with open(path) as handle:
+            assert json.load(handle) == to_chrome_trace(session_tracer)
 
         tree = stats_tree(session_tracer)
         assert "flow.optimized" in tree and "counters:" in tree

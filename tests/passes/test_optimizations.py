@@ -99,6 +99,24 @@ class TestCanonicalizeAndCSE:
         CSEPass().run(design.module)
         assert len(ops_of(design.module, AddOp)) == 1
 
+    def test_cse_keys_on_current_result_types(self):
+        """An add whose result was narrowed stays apart from an identical
+        one; once their types are equal again, a second run merges them."""
+        design = DesignBuilder("d")
+        out = MemrefType((8,), I32, port="w")
+        with design.func("f", [("x", I32), ("C", out)]) as f:
+            first = f.add(f.arg("x"), f.arg("x"))
+            second = f.add(f.arg("x"), f.arg("x"))
+            f.mem_write(first, f.arg("C"), [0], time=f.time)
+            f.mem_write(second, f.arg("C"), [1], time=f.time, offset=1)
+            f.return_()
+        second.type = IntegerType(8)
+        CSEPass().run(design.module)
+        assert len(ops_of(design.module, AddOp)) == 2
+        first.type = IntegerType(8)
+        CSEPass().run(design.module)
+        assert len(ops_of(design.module, AddOp)) == 1
+
     def test_cse_respects_commutativity(self):
         design = DesignBuilder("d")
         out = MemrefType((8,), I32, port="w")

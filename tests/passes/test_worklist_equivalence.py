@@ -1,14 +1,16 @@
 """Golden tests: worklist passes == legacy full-re-walk passes, bit for bit.
 
-The fast compile path replaces fixpoint re-walks with worklist rewriting and
-cached analyses; these tests pin its output to the seed implementations kept
-in :mod:`repro.passes.legacy` — same final IR text, same emitted Verilog —
-for every evaluation kernel.
+The fast compile path replaces fixpoint re-walks with worklist rewriting;
+these tests pin its output to the seed implementations kept in
+:mod:`repro.passes.legacy` — same final IR text, same emitted Verilog —
+for every evaluation kernel.  Code both pipelines share (precision
+optimization, ``Operation``, ``Value``, the CSE key) is pinned on its own
+by the digests in ``test_pipeline_golden.py``.
 """
 
 import pytest
 
-from repro.ir import PassManager, print_module
+from repro.ir import print_module
 from repro.ir.rewriter import PatternRewriter, RewritePattern
 from repro.kernels import build_kernel
 from repro.passes import optimization_pipeline
@@ -89,52 +91,6 @@ class TestPassManagerReporting:
         report = manager.timing_report()
         assert "verify" in report
         assert any(t.verify_seconds > 0 for t in manager.timings)
-
-    def test_timing_report_includes_analysis_cache(self):
-        artifacts = build_kernel("transpose", size=8)
-        manager = optimization_pipeline(verify_each=False)
-        manager.run(artifacts.module)
-        assert "analysis cache" in manager.timing_report()
-
-
-class TestAnalysisCache:
-    def test_preserved_analysis_survives_and_hits(self):
-        from repro.ir import Pass
-
-        class LoopCounter(Pass):
-            name = "loop-counter"
-            PRESERVES = ("loop-info",)
-
-            def run(self, module):
-                info = self.analyses.get("loop-info", module)
-                self.record("loops", len(info.loops))
-
-        artifacts = build_kernel("transpose", size=8)
-        manager = PassManager(verify_each=False)
-        manager.add(LoopCounter(), LoopCounter())
-        manager.run(artifacts.module)
-        assert manager.analysis_manager.hits == 1
-        assert manager.analysis_manager.misses == 1
-        assert (manager.timings[0].statistics["loops"]
-                == manager.timings[1].statistics["loops"] > 0)
-
-    def test_non_preserving_pass_invalidates(self):
-        from repro.ir import Pass
-
-        class Consumer(Pass):
-            name = "consumer"
-
-            def run(self, module):
-                self.analyses.get("loop-info", module)
-
-        artifacts = build_kernel("transpose", size=8)
-        manager = PassManager(verify_each=False)
-        manager.add(Consumer(), Consumer())
-        manager.run(artifacts.module)
-        # The first consumer does not declare PRESERVES, so the second
-        # recomputes: two misses, no hits.
-        assert manager.analysis_manager.misses == 2
-        assert manager.analysis_manager.hits == 0
 
 
 class TestPatternRewriterWorklist:
