@@ -464,7 +464,7 @@ def comb_source(lowered: LoweredDesign) -> str:
     (one row per ordered assignment)."""
     compiler = ExprCompiler(lowered, shaped=True)
     shapes = _ShapeTable("_sa", "v, m")
-    for index, assign in enumerate(lowered.netlist.ordered):
+    for index, assign in enumerate(lowered.ordered):
         compiler.new_scope()
         body = _SourceBuilder()
         value = compiler.expression(assign.expr, body, 1)
@@ -497,9 +497,9 @@ def comb_vector_source(lowered: LoweredDesign) -> str:
     compiler = ExprCompiler(lowered, vector=True)
     builder = _SourceBuilder()
     builder.emit(0, "def _comb(v, m):")
-    if not lowered.netlist.ordered:
+    if not lowered.ordered:
         builder.emit(1, "pass")
-    for index, assign in enumerate(lowered.netlist.ordered):
+    for index, assign in enumerate(lowered.ordered):
         target = lowered.assign_targets[index]
         mask = lowered.assign_masks[index]
         body = compiler.expression(assign.expr, builder, 1)

@@ -50,7 +50,7 @@ class CompiledSimulator:
         self._num_assigns = self.lowered.num_assigns
         self._assign_targets = self.lowered.assign_targets
         self._slot_fanout = self.lowered.slot_fanout
-        self._slot_driver = self.lowered.slot_driver
+        self._slot_marks = self.lowered.slot_marks
         self._mem_fanout = self.lowered.mem_fanout
         self._mem_masks = [(1 << width) - 1 for width in self.lowered.mem_widths]
         self._input_masks = {name: (1 << width) - 1
@@ -113,18 +113,15 @@ class CompiledSimulator:
 
     def _write_external(self, slot: int, value: int) -> None:
         """A write from outside the combinational core: ``set``, a register
-        commit or an external model.  Marks readers dirty; if the slot is
-        also assign-driven, re-arms its driver so the next ``eval_comb``
-        restores continuous-assignment semantics (as the interpreter's full
-        re-evaluation would)."""
+        commit or an external model.  Marks dirty the slot's marks from
+        lowering: its readers and, if the slot is also assign-driven, its
+        driver, so the next ``eval_comb`` restores continuous-assignment
+        semantics (as the interpreter's full re-evaluation would)."""
         if self._values[slot] == value:
             return
         self._values[slot] = value
-        for reader in self._slot_fanout[slot]:
-            self._mark_assign(reader)
-        driver = self._slot_driver.get(slot)
-        if driver is not None:
-            self._mark_assign(driver)
+        for index in self._slot_marks[slot]:
+            self._mark_assign(index)
 
     # -- evaluation --------------------------------------------------------------
     def eval_comb(self) -> None:

@@ -1,25 +1,63 @@
-"""Lower a flattened netlist into slot-indexed form for the compiled engines.
+"""Levelize a flattened netlist and lower it into slot-indexed form.
 
-The interpreter keeps simulation state in name-keyed dictionaries; the
-compiled engines instead assign every signal a dense integer *slot* and every
-memory a dense *memory index*, so generated step functions can use plain list
-indexing.  :func:`lower_design` performs that lowering once per elaboration:
+Every engine evaluates the continuous assignments in dependence order
+(:func:`order_assigns`).  The interpreter keeps simulation state in
+name-keyed dictionaries; the compiled engines instead assign every signal a
+dense integer *slot* and every memory a dense *memory index*, so generated
+step functions can use plain list indexing.  :func:`lower_design` performs
+that lowering once per elaboration, in one walk of each ordered
+assignment's expression:
 
 * allocate slots for every declared wire/register **and** every name the
   design merely references (undriven references read as 0, exactly like the
   interpreter's ``signals.get(name, 0)``),
 * precompute the reset value and masking width of each slot,
-* levelize the continuous assignments (via :mod:`repro.verilog.analysis`)
-  and translate the per-name fanout map into slot -> assignment-index lists
-  that the event-driven scheduler consumes directly.
+* record, per slot and per memory, the ordered assignments that read it
+  (the fanout the event-driven scheduler re-evaluates), and per slot its
+  *marks*: that fanout followed by the slot's driver, everything a write
+  from outside the combinational core must mark dirty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
-from repro.verilog.analysis import LevelizedNetlist, levelize
+from repro.ir.errors import SimulationError
+from repro.verilog.ast import Assign
+
+
+def order_assigns(assigns: Sequence[Assign]) -> List[Assign]:
+    """Topologically order continuous assignments by data dependence.
+
+    Raises :class:`SimulationError` on multiply-driven signals and on
+    combinational loops (with the offending cycle in the message).
+    """
+    producers: Dict[str, Assign] = {}
+    for assign in assigns:
+        if assign.target in producers:
+            raise SimulationError(
+                f"signal '{assign.target}' has multiple continuous drivers"
+            )
+        producers[assign.target] = assign
+    ordered: List[Assign] = []
+    state: Dict[str, int] = {}  # 0 unseen, 1 visiting, 2 done
+
+    def visit(target: str, chain: List[str]) -> None:
+        if state.get(target) == 2 or target not in producers:
+            return
+        if state.get(target) == 1:
+            cycle = " -> ".join(chain + [target])
+            raise SimulationError(f"combinational loop: {cycle}")
+        state[target] = 1
+        for dep in producers[target].expr.refs():
+            visit(dep, chain + [target])
+        state[target] = 2
+        ordered.append(producers[target])
+
+    for target in producers:
+        visit(target, [])
+    return ordered
 
 
 def _mask_of(width: int) -> int:
@@ -51,14 +89,17 @@ class LoweredDesign:
 
     flat: object  # the _FlatDesign this was lowered from
     slots: SlotTable = field(default_factory=SlotTable)
-    netlist: LevelizedNetlist = field(default_factory=LevelizedNetlist)
+    #: Continuous assignments in dependence order (safe to evaluate front
+    #: to back).
+    ordered: List[Assign] = field(default_factory=list)
     #: Per ordered assignment: destination slot and bake-in mask.
     assign_targets: List[int] = field(default_factory=list)
     assign_masks: List[int] = field(default_factory=list)
     #: slot -> indices of ordered assignments whose expression reads it.
     slot_fanout: List[List[int]] = field(default_factory=list)
-    #: slot -> index of the ordered assignment driving it (if any).
-    slot_driver: Dict[int, int] = field(default_factory=dict)
+    #: slot -> its fanout, then the index of the ordered assignment driving
+    #: it (if any).
+    slot_marks: List[Tuple[int, ...]] = field(default_factory=list)
     #: Memory numbering and metadata.
     mem_names: List[str] = field(default_factory=list)
     mem_of: Dict[str, int] = field(default_factory=dict)
@@ -66,12 +107,10 @@ class LoweredDesign:
     mem_depths: List[int] = field(default_factory=list)
     #: memory index -> indices of assignments reading it through MemIndex.
     mem_fanout: List[List[int]] = field(default_factory=list)
-    #: Per clocked NonBlockingAssign target: masking width (interpreter rule).
-    reg_masks: Dict[int, int] = field(default_factory=dict)
 
     @property
     def num_assigns(self) -> int:
-        return len(self.netlist.ordered)
+        return len(self.ordered)
 
     def assign_mask_for(self, target: str) -> int:
         """The interpreter's continuous-assignment mask: wire width, else
@@ -89,8 +128,9 @@ class LoweredDesign:
 
 def lower_design(flat) -> LoweredDesign:
     """Lower an elaborated ``_FlatDesign`` into slot-indexed form."""
-    lowered = LoweredDesign(flat=flat)
+    lowered = LoweredDesign(flat=flat, ordered=order_assigns(flat.assigns))
     slots = lowered.slots
+    mem_of = lowered.mem_of
 
     # Declared state first (register inits override wire zeros, like reset()).
     for name in flat.wires:
@@ -101,44 +141,35 @@ def lower_design(flat) -> LoweredDesign:
 
     # Memories live in their own namespace, mirroring Simulator.memories.
     for name, (width, depth) in flat.memories.items():
-        lowered.mem_of[name] = len(lowered.mem_names)
+        mem_of[name] = len(lowered.mem_names)
         lowered.mem_names.append(name)
         lowered.mem_widths.append(width)
         lowered.mem_depths.append(depth)
         lowered.mem_fanout.append([])
 
-    # Levelize the combinational logic and allocate slots for every name the
-    # design references, declared or not.
-    lowered.netlist = levelize(flat.assigns)
-    for assign in lowered.netlist.ordered:
-        slots.slot(assign.target)
-        for dep in assign.expr.refs():
-            if dep not in lowered.mem_of:
-                slots.slot(dep)
-    for stmt in flat.clocked:
-        for name in stmt.reads():
-            if name not in lowered.mem_of:
-                slots.slot(name)
-        for name in stmt.writes():
-            if name not in lowered.mem_of:
-                slots.slot(name)
-
-    for index, assign in enumerate(lowered.netlist.ordered):
-        lowered.assign_targets.append(slots.slot_of[assign.target])
+    # Allocate a slot for every name the design references, declared or
+    # not, recording who reads each slot and memory on the way.
+    readers: Dict[int, List[int]] = {}
+    for index, assign in enumerate(lowered.ordered):
+        lowered.assign_targets.append(slots.slot(assign.target))
         lowered.assign_masks.append(lowered.assign_mask_for(assign.target))
+        for name in assign.expr.refs():
+            memory = mem_of.get(name)
+            if memory is None:
+                readers.setdefault(slots.slot(name), []).append(index)
+            else:
+                lowered.mem_fanout[memory].append(index)
+    for stmt in flat.clocked:
+        for name in (*stmt.reads(), *stmt.writes()):
+            if name not in mem_of:
+                slots.slot(name)
 
-    lowered.slot_fanout = [[] for _ in slots.names]
-    for name, readers in lowered.netlist.fanout.items():
-        if name in lowered.mem_of:
-            continue
-        lowered.slot_fanout[slots.slot_of[name]] = list(readers)
-    for name, readers in lowered.netlist.memory_fanout.items():
-        if name in lowered.mem_of:
-            lowered.mem_fanout[lowered.mem_of[name]] = list(readers)
-    for name, driver in lowered.netlist.driver.items():
-        lowered.slot_driver[slots.slot_of[name]] = driver
-
+    lowered.slot_fanout = [readers.get(slot, [])
+                           for slot in range(len(slots.names))]
+    lowered.slot_marks = [tuple(fanout) for fanout in lowered.slot_fanout]
+    for index, target in enumerate(lowered.assign_targets):
+        lowered.slot_marks[target] += (index,)
     return lowered
 
 
-__all__ = ["LoweredDesign", "SlotTable", "lower_design"]
+__all__ = ["LoweredDesign", "SlotTable", "lower_design", "order_assigns"]

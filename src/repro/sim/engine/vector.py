@@ -411,21 +411,14 @@ def _image_of(lowered: LoweredDesign) -> Dict[str, Any]:
     :func:`run_design_vector` read, as plain ``marshal``-able values.
 
     The tables the program indexes at run time are assignment targets,
-    per-slot fanout, fanout-plus-driver mark lists, per-memory fanout and
-    masks, and clocked-process sensitivity.  Beside them sit the counts,
-    the slot reset values, the memory depths, the top-level input widths and
-    the declared signal and memory names.  Declared signals are the leading
-    slots (:func:`~repro.sim.engine.levelize.lower_design` allocates wires
-    and registers first), so their names alone map names to slots.
+    per-slot fanout, the per-slot fanout-plus-driver marks lowering built,
+    per-memory fanout and masks, and clocked-process sensitivity.  Beside
+    them sit the counts, the slot reset values, the memory depths, the
+    top-level input widths and the declared signal and memory names.
+    Declared signals are the leading slots
+    (:func:`~repro.sim.engine.levelize.lower_design` allocates wires and
+    registers first), so their names alone map names to slots.
     """
-    marks = []
-    for slot in range(len(lowered.slots.names)):
-        entries = tuple(lowered.slot_fanout[slot])
-        driver = lowered.slot_driver.get(slot)
-        if driver is not None:
-            entries += (driver,)
-        marks.append(entries)
-
     # Clocked-process sensitivity: slot / on-chip memory -> the processes
     # that read it.  Processes that (may) write the same register or memory
     # form one conflict group and are always marked together — re-running a
@@ -469,7 +462,7 @@ def _image_of(lowered: LoweredDesign) -> Dict[str, Any]:
     return {
         "_TARGETS": lowered.assign_targets,
         "_FANOUT": lowered.slot_fanout,
-        "_MARKS": marks,
+        "_MARKS": lowered.slot_marks,
         "_MFAN": lowered.mem_fanout,
         "_MM": tuple((1 << width) - 1 for width in lowered.mem_widths),
         "_PSLOT": [tuple(sorted(pids)) for pids in pslot],

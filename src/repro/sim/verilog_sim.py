@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir.errors import SimulationError
-from repro.verilog.analysis import order_assigns
+from repro.sim.engine.levelize import order_assigns
 from repro.verilog.ast import (
     AlwaysFF,
     Assign,

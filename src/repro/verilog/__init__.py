@@ -13,9 +13,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                           "NonBlockingAssign", "OUTPUT", "Port", "Ref",
                           "RegDecl", "Ternary", "UnOp", "Wire", "const",
                           "or_reduce", "ref"),
-    "repro.verilog.codegen": ("CodegenOptions", "CodegenResult",
-                              "FunctionLowering", "VerilogCodeGenerator",
-                              "generate_verilog_impl"),
+    "repro.verilog.codegen": ("CodegenResult", "FunctionLowering",
+                              "VerilogCodeGenerator", "generate_verilog_impl"),
     "repro.verilog.emitter": ("emit_design", "emit_expr", "emit_module"),
     "repro.verilog.fsm": ("LoopController", "LoopSignals", "PulseGenerator"),
     "repro.verilog.memory": ("MemAccess", "MemoryLowering",

@@ -68,7 +68,7 @@ from repro.verilog.ast import (
     Ref,
     Ternary,
 )
-from repro.verilog.fsm import LoopController, LoopSignals, PulseGenerator
+from repro.verilog.fsm import LoopController, PulseGenerator
 from repro.verilog.memory import (
     MemAccess,
     MemoryLowering,
@@ -99,15 +99,6 @@ _CMP_OPERATORS = {
 
 
 @dataclass
-class CodegenOptions:
-    """Tunable behaviour of the code generator."""
-
-    #: Print the HIR location of every scheduled operation as a comment
-    #: (Section 5.5: mapping Verilog back to HIR for timing closure).
-    emit_location_comments: bool = True
-
-
-@dataclass
 class CodegenResult:
     """The generated design plus code-generation statistics."""
 
@@ -126,11 +117,9 @@ def width_of(value: Value) -> int:
 class FunctionLowering:
     """Lowers one ``hir.func`` to a Verilog module."""
 
-    def __init__(self, module: ModuleOp, func: FuncOp,
-                 options: CodegenOptions) -> None:
+    def __init__(self, module: ModuleOp, func: FuncOp) -> None:
         self.module = module
         self.func = func
-        self.options = options
         self.vmod = Module(func.symbol_name)
         self.vmod.header_comments.append(f"generated from hir.func @{func.symbol_name}")
         self.namer = SignalNamer()
@@ -139,7 +128,6 @@ class FunctionLowering:
         self.loops: Optional[LoopController] = None
         self.memory: Optional[MemoryLowering] = None
         self.value_expr: Dict[int, Expr] = {}
-        self.loop_signals: Dict[int, LoopSignals] = {}
         self.loop_prewires: Dict[int, Tuple[str, str, str]] = {}
         self._delay_chains: Dict[Tuple[int, int, int], List[str]] = {}
         self._delay_clock = None
@@ -239,8 +227,9 @@ class FunctionLowering:
             self._lower_op(op)
 
     def _location_comment(self, op: Operation) -> None:
-        if self.options.emit_location_comments:
-            self.vmod.add_comment(f"{op.name} at {op.location}")
+        """Print the HIR location of ``op`` as a comment (Section 5.5:
+        mapping Verilog back to HIR for timing closure)."""
+        self.vmod.add_comment(f"{op.name} at {op.location}")
 
     def _lower_op(self, op: Operation) -> None:
         if isinstance(op, (ConstantOp, AllocOp, YieldOp)):
@@ -429,7 +418,6 @@ class FunctionLowering:
             done_wire,
         )
         self._bind(op.induction_var, Ref(signals.induction_var))
-        self.loop_signals[id(op)] = signals
         self._lower_block(op.body.operations)
         yield_op = op.yield_op()
         assert yield_op is not None  # enforced by the op verifier
@@ -495,9 +483,8 @@ class FunctionLowering:
 class VerilogCodeGenerator:
     """Translate a module of HIR functions into a Verilog design."""
 
-    def __init__(self, module: ModuleOp, options: Optional[CodegenOptions] = None) -> None:
+    def __init__(self, module: ModuleOp) -> None:
         self.module = module
-        self.options = options or CodegenOptions()
 
     def generate(self, top: Optional[str] = None) -> CodegenResult:
         start_time = time.perf_counter()
@@ -514,7 +501,7 @@ class VerilogCodeGenerator:
                 design.add(self._external_shell(func))
                 statistics["external-functions"] += 1
                 continue
-            lowering = FunctionLowering(work, func, self.options)
+            lowering = FunctionLowering(work, func)
             design.add(lowering.lower())
             statistics["functions"] += 1
         elapsed = time.perf_counter() - start_time
@@ -552,9 +539,8 @@ class VerilogCodeGenerator:
         return module
 
 
-def generate_verilog_impl(module: ModuleOp, top: Optional[str] = None,
-                          options: Optional[CodegenOptions] = None,
-                          ) -> CodegenResult:
+def generate_verilog_impl(module: ModuleOp,
+                          top: Optional[str] = None) -> CodegenResult:
     """Run the code generator over ``module`` (the core that
     :meth:`repro.flow.Flow.verilog` is built on)."""
-    return VerilogCodeGenerator(module, options).generate(top)
+    return VerilogCodeGenerator(module).generate(top)

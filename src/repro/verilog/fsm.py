@@ -71,11 +71,8 @@ class PulseGenerator:
 class LoopSignals:
     """Signals exposed by a generated loop controller."""
 
-    prefix: str
-    iter_pulse: str      # %ti — start of each iteration
     done_pulse: str      # the loop op's time result
     induction_var: str   # visible induction-variable value for the current iteration
-    iv_width: int
     repeat_pulse: str = ""
     last_reg: str = ""
 
@@ -149,8 +146,7 @@ class LoopController:
                 ),
             ])
         )
-        return LoopSignals(prefix, iter_pulse, done, iv, iv_width,
-                           repeat_pulse=repeat, last_reg=last_reg)
+        return LoopSignals(done, iv, repeat_pulse=repeat, last_reg=last_reg)
 
     def connect_yield(self, signals: LoopSignals, yield_pulse: str) -> None:
         """Connect the loop's yield pulse to the repeat/done decision."""

@@ -61,7 +61,7 @@ def test_gemm16_step_functions_share_their_code(monkeypatch):
     artifacts = cache.base_artifacts(flow.design, None, None)
     steps = fused.steps
     processes = fused.run.__globals__["_PROCS"]
-    assert len(steps) == len(artifacts.lowered.netlist.ordered) > 3000
+    assert len(steps) == len(artifacts.lowered.ordered) > 3000
     assert len(processes) == len(artifacts.flat.clocked) > 2000
     assert len({step.__code__ for step in steps}) <= 20
     assert len({process.__code__ for process in processes}) <= 50
@@ -190,7 +190,7 @@ def _run(design, engine):
 def test_edge_designs_match_the_interpreter(make, assigns, processes):
     from repro.sim.engine.cache import base_artifacts
     artifacts = base_artifacts(make(), None, None)
-    assert len(artifacts.lowered.netlist.ordered) == assigns
+    assert len(artifacts.lowered.ordered) == assigns
     assert len(artifacts.flat.clocked) == processes
 
     reference = _run(make(), "interpreted")

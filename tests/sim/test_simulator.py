@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import SimulationError
-from repro.sim import PipelinedMultiplierModel, Simulator
+from repro.sim import PipelinedMultiplierModel, Simulator, run_design_impl
 from repro.verilog import (
     BinOp,
     Const,
@@ -33,6 +33,31 @@ def counter_design(width=8):
            [NonBlockingAssign("count", BinOp("+", Ref("count"), Const(1, width)))])
     )
     design = Design(top="counter")
+    design.add(module)
+    return design
+
+
+def loop_design():
+    """Two wires driving each other: a combinational loop."""
+    module = Module("loop")
+    module.add_port("clk", INPUT, 1)
+    module.add_wire("a", 1)
+    module.add_wire("b", 1)
+    module.add_assign("a", Ref("b"))
+    module.add_assign("b", Ref("a"))
+    design = Design(top="loop")
+    design.add(module)
+    return design
+
+
+def multiple_driver_design():
+    """One wire with two continuous drivers."""
+    module = Module("dd")
+    module.add_port("clk", INPUT, 1)
+    module.add_wire("a", 1)
+    module.add_assign("a", Const(0, 1))
+    module.add_assign("a", Const(1, 1))
+    design = Design(top="dd")
     design.add(module)
     return design
 
@@ -166,27 +191,24 @@ class TestMemoriesAndHierarchy:
             Simulator(design)
 
     def test_combinational_loop_detected(self):
-        module = Module("loop")
-        module.add_port("clk", INPUT, 1)
-        module.add_wire("a", 1)
-        module.add_wire("b", 1)
-        module.add_assign("a", Ref("b"))
-        module.add_assign("b", Ref("a"))
-        design = Design(top="loop")
-        design.add(module)
         with pytest.raises(SimulationError, match="combinational loop"):
-            Simulator(design)
+            Simulator(loop_design())
 
     def test_multiple_drivers_detected(self):
-        module = Module("dd")
-        module.add_port("clk", INPUT, 1)
-        module.add_wire("a", 1)
-        module.add_assign("a", Const(0, 1))
-        module.add_assign("a", Const(1, 1))
-        design = Design(top="dd")
-        design.add(module)
         with pytest.raises(SimulationError, match="multiple continuous drivers"):
-            Simulator(design)
+            Simulator(multiple_driver_design())
+
+
+@pytest.mark.parametrize("engine",
+                         ["interpreted", "compiled", "differential", "vector"])
+@pytest.mark.parametrize("make, message", [
+    (loop_design, "^combinational loop: a -> b -> a$"),
+    (multiple_driver_design, "^signal 'a' has multiple continuous drivers$"),
+], ids=["loop", "multiple-drivers"])
+def test_structural_errors_on_every_engine(make, message, engine):
+    """Every engine refuses a malformed netlist with the same message."""
+    with pytest.raises(SimulationError, match=message):
+        run_design_impl(make(), engine=engine)
 
 
 class TestHandwrittenFifo:

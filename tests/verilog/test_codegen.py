@@ -7,7 +7,6 @@ from repro.ir.types import I32
 from repro.hir import DesignBuilder
 from repro.kernels import transpose, stencil1d, histogram
 from repro.verilog import (
-    CodegenOptions,
     Comment,
     Instance,
     MemoryDecl,
@@ -110,18 +109,10 @@ class TestCallsAndExternals:
 
 class TestCodegenOptions:
     def test_location_comments_emitted(self):
-        options = CodegenOptions(emit_location_comments=True)
-        result = generate_verilog_impl(transpose.build_hir(4).module, options=options)
+        result = generate_verilog_impl(transpose.build_hir(4).module)
         comments = [item.text for item in
                     result.design.module("transpose").items_of_type(Comment)]
         assert any("hir.mem_read" in text for text in comments)
-
-    def test_location_comments_suppressed(self):
-        options = CodegenOptions(emit_location_comments=False)
-        result = generate_verilog_impl(transpose.build_hir(4).module, options=options)
-        comments = [item.text for item in
-                    result.design.module("transpose").items_of_type(Comment)]
-        assert not any("hir.mem_read" in text for text in comments)
 
     def test_codegen_does_not_mutate_input(self):
         module = transpose.build_hir(4).module
