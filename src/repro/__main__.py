@@ -647,6 +647,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.envcheck import environment_error
     from repro.ir.errors import IRError
     from repro.kernels import UnknownKernelError
+    from repro.resilience import InjectedFault
 
     arguments = build_parser().parse_args(argv)
     problem = environment_error()
@@ -664,9 +665,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UnknownKernelError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except IRError as error:
+    except (IRError, InjectedFault) as error:
         # FlowError, ScheduleError, SimulationError... — user-facing tool
-        # errors with curated messages; unexpected exceptions still traceback.
+        # errors with curated messages — and faults REPRO_FAULT_PLAN
+        # injected; unexpected exceptions still traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     except OSError as error:

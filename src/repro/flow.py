@@ -88,8 +88,7 @@ PIPELINES: Tuple[str, ...] = ("optimize", "verify", "none", "legacy")
 
 #: Why :meth:`Flow.simulate` executed another engine than the one requested
 #: (the closed set behind the ``fallback_reason`` provenance key).
-FALLBACK_REASONS: Tuple[str, ...] = (
-    "external-models", "profiling", "compile-fault")
+FALLBACK_REASONS: Tuple[str, ...] = ("external-models", "profiling")
 
 #: Environment variables :meth:`FlowConfig.from_env` snapshots, mapped to the
 #: config field each one feeds.
@@ -312,12 +311,12 @@ class VerilogArtifact:
     emitted from the design on first access unless the store served it.
     The laziness rule of the ``verilog`` stage: its build lowers unless the
     store served the text.  So with no store (Table 6, ``report --timing``)
-    the stage's ``seconds`` cover lowering but not emission — comparable
-    with ``generate_verilog_impl().seconds`` — and a store miss lowers and
-    emits inside the stage.  Only a warm store defers lowering, possibly
-    forever: a ``vector`` simulate then runs from the stored simulator image
-    (:mod:`repro.sim.engine.vector`) and never reads ``design``, nor
-    ``module``, which the store serves undecoded (see :class:`Artifact`).
+    the stage's ``seconds`` time lowering but not emission, and a store
+    miss lowers and emits inside the stage.  Only a warm store defers
+    lowering, possibly forever: a ``vector`` simulate then runs from the
+    stored simulator image (:mod:`repro.sim.engine.vector`) and never reads
+    ``design``, nor ``module``, which the store serves undecoded (see
+    :class:`Artifact`).
     """
 
     def __init__(self, optimized: Artifact, top: str) -> None:
@@ -894,13 +893,11 @@ class Flow:
         default :attr:`FlowConfig.profile`) collects a
         :class:`~repro.obs.simprofile.SimProfile` into ``outcome.profile``.
 
-        :meth:`_choose_engine` picks the executing engine before the run;
-        afterwards only an injected compile fault re-runs on
-        ``interpreted``, and every other error propagates.  Provenance names
-        the ``engine`` that ran, plus ``requested`` and ``fallback_reason``
-        when that differs from the request.
+        :meth:`_choose_engine` picks the executing engine before the run,
+        and every error of the run propagates, an injected fault included.
+        Provenance names the ``engine`` that ran, plus ``requested`` and
+        ``fallback_reason`` when that differs from the request.
         """
-        from repro.resilience import InjectedFault
         from repro.sim.testbench import run_design_impl
         design_artifact = self.verilog()
         requested = self.config.resolve_engine(engine)
@@ -917,42 +914,26 @@ class Flow:
         # see, so those compiles stay private to this process.
         store = None if self.external_models else self.config.resolve_store()
         from repro.sim.engine.cache import persist_compiled
-
-        def run_engine(name):
-            return run_design_impl(
+        engine_name, reason = self._choose_engine(requested, profiler)
+        start = _time.perf_counter()
+        with TRACER.activated(self.config.trace), \
+                TRACER.span("flow.simulate", cat="flow", flow=self.name,
+                            engine=engine_name, seed=seed,
+                            fingerprint=design_artifact.fingerprint[:12]), \
+                persist_compiled(store,
+                                 self._design_key(design_artifact.fingerprint)):
+            if reason is not None:
+                self._note_substitution(requested, engine_name, reason)
+            run = run_design_impl(
                 design_artifact.value,
                 memories=memories,
                 scalar_inputs=scalars,
                 external_models=self.external_models or None,
                 drain_cycles=drain_cycles,
                 max_cycles=max_cycles,
-                engine=name,
+                engine=engine_name,
                 profiler=profiler,
             )
-
-        engine_name, reason = self._choose_engine(requested, profiler)
-        start = _time.perf_counter()
-        with TRACER.activated(self.config.trace), \
-                TRACER.span("flow.simulate", cat="flow", flow=self.name,
-                            engine=engine_name, seed=seed,
-                            fingerprint=design_artifact.fingerprint[:12]
-                            ) as span, \
-                persist_compiled(store,
-                                 self._design_key(design_artifact.fingerprint)):
-            if reason is not None:
-                self._note_substitution(requested, engine_name, reason)
-            try:
-                run = run_engine(engine_name)
-            except InjectedFault:
-                # The one post-failure substitution: an injected
-                # engine-compile fault.  The interpreter compiles nothing,
-                # so it re-runs the design; every real failure propagates.
-                if engine_name == "interpreted":
-                    raise
-                engine_name, reason = "interpreted", "compile-fault"
-                self._note_substitution(requested, engine_name, reason)
-                span.set(engine=engine_name)
-                run = run_engine(engine_name)
         seconds = _time.perf_counter() - start
         provenance = (("verilog", design_artifact.fingerprint),
                       ("engine", engine_name), ("seed", str(seed)))

@@ -76,8 +76,7 @@ ORACLES: Tuple[str, ...] = ("pipeline", "engines", "compose", "flow-cache",
 
 #: The seeded fault-plan matrix the ``faults`` oracle (and the CI chaos job)
 #: sweeps: every fault point of the store's publish/read path plus the
-#: engine-compile fault (the one post-failure engine substitution), one plan
-#: at a time.
+#: engine-compile fault (a typed error), one plan at a time.
 FAULT_PLAN_MATRIX: Tuple[str, ...] = (
     "store.write:io_error",
     "store.write:torn@2",

@@ -18,8 +18,9 @@ The analysis computes, for a single ``hir.func``:
   induction variables stay valid until the next iteration starts, i.e. for
   ``II - 1`` extra cycles; everything else is a wire valid for one cycle.
 
-Both the schedule verifier (:mod:`repro.passes.schedule_verifier`) and the
-Verilog FSM generator (:mod:`repro.verilog.fsm`) consume this analysis.
+The schedule verifier (:mod:`repro.passes.schedule_verifier`) and the
+memory-port optimization (:mod:`repro.passes.memport_opt`) consume this
+analysis.
 """
 
 from __future__ import annotations

@@ -20,16 +20,14 @@ from repro.passes.schedule_verifier import ScheduleVerifierPass
 from repro.passes.strength_reduction import StrengthReductionPass
 
 
-def verification_pipeline(raise_on_error: bool = True,
-                          verify_each: bool = True) -> PassManager:
+def verification_pipeline(verify_each: bool = True) -> PassManager:
     """Schedule verification only (no optimization)."""
     manager = PassManager(verify_each=verify_each)
-    manager.add(ScheduleVerifierPass(raise_on_error=raise_on_error))
+    manager.add(ScheduleVerifierPass())
     return manager
 
 
-def optimization_pipeline(verify_schedule: bool = True,
-                          verify_each: bool = True,
+def optimization_pipeline(verify_each: bool = True,
                           legacy: bool = False) -> PassManager:
     """The full HIR optimization pipeline used for the paper's evaluation.
 
@@ -39,8 +37,7 @@ def optimization_pipeline(verify_schedule: bool = True,
     variants must produce bit-identical IR and Verilog.
     """
     manager = PassManager(verify_each=verify_each)
-    if verify_schedule:
-        manager.add(ScheduleVerifierPass())
+    manager.add(ScheduleVerifierPass())
     if legacy:
         from repro.passes.legacy import (
             LegacyCanonicalizePass,

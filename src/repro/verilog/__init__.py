@@ -14,7 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                           "RegDecl", "Ternary", "UnOp", "Wire", "const",
                           "or_reduce", "ref"),
     "repro.verilog.codegen": ("CodegenResult", "FunctionLowering",
-                              "VerilogCodeGenerator", "generate_verilog_impl"),
+                              "generate_verilog_impl"),
     "repro.verilog.emitter": ("emit_design", "emit_expr", "emit_module"),
     "repro.verilog.fsm": ("LoopController", "LoopSignals", "PulseGenerator"),
     "repro.verilog.memory": ("MemAccess", "MemoryLowering",

@@ -18,7 +18,6 @@ The generator never mutates the input IR: it clones the module, lowers
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -53,7 +52,6 @@ from repro.hir.ops import (
     YieldOp,
     constant_value,
 )
-from repro.hir.schedule import ScheduleAnalysis
 from repro.hir.types import ConstType, MemrefType
 from repro.passes.unroll import unroll_all
 from repro.verilog.ast import (
@@ -103,7 +101,6 @@ class CodegenResult:
     """The generated design plus code-generation statistics."""
 
     design: Design
-    seconds: float
     statistics: Dict[str, int] = field(default_factory=dict)
 
 
@@ -123,10 +120,9 @@ class FunctionLowering:
         self.vmod = Module(func.symbol_name)
         self.vmod.header_comments.append(f"generated from hir.func @{func.symbol_name}")
         self.namer = SignalNamer()
-        self.info = ScheduleAnalysis(func).run()
-        self.pulses: Optional[PulseGenerator] = None
-        self.loops: Optional[LoopController] = None
-        self.memory: Optional[MemoryLowering] = None
+        self.pulses = PulseGenerator(self.vmod, self.namer)
+        self.loops = LoopController(self.vmod, self.namer)
+        self.memory = MemoryLowering(self.vmod, self.namer)
         self.value_expr: Dict[int, Expr] = {}
         self.loop_prewires: Dict[int, Tuple[str, str, str]] = {}
         self._delay_chains: Dict[Tuple[int, int, int], List[str]] = {}
@@ -156,9 +152,6 @@ class FunctionLowering:
         self._declare_control_ports()
         self._declare_argument_ports()
         self._declare_result_ports()
-        self.pulses = PulseGenerator(self.vmod, self.namer)
-        self.loops = LoopController(self.vmod, self.namer, self.pulses)
-        self.memory = MemoryLowering(self.vmod, self.namer)
         self.pulses.register_root(self.func.time_arg, "start")
         self._register_memref_arguments()
         self._preregister_loops()
@@ -197,14 +190,12 @@ class FunctionLowering:
             self.namer.reserve(name)
 
     def _register_memref_arguments(self) -> None:
-        assert self.memory is not None
         for arg, name in zip(self.func.arguments, self.func.arg_names):
             if isinstance(arg.type, MemrefType):
                 self.memory.register_interface(arg, name)
 
     def _preregister_loops(self) -> None:
         """Declare pulse wires for every loop's time variables up front."""
-        assert self.pulses is not None
         for op in self.func.walk():
             if isinstance(op, ForOp):
                 prefix = self.namer.fresh(f"loop_{op.induction_var.name_hint or 'i'}")
@@ -315,7 +306,6 @@ class FunctionLowering:
 
     # -- memory accesses -----------------------------------------------------------------
     def _access_pulse(self, op) -> str:
-        assert self.pulses is not None
         return self.pulses.pulse(op.time_operand, op.offset)
 
     def _bank_and_address(self, memref_type: MemrefType,
@@ -342,7 +332,6 @@ class FunctionLowering:
         return bank, address
 
     def _lower_mem_read(self, op: MemReadOp) -> None:
-        assert self.memory is not None
         self._location_comment(op)
         pulse = self._access_pulse(op)
         bank, address = self._bank_and_address(op.memref_type, op.indices)
@@ -353,7 +342,6 @@ class FunctionLowering:
         )
 
     def _lower_mem_write(self, op: MemWriteOp) -> None:
-        assert self.memory is not None
         self._location_comment(op)
         pulse = self._access_pulse(op)
         bank, address = self._bank_and_address(op.memref_type, op.indices)
@@ -364,7 +352,6 @@ class FunctionLowering:
 
     # -- calls -------------------------------------------------------------------------------
     def _lower_call(self, op: CallOp) -> None:
-        assert self.memory is not None and self.pulses is not None
         self._location_comment(op)
         callee = self.module.lookup(op.callee)
         if not isinstance(callee, FuncOp):
@@ -402,7 +389,6 @@ class FunctionLowering:
 
     # -- loops -------------------------------------------------------------------------------
     def _lower_for(self, op: ForOp) -> None:
-        assert self.loops is not None and self.pulses is not None
         self._location_comment(op)
         prefix, iter_wire, done_wire = self.loop_prewires[id(op)]
         start_pulse = self.pulses.pulse(op.time_operand, op.offset)
@@ -444,7 +430,6 @@ class FunctionLowering:
         sets a sticky flag; ``done`` is the AND of all flags, so it only rises
         after the slowest top-level loop/call of the function has completed.
         """
-        assert self.pulses is not None
         candidates = list(self._done_candidates)
         result_delays = self.func.result_delays
         if result_delays:
@@ -480,67 +465,54 @@ class FunctionLowering:
         self.vmod.add_assign("done", done_expr)
 
 
-class VerilogCodeGenerator:
-    """Translate a module of HIR functions into a Verilog design."""
+def _default_top(functions: List[FuncOp]) -> str:
+    """The last internal function no other function calls."""
+    internal = [f for f in functions if not f.is_external]
+    called: set[str] = set()
+    for func in internal:
+        for op in func.walk():
+            if isinstance(op, CallOp):
+                called.add(op.callee)
+    roots = [f for f in internal if f.symbol_name not in called]
+    chosen = roots[-1] if roots else internal[-1]
+    return chosen.symbol_name
 
-    def __init__(self, module: ModuleOp) -> None:
-        self.module = module
 
-    def generate(self, top: Optional[str] = None) -> CodegenResult:
-        start_time = time.perf_counter()
-        work = self.module.clone()
-        unroll_all(work)
-        functions = [op for op in work.walk() if isinstance(op, FuncOp)]
-        if not functions:
-            raise LoweringError("module contains no hir.func to generate")
-        top_name = top or self._default_top(functions)
-        design = Design(top=top_name)
-        statistics: Dict[str, int] = {"functions": 0, "external-functions": 0}
-        for func in functions:
-            if func.is_external:
-                design.add(self._external_shell(func))
-                statistics["external-functions"] += 1
-                continue
-            lowering = FunctionLowering(work, func)
-            design.add(lowering.lower())
-            statistics["functions"] += 1
-        elapsed = time.perf_counter() - start_time
-        return CodegenResult(design, elapsed, statistics)
-
-    @staticmethod
-    def _default_top(functions: List[FuncOp]) -> str:
-        internal = [f for f in functions if not f.is_external]
-        called: set[str] = set()
-        for func in internal:
-            for op in func.walk():
-                if isinstance(op, CallOp):
-                    called.add(op.callee)
-        roots = [f for f in internal if f.symbol_name not in called]
-        chosen = roots[-1] if roots else internal[-1]
-        return chosen.symbol_name
-
-    @staticmethod
-    def _external_shell(func: FuncOp) -> Module:
-        """A black-box module declaration matching the external signature."""
-        module = Module(func.symbol_name, external=True)
-        module.add_port("clk", INPUT, 1)
-        module.add_port("rst", INPUT, 1)
-        module.add_port("start", INPUT, 1)
-        module.add_port("done", OUTPUT, 1)
-        for name, arg_type in zip(func.arg_names, func.function_type.inputs):
-            if isinstance(arg_type, MemrefType):
-                directions = interface_directions(name, arg_type)
-                for signal, width in interface_signals(name, arg_type).items():
-                    module.add_port(signal, directions[signal], width)
-            else:
-                module.add_port(name, INPUT, max(1, arg_type.bitwidth))
-        for index, result_type in enumerate(func.function_type.results):
-            module.add_port(f"result{index}", OUTPUT, max(1, result_type.bitwidth))
-        return module
+def _external_shell(func: FuncOp) -> Module:
+    """A black-box module declaration matching the external signature."""
+    module = Module(func.symbol_name, external=True)
+    module.add_port("clk", INPUT, 1)
+    module.add_port("rst", INPUT, 1)
+    module.add_port("start", INPUT, 1)
+    module.add_port("done", OUTPUT, 1)
+    for name, arg_type in zip(func.arg_names, func.function_type.inputs):
+        if isinstance(arg_type, MemrefType):
+            directions = interface_directions(name, arg_type)
+            for signal, width in interface_signals(name, arg_type).items():
+                module.add_port(signal, directions[signal], width)
+        else:
+            module.add_port(name, INPUT, max(1, arg_type.bitwidth))
+    for index, result_type in enumerate(func.function_type.results):
+        module.add_port(f"result{index}", OUTPUT, max(1, result_type.bitwidth))
+    return module
 
 
 def generate_verilog_impl(module: ModuleOp,
                           top: Optional[str] = None) -> CodegenResult:
-    """Run the code generator over ``module`` (the core that
-    :meth:`repro.flow.Flow.verilog` is built on)."""
-    return VerilogCodeGenerator(module).generate(top)
+    """Translate a module of HIR functions into a Verilog design (the core
+    that :meth:`repro.flow.Flow.verilog` is built on)."""
+    work = module.clone()
+    unroll_all(work)
+    functions = [op for op in work.symbols() if isinstance(op, FuncOp)]
+    if not functions:
+        raise LoweringError("module contains no hir.func to generate")
+    design = Design(top=top or _default_top(functions))
+    statistics: Dict[str, int] = {"functions": 0, "external-functions": 0}
+    for func in functions:
+        if func.is_external:
+            design.add(_external_shell(func))
+            statistics["external-functions"] += 1
+            continue
+        design.add(FunctionLowering(work, func).lower())
+        statistics["functions"] += 1
+    return CodegenResult(design, statistics)

@@ -21,7 +21,16 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.ir.values import Value
-from repro.verilog.ast import BinOp, Expr, Module, NonBlockingAssign, Ref, UnOp
+from repro.verilog.ast import (
+    BinOp,
+    Expr,
+    If,
+    Module,
+    NonBlockingAssign,
+    Ref,
+    Ternary,
+    UnOp,
+)
 from repro.verilog.naming import SignalNamer
 
 
@@ -80,11 +89,9 @@ class LoopSignals:
 class LoopController:
     """Generates the state machine implementing one ``hir.for``."""
 
-    def __init__(self, module: Module, namer: SignalNamer,
-                 pulses: PulseGenerator) -> None:
+    def __init__(self, module: Module, namer: SignalNamer) -> None:
         self.module = module
         self.namer = namer
-        self.pulses = pulses
 
     def build(
         self,
@@ -129,16 +136,16 @@ class LoopController:
         # stays stable for the whole iteration (including nested loops).
         module.add_assign(
             iv,
-            Ternary_first(
+            Ternary(
                 Ref(first),
                 lower_bound,
-                Ternary_first(Ref(repeat), BinOp("+", Ref(iv_reg), step), Ref(iv_reg)),
+                Ternary(Ref(repeat), BinOp("+", Ref(iv_reg), step), Ref(iv_reg)),
             ),
         )
 
         clocked = module.add_always()
         clocked.body.append(
-            IfPulse(Ref(iter_pulse), [
+            If(Ref(iter_pulse), [
                 NonBlockingAssign(iv_reg, Ref(iv)),
                 NonBlockingAssign(
                     last_reg,
@@ -158,17 +165,3 @@ class LoopController:
             signals.done_pulse,
             BinOp("&", Ref(yield_pulse), Ref(signals.last_reg)),
         )
-
-
-# Small helpers kept local to avoid importing the AST's Ternary/If with long
-# argument lists at every call site.
-def Ternary_first(condition: Expr, when_true: Expr, when_false: Expr) -> Expr:
-    from repro.verilog.ast import Ternary
-
-    return Ternary(condition, when_true, when_false)
-
-
-def IfPulse(condition: Expr, body) -> "If":
-    from repro.verilog.ast import If
-
-    return If(condition, list(body))

@@ -65,10 +65,10 @@ class TestInProcess:
 
 
 class TestSubprocess:
-    def _run(self, *args):
+    def _run(self, *args, **env_overrides):
         root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
-        env = dict(os.environ)
+        env = dict(os.environ, **env_overrides)
         src = os.path.join(root, "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         return subprocess.run(
@@ -90,6 +90,15 @@ class TestSubprocess:
         assert result.returncode != 0
         assert "Traceback" not in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_injected_compile_fault_is_a_one_line_error(self):
+        # A fresh process compiles the fused run, so the fault fires.
+        result = self._run("simulate", "gemm", "-p", "size=4",
+                           REPRO_FAULT_PLAN="engine.compile:error",
+                           REPRO_SIM_ENGINE="vector")
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: injected error at fault point 'engine.compile'\n")
 
     def test_malformed_param_no_traceback(self):
         result = self._run("build", "gemm", "-p", "size=abc")

@@ -7,10 +7,10 @@ models, profiling); those run on ``compiled`` with a typed
 ``fallback_reason``.  A design with no static steady state is not a gap:
 ``vector`` runs it bit-exactly with or without a store (``TestRuntimeBound``),
 and the engine choice loads nothing, so the run's own load of the fused
-program is the only one (``TestOneLoad``).  After a failure, only an injected
-engine-compile fault re-runs on ``interpreted``.  Everything else is a
-finding and propagates: a static-timing mismatch, a timeout, an unknown
-engine name.
+program is the only one (``TestOneLoad``).  Nothing re-runs after a
+failure: an injected engine-compile fault is a typed error
+(``TestCompileFault``), and every finding propagates: a static-timing
+mismatch, a timeout, an unknown engine name.
 """
 
 import dataclasses
@@ -31,6 +31,7 @@ from repro.kernels import kernel_names
 from repro.obs.tracer import TRACER
 from repro.resilience import (
     FaultPlan,
+    InjectedError,
     install_plan,
     resilience_counters,
     set_plan,
@@ -127,17 +128,22 @@ class TestFindingsPropagate:
 
 class TestCompileFault:
     @pytest.mark.parametrize("engine", ["compiled", "vector"])
-    def test_injected_compile_fault_runs_interpreted(self, engine):
-        baseline = _matvec().simulate(seed=0, engine="interpreted").value
+    def test_injected_compile_fault_is_an_error(self, engine, tmp_path):
+        """The fault propagates as a typed error and substitutes nothing;
+        a fault-free session over the same store then runs as if it never
+        happened."""
+        store = str(tmp_path / "store")
+        baseline = _matvec().simulate(seed=0, engine=engine).value
         clear_compile_cache()
         before = _fallbacks()
         with install_plan(FaultPlan.parse("engine.compile:error")):
-            outcome = _matvec().simulate(seed=0, engine=engine)
-        assert _engine_keys(outcome) == {"engine": "interpreted",
-                                         "requested": engine,
-                                         "fallback_reason": "compile-fault"}
-        assert outcome.value.engine == outcome.value.run.engine == "interpreted"
-        assert _fallbacks() == before + 1
+            with pytest.raises(InjectedError,
+                               match="fault point 'engine.compile'"):
+                _matvec(store).simulate(seed=0, engine=engine)
+        assert _fallbacks() == before
+        clear_compile_cache()
+        outcome = _matvec(store).simulate(seed=0, engine=engine)
+        assert _engine_keys(outcome) == {"engine": engine}
         assert outcome.value.run.cycles == baseline.run.cycles
         for name, memory in baseline.run.memories.items():
             assert outcome.value.run.memories[name].data == memory.data
@@ -210,6 +216,9 @@ class TestCapabilityGaps:
         for name, memory in reference.memories.items():
             assert np.array_equal(outcome.value.memory_array(name),
                                   memory.as_array())
+
+    def test_the_two_gaps_are_the_only_reasons(self):
+        assert FALLBACK_REASONS == ("external-models", "profiling")
 
     @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",
                                         "differential"])

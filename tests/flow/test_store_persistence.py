@@ -3,8 +3,9 @@
 A cold process pointed at a warm ``REPRO_STORE_DIR`` must serve the same
 bytes the original session produced — and any store damage (corruption,
 torn publishes) may cost a rebuild but can never change an artifact or fail
-a build.  The injected-compile-fault engine fallback rides the same
-contract: the run re-executes on the interpreter with identical results.
+a build.  An injected engine-compile fault rides the same contract: the
+simulate fails with a typed error, and the next one over the same store
+reproduces the fault-free run.
 """
 
 import marshal
@@ -482,22 +483,30 @@ class TestEngineFallback:
         clear_compile_cache()
         return _flow(store_root, engine="compiled")
 
-    def test_compile_fault_falls_back_to_interpreter(self, tmp_path):
+    def test_compile_fault_is_an_error(self, tmp_path):
+        """The faulted simulate raises and substitutes nothing; the same
+        session, and a cold one over the same store, then reproduce the
+        fault-free run."""
+        root = str(tmp_path / "store")
         baseline = self._fresh_compile_flow("").simulate(seed=0).value
-        flow = self._fresh_compile_flow("")
+        flow = self._fresh_compile_flow(root)
         before = resilience_counters().get("flow.engine_fallback", 0)
         with install_plan(FaultPlan.parse("engine.compile:error")):
-            outcome = flow.simulate(seed=0)
-        assert outcome.value.engine == "interpreted"
-        assert ("requested", "compiled") in outcome.provenance
-        assert ("fallback_reason", "compile-fault") in outcome.provenance
-        assert resilience_counters()["flow.engine_fallback"] == before + 1
-        assert outcome.value.run.cycles == baseline.run.cycles
-        assert np.array_equal(outcome.value.memory_array("y"),
-                              baseline.memory_array("y"))
+            with pytest.raises(InjectedError):
+                flow.simulate(seed=0)
+        assert resilience_counters().get("flow.engine_fallback", 0) == before
+        same = flow.simulate(seed=0)
+        cold = self._fresh_compile_flow(root).simulate(seed=0)
+        for outcome in (same, cold):
+            assert outcome.value.engine == "compiled"
+            assert outcome.value.run.cycles == baseline.run.cycles
+            assert np.array_equal(outcome.value.memory_array("y"),
+                                  baseline.memory_array("y"))
 
-    def test_interpreted_engine_never_falls_back(self, monkeypatch):
-        # The interpreter IS the fallback; a fault there must propagate.
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled",
+                                        "differential", "vector"])
+    def test_engine_never_falls_back(self, monkeypatch, engine):
+        # An injected fault in the run propagates on every engine.
         import repro.sim.testbench
 
         def faulted(*args, **kwargs):
@@ -506,5 +515,5 @@ class TestEngineFallback:
         monkeypatch.setattr(repro.sim.testbench, "run_design_impl", faulted)
         before = resilience_counters().get("flow.engine_fallback", 0)
         with pytest.raises(InjectedError):
-            _flow("", engine="interpreted").simulate(seed=0)
+            _flow("", engine=engine).simulate(seed=0)
         assert resilience_counters().get("flow.engine_fallback", 0) == before

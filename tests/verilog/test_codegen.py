@@ -123,7 +123,6 @@ class TestCodegenOptions:
     def test_statistics(self):
         result = generate_verilog_impl(self.build_two_function_module())
         assert result.statistics["functions"] == 2
-        assert result.seconds > 0
 
     @staticmethod
     def build_two_function_module():
