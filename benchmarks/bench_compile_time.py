@@ -3,10 +3,10 @@
 Runs the Table 6 kernel sweep — both compilers, every kernel — two ways:
 
 * **seed**: the seed compiler's behaviour (legacy O(E) dependence scans,
-  full DSE with no pruning or memoization, legacy full re-walk
+  full DSE with no pruning or graph reuse, legacy full re-walk
   optimization passes), and
 * **fast**: the current defaults (interned IR + worklist passes, cached
-  adjacency, pruned + memoized DSE).
+  adjacency, pruned DSE on shared graphs).
 
 It *enforces* the fast path's contract: the fast sweep is >= 3x faster than
 the seed sweep (``REPRO_COMPILE_MIN_SPEEDUP`` overrides the bar for noisy
@@ -29,8 +29,7 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 if os.path.abspath(_SRC) not in sys.path:
     sys.path.insert(0, os.path.abspath(_SRC))
 
-from repro.hls import HLSOptions, clear_schedule_memo, compile_program
-from repro.hls import scheduling as hls_scheduling
+from repro.hls import compile_program
 from repro.kernels import build_kernel
 from repro.passes import optimization_pipeline
 from repro.verilog import generate_verilog_impl
@@ -58,16 +57,15 @@ SMOKE_PARAMS = {
 MIN_SPEEDUP = float(os.environ.get("REPRO_COMPILE_MIN_SPEEDUP", "3.0"))
 
 
-def _compile_kernel(name, params, hls_options, legacy_pipeline=False):
+def _compile_kernel(name, params, seed):
     """One kernel through both compilers; returns (seconds, verilog, report)."""
     artifacts = build_kernel(name, **params)
     start = time.perf_counter()
-    optimization_pipeline(verify_each=False,
-                          legacy=legacy_pipeline).run(artifacts.module)
+    optimization_pipeline(verify_each=False, legacy=seed).run(artifacts.module)
     hir_text = emit_design(
         generate_verilog_impl(artifacts.module, top=artifacts.top).design)
     result = compile_program(artifacts.hls_program, artifacts.hls_function,
-                             options=hls_options)
+                             seed_equivalent=seed)
     seconds = time.perf_counter() - start
     hls_text = emit_design(result.design)
     return seconds, hir_text + "\n" + hls_text, result.report
@@ -75,21 +73,11 @@ def _compile_kernel(name, params, hls_options, legacy_pipeline=False):
 
 def run_sweep(params, variant):
     """Compile every kernel; variant is 'seed' or 'fast'."""
-    clear_schedule_memo()
     texts, reports = {}, {}
     total = 0.0
-    if variant == "seed":
-        with hls_scheduling.legacy_scan_mode():
-            for name, kernel_params in params.items():
-                seconds, text, report = _compile_kernel(
-                    name, kernel_params, HLSOptions.seed_equivalent(),
-                    legacy_pipeline=True)
-                total += seconds
-                texts[name], reports[name] = text, report
-        return total, texts, reports
     for name, kernel_params in params.items():
         seconds, text, report = _compile_kernel(name, kernel_params,
-                                                HLSOptions())
+                                                seed=variant == "seed")
         total += seconds
         texts[name], reports[name] = text, report
     return total, texts, reports

@@ -252,13 +252,14 @@ def _cmd_fuzz(arguments) -> int:
 def _cmd_stats(arguments) -> int:
     """Exercise every cache with a representative workload, then report.
 
-    The caches (Flow stages, simulator compile cache, DSE schedule memo)
-    are in-process, so ``stats`` runs its own small build → validate →
-    sweep → HLS-compile workload — twice where repetition is what produces
-    hits — and then renders the registry.
+    The in-memory caches (Flow stages, simulator compile cache) are
+    in-process, so ``stats`` runs its own small build → validate → sweep
+    workload — twice where repetition is what produces hits — plus one
+    baseline HLS compile for the DSE counters, and then renders the
+    registry.
     """
     from repro.flow import Flow
-    from repro.hls import HLSOptions, compile_program
+    from repro.hls import compile_program
     from repro.obs.cachestats import ensure_builtin_caches, render_cache_report
     from repro.obs.export import stats_tree
     from repro.obs.tracer import TRACER
@@ -276,15 +277,9 @@ def _cmd_stats(arguments) -> int:
         flow.simulate_batch(range(arguments.seeds))
         artifacts = flow.source
         if getattr(artifacts, "hls_program", None) is not None:
-            options = HLSOptions()
-            # Second compile re-explores the same design points: the DSE
-            # schedule memo serves them.
-            compile_program(artifacts.hls_program, artifacts.hls_function,
-                            options=options)
-            compile_program(artifacts.hls_program, artifacts.hls_function,
-                            options=options)
+            compile_program(artifacts.hls_program, artifacts.hls_function)
     print(f"workload: {arguments.kernel} x (validate x2 + "
-          f"{arguments.seeds}-lane sweep + HLS compile x2)\n")
+          f"{arguments.seeds}-lane sweep x2 + HLS compile)\n")
     print(render_cache_report())
     dse_counters = {name: value
                     for name, value in sorted(TRACER.counters.items())

@@ -89,7 +89,6 @@ def _fault_plan(value: str) -> Optional[str]:
 
 #: Variable name -> validator returning an error string (or None if fine).
 VALIDATED_VARS: Dict[str, Callable[[str], Optional[str]]] = {
-    "REPRO_DSE_MEMO_SIZE": _non_negative_int,
     "REPRO_SIM_CACHE_SIZE": _non_negative_int,
     "REPRO_SIM_ENGINE": _engine,
     "REPRO_STORE_DIR": _store_dir,

@@ -128,12 +128,10 @@ def render_compile_timing(quick: bool = False,
 
     Shows the HIR pipeline's per-pass report (including verifier time and
     pass statistics) and the baseline compiler's per-phase seconds plus
-    its DSE counters (design points examined / pruned / memoized /
-    scheduled) on the heaviest kernel, GEMM.  The schedule memo is cleared
-    first, so the breakdown times one compile's sweep, not lookups of
-    points that Tables 4 and 5 scheduled earlier in the process.
+    its DSE counters (design points examined / pruned / scheduled) on the
+    heaviest kernel, GEMM.
     """
-    from repro.hls import HLSOptions, clear_schedule_memo, compile_program
+    from repro.hls import compile_program
 
     config = config or FlowConfig()
     size = 4 if quick else 16
@@ -143,9 +141,7 @@ def render_compile_timing(quick: bool = False,
     flow.verilog()
 
     artifacts = flow.source
-    clear_schedule_memo()
-    result = compile_program(artifacts.hls_program, artifacts.hls_function,
-                             options=HLSOptions())
+    result = compile_program(artifacts.hls_program, artifacts.hls_function)
     report = result.report
     lines = [f"Compile timing breakdown (gemm, size={size})",
              "",
@@ -157,8 +153,7 @@ def render_compile_timing(quick: bool = False,
         lines.append(f"{phase:<32} {seconds * 1e3:8.3f} ms")
     lines.append(
         f"DSE design points: {report.dse_evaluations} examined, "
-        f"{report.dse_pruned} pruned, {report.dse_memo_hits} memoized, "
-        f"{report.dse_scheduled} scheduled"
+        f"{report.dse_pruned} pruned, {report.dse_scheduled} scheduled"
     )
     return "\n".join(lines)
 

@@ -20,8 +20,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.flow import Flow, FlowConfig
 from repro.hls.compiler import compile_program
-from repro.hls.options import HLSOptions
-from repro.hls.scheduling import legacy_scan_mode
 from repro.kernels import build_kernel
 from repro.evaluation.paper_data import PAPER_AVERAGE_SPEEDUP, PAPER_TABLE6
 
@@ -57,9 +55,8 @@ def measure_kernel(name: str,
 
     The baseline column is a *frozen model* of a commercial HLS tool: it
     runs the full DSE sweep with the seed compiler's behaviour (no
-    pruning, no memoization, no graph reuse, the original O(E) dependence
-    scans — :meth:`HLSOptions.seed_equivalent` under
-    :class:`~repro.hls.scheduling.legacy_scan_mode`), because Table 6's
+    pruning, no graph reuse, the original O(E) dependence scans —
+    ``compile_program(..., seed_equivalent=True)``), because Table 6's
     claim is about how much work such a tool repeats, not about how fast we
     made our reimplementation of it.  Deliberately, nothing — including
     ``report --timing``, which breaks down the fast path — changes this
@@ -82,14 +79,11 @@ def measure_kernel(name: str,
         timings = fresh.timings()
         return timings["optimized"] + timings["verilog"]
 
-    baseline_options = HLSOptions.seed_equivalent()
-
     def measure_hls() -> float:
-        with legacy_scan_mode():
-            start = time.perf_counter()
-            compile_program(artifacts.hls_program, artifacts.hls_function,
-                            options=baseline_options)
-            return time.perf_counter() - start
+        start = time.perf_counter()
+        compile_program(artifacts.hls_program, artifacts.hls_function,
+                        seed_equivalent=True)
+        return time.perf_counter() - start
 
     hir_seconds, hls_seconds = _best_of(measure_hir, measure_hls)
 

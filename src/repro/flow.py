@@ -113,9 +113,8 @@ class FlowConfig:
 
     ``None`` means "inherit": the engine and the store fall back to
     ``REPRO_SIM_ENGINE`` / ``REPRO_STORE_DIR``, read at call time.  The
-    in-memory cache bounds are not config either: the simulator compile
-    cache and the baseline-HLS DSE memo read ``REPRO_SIM_CACHE_SIZE`` /
-    ``REPRO_DSE_MEMO_SIZE`` at call time.
+    simulator compile cache's bound is not config either: it reads
+    ``REPRO_SIM_CACHE_SIZE`` at call time.
     """
 
     #: Simulation engine ("interpreted", "compiled", "differential" or the

@@ -11,16 +11,13 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                           "RegisterAllocation", "bind_loop"),
     "repro.hls.compiler": ("HLSCompiler", "HLSReport", "HLSResult",
                            "LoopReport", "compile_program"),
-    "repro.hls.dse": ("Candidate", "LoopExploration", "clear_schedule_memo",
-                      "collect_innermost_loops", "explore_loop",
-                      "schedule_memo_size"),
-    "repro.hls.options": ("HLSOptions",),
+    "repro.hls.dse": ("Candidate", "LoopExploration",
+                      "collect_innermost_loops", "explore_loop"),
     "repro.hls.rtl": ("LoopRTLInfo", "RTLGenerator"),
     "repro.hls.scheduling": ("DataflowGraph", "DFGBuilder", "DFGNode",
                              "LoopSchedule", "asap_schedule", "alap_schedule",
-                             "graph_signature", "list_schedule",
-                             "recurrence_min_ii", "resource_min_ii",
-                             "schedule_loop"),
+                             "list_schedule", "recurrence_min_ii",
+                             "resource_min_ii", "schedule_loop"),
     "repro.hls.swir": ("ARRAY", "Assign", "BinExpr", "For", "Function",
                        "IntConst", "Load", "LocalArray", "Param", "Pragmas",
                        "Program", "SCALAR", "Store", "SwBuilder", "Var"),

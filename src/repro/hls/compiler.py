@@ -17,9 +17,8 @@ from typing import Dict, List, Optional
 
 from repro.hls.binding import bind_loop
 from repro.hls.dse import LoopExploration, collect_innermost_loops, explore_loop
-from repro.hls.options import HLSOptions
 from repro.hls.rtl import LoopRTLInfo, RTLGenerator
-from repro.hls.scheduling import schedule_loop
+from repro.hls.scheduling import legacy_scan_mode, schedule_loop
 from repro.hls.swir import ARRAY, For, Function, Load, Program, Statement, Store
 from repro.verilog.ast import Design
 
@@ -52,8 +51,6 @@ class HLSReport:
     dse_evaluations: int = 0
     #: Design points skipped via the DSE cost lower bound.
     dse_pruned: int = 0
-    #: Design points answered by the scheduling memo cache.
-    dse_memo_hits: int = 0
     #: Design points that actually ran the scheduler.
     dse_scheduled: int = 0
     scheduled_operations: int = 0
@@ -70,12 +67,18 @@ class HLSResult:
 
 
 class HLSCompiler:
-    """Compile a software-IR program the way an HLS tool would."""
+    """Compile a software-IR program the way an HLS tool would.
+
+    ``seed_equivalent`` reproduces the seed compiler's cost profile: a full
+    DSE sweep with no pruning and no graph reuse, on the seed's O(E)
+    dependence scans (the frozen Table 6 baseline and the compile-time
+    benchmark's seed sweep).  It emits the same design as the default mode.
+    """
 
     def __init__(self, dse_enabled: bool = True,
-                 options: Optional[HLSOptions] = None) -> None:
+                 seed_equivalent: bool = False) -> None:
         self.dse_enabled = dse_enabled
-        self.options = options if options is not None else HLSOptions()
+        self.seed_equivalent = seed_equivalent
 
     # -- public API ------------------------------------------------------------
     def compile(self, program: Program, function_name: Optional[str] = None) -> HLSResult:
@@ -84,17 +87,20 @@ class HLSCompiler:
                     else program.functions[-1])
         report = HLSReport(function.name)
 
-        work = self._timed(report, "frontend", lambda: copy.deepcopy(function))
-        self._timed(report, "dependence-analysis", lambda: self._analyse(work))
-        explorations = self._timed(report, "design-space-exploration",
-                                   lambda: self._explore(work))
-        loop_infos = self._timed(report, "scheduling-and-binding",
-                                 lambda: self._schedule_and_bind(work, explorations,
-                                                                 report))
-        design = self._timed(report, "rtl-generation",
-                             lambda: self._generate_rtl(work, loop_infos))
-        self._timed(report, "rtl-elaboration",
-                    lambda: self._elaborate(design, report))
+        with legacy_scan_mode(self.seed_equivalent):
+            work = self._timed(report, "frontend",
+                               lambda: copy.deepcopy(function))
+            self._timed(report, "dependence-analysis",
+                        lambda: self._analyse(work))
+            explorations = self._timed(report, "design-space-exploration",
+                                       lambda: self._explore(work))
+            loop_infos = self._timed(
+                report, "scheduling-and-binding",
+                lambda: self._schedule_and_bind(work, explorations, report))
+            design = self._timed(report, "rtl-generation",
+                                 lambda: self._generate_rtl(work, loop_infos))
+            self._timed(report, "rtl-elaboration",
+                        lambda: self._elaborate(design, report))
 
         seconds = time.perf_counter() - total_start
         return HLSResult(design, report, seconds)
@@ -141,8 +147,9 @@ class HLSCompiler:
         explorations: List[LoopExploration] = []
         for loop, _depth in loops:
             if self.dse_enabled:
-                explorations.append(explore_loop(loop, array_ports=ports,
-                                                 options=self.options))
+                explorations.append(explore_loop(
+                    loop, array_ports=ports,
+                    seed_equivalent=self.seed_equivalent))
             else:
                 schedule = schedule_loop(loop.body, pipeline=loop.pragmas.pipeline,
                                          requested_ii=loop.pragmas.initiation_interval,
@@ -161,7 +168,6 @@ class HLSCompiler:
         ports = self._array_ports(function)
         for (loop, depth), exploration in zip(loops, explorations):
             report.dse_pruned += exploration.pruned
-            report.dse_memo_hits += exploration.memo_hits
             report.dse_scheduled += exploration.scheduled
             if exploration.chosen is not None:
                 schedule = exploration.chosen.schedule
@@ -221,7 +227,8 @@ class HLSCompiler:
 
 def compile_program(program: Program, function_name: Optional[str] = None,
                     dse_enabled: bool = True,
-                    options: Optional[HLSOptions] = None) -> HLSResult:
+                    seed_equivalent: bool = False) -> HLSResult:
     """Convenience wrapper around :class:`HLSCompiler`."""
     return HLSCompiler(dse_enabled=dse_enabled,
-                       options=options).compile(program, function_name)
+                       seed_equivalent=seed_equivalent).compile(program,
+                                                                function_name)

@@ -8,20 +8,15 @@ candidate is actually scheduled and costed — which is what makes the
 baseline's compile time orders of magnitude larger than HIR code generation
 (Table 6).
 
-Fast path (controlled by :class:`~repro.hls.options.HLSOptions`; all three
-mechanisms preserve the chosen schedule and emitted Verilog bit for bit):
+Fast path (the default; ``seed_equivalent=True`` turns all of it off and
+also restores the seed's O(E) dependence scans, so the frozen Table 6
+baseline keeps the seed's cost profile).  Every mechanism preserves the
+chosen schedule and emitted Verilog bit for bit:
 
-* **Memoization.**  Scheduling + binding is a pure function of the design
-  point, so results are cached on a canonical loop signature::
-
-      (DFG hash, pipelined, requested II, relevant array ports)
-
-  where the DFG hash is :func:`repro.hls.scheduling.graph_signature` — a
-  content digest of the unrolled body's dataflow graph (the unroll factor is
-  therefore captured by the hash) — and "relevant" ports are those of arrays
-  the graph actually touches.  Identical design points across port
-  configurations, loops and kernels schedule once; the cache is a bounded
-  LRU (``REPRO_DSE_MEMO_SIZE``, default 512 entries).
+* **Shared graphs.**  Each unroll factor's dataflow graph is built once and
+  shared across port configurations and II candidates, and each (unroll,
+  ports) configuration shares one II attempt cache across its II window
+  (see :func:`repro.hls.scheduling.schedule_loop`).
 
 * **Pruning.**  Before scheduling a candidate we compute a true lower bound
   on its cost: the resource-free ASAP latency of its DFG times its requested
@@ -40,26 +35,23 @@ mechanisms preserve the chosen schedule and emitted Verilog bit for bit):
   candidate list keeps enumeration order, so ties resolve exactly as in
   the seed sweep.  There is no parallel sweep: scheduling is pure Python,
   so thread pools only add hand-off cost under the GIL and process pools
-  add pickling and start-up; both were slower than this memoized, pruned
-  loop on the paper-scale Table 6 sweep and no faster at CI's smoke sizes.
+  add pickling and start-up; both were slower than the serial loop on the
+  paper-scale Table 6 sweep and no faster at CI's smoke sizes.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hls.binding import bind_loop
 from repro.obs.tracer import TRACER
-from repro.hls.options import HLSOptions
 from repro.hls.scheduling import (
     DataflowGraph,
     DFGBuilder,
     LoopSchedule,
     asap_schedule,
-    graph_signature,
+    legacy_scan_mode,
     recurrence_min_ii,
     resource_min_ii,
     schedule_loop,
@@ -99,84 +91,13 @@ class LoopExploration:
     chosen: Optional[Candidate] = None
     #: Design points skipped because their cost lower bound could not win.
     pruned: int = 0
-    #: Design points answered from the scheduling memo cache.
-    memo_hits: int = 0
-    #: Design points that ran the scheduler (cache misses).
+    #: Design points that ran the scheduler.
     scheduled: int = 0
 
     @property
     def evaluations(self) -> int:
         """Design points examined (evaluated or pruned via lower bound)."""
         return len(self.candidates) + self.pruned
-
-
-# --------------------------------------------------------------------------- #
-# Scheduling memo (bounded LRU keyed on the canonical loop signature)
-# --------------------------------------------------------------------------- #
-
-MemoKey = Tuple[str, bool, int, Tuple[Tuple[str, int], ...]]
-MemoValue = Tuple[LoopSchedule, int, int]  # schedule, registers, memory ops
-
-
-def _memo_capacity() -> int:
-    """``REPRO_DSE_MEMO_SIZE``, read at call time (default 512)."""
-    try:
-        return max(0, int(os.environ.get("REPRO_DSE_MEMO_SIZE", "512")))
-    except ValueError:
-        return 512
-
-
-_SCHEDULE_MEMO: "OrderedDict[MemoKey, MemoValue]" = OrderedDict()
-
-#: Lifetime hit/miss/eviction counters, reported through
-#: :mod:`repro.obs.cachestats` as the ``dse.memo`` cache.
-_MEMO_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def clear_schedule_memo() -> None:
-    """Drop every memoized schedule (tests and benchmarks)."""
-    _SCHEDULE_MEMO.clear()
-
-
-def schedule_memo_size() -> int:
-    return len(_SCHEDULE_MEMO)
-
-
-def _memo_get(key: MemoKey) -> Optional[MemoValue]:
-    value = _SCHEDULE_MEMO.get(key)
-    if value is not None:
-        _SCHEDULE_MEMO.move_to_end(key)
-        _MEMO_STATS["hits"] += 1
-    else:
-        _MEMO_STATS["misses"] += 1
-    return value
-
-
-def _memo_put(key: MemoKey, value: MemoValue) -> None:
-    capacity = _memo_capacity()
-    if capacity == 0:
-        return
-    _SCHEDULE_MEMO[key] = value
-    _SCHEDULE_MEMO.move_to_end(key)
-    while len(_SCHEDULE_MEMO) > capacity:
-        _SCHEDULE_MEMO.popitem(last=False)
-        _MEMO_STATS["evictions"] += 1
-
-
-def _memo_stats():
-    from repro.obs.cachestats import CacheStats
-    return CacheStats(name="dse.memo", capacity=_memo_capacity(),
-                      size=len(_SCHEDULE_MEMO), hits=_MEMO_STATS["hits"],
-                      misses=_MEMO_STATS["misses"],
-                      evictions=_MEMO_STATS["evictions"])
-
-
-def _register_memo_stats() -> None:
-    from repro.obs.cachestats import register_cache
-    register_cache("dse.memo", _memo_stats)
-
-
-_register_memo_stats()
 
 
 # --------------------------------------------------------------------------- #
@@ -207,26 +128,19 @@ class _Spec:
     pipelined: bool
     ports: Dict[str, int]
     body: List[Statement]
-    #: None when graph sharing is disabled (seed-faithful mode): the
-    #: scheduler then rebuilds the graph per design point, as the seed did.
+    #: None in seed-equivalent mode: the scheduler then rebuilds the graph
+    #: per design point, as the seed did.
     graph: Optional[DataflowGraph]
-    digest: str
     lb_latency: int
-    #: Shared per-(unroll, ports) II attempt cache; see schedule_loop.
-    attempt_cache: Optional[Dict[int, object]] = None
+    #: Shared per-(unroll, ports) II attempt cache (None in seed-equivalent
+    #: mode); see schedule_loop.
+    attempt_cache: Optional[Dict[int, object]]
 
     @property
     def lb_cost(self) -> float:
         """True lower bound on the candidate's area-delay cost."""
         lb_ii = self.requested_ii if self.pipelined else self.lb_latency
         return float(self.lb_latency * max(1, lb_ii))
-
-    def memo_key(self) -> MemoKey:
-        assert self.graph is not None, "memoization requires shared graphs"
-        arrays = {node.array for node in self.graph.nodes if node.array}
-        ports = tuple(sorted((array, self.ports.get(array, 1))
-                             for array in arrays))
-        return (self.digest, self.pipelined, self.requested_ii, ports)
 
 
 def _asap_latency(graph: DataflowGraph) -> int:
@@ -235,28 +149,9 @@ def _asap_latency(graph: DataflowGraph) -> int:
                default=1)
 
 
-def _evaluate_point(body: List[Statement], pipelined: bool, requested_ii: int,
-                    ports: Dict[str, int],
-                    graph: Optional[DataflowGraph],
-                    attempt_cache: Optional[Dict[int, object]] = None
-                    ) -> MemoValue:
-    """Schedule + bind one design point."""
-    schedule = schedule_loop(body, pipeline=pipelined,
-                             requested_ii=requested_ii if pipelined else None,
-                             array_ports=ports, graph=graph,
-                             attempt_cache=attempt_cache)
-    binding = bind_loop(schedule)
-    registers = binding.total_register_bits // 32 + 1
-    memory_ops = sum(
-        1 for node in schedule.graph.nodes if node.kind in ("load", "store")
-    )
-    return schedule, registers, memory_ops
-
-
 def _enumerate_specs(loop: For, array_ports: Optional[Dict[str, int]],
-                     options: Optional[HLSOptions] = None) -> List[_Spec]:
+                     seed_equivalent: bool) -> List[_Spec]:
     """Candidate design points in exactly the seed compiler's sweep order."""
-    options = options if options is not None else HLSOptions()
     pragmas = loop.pragmas
     if pragmas.unroll_factor > 1:
         unroll_options: Tuple[int, ...] = (pragmas.unroll_factor,)
@@ -268,29 +163,23 @@ def _enumerate_specs(loop: For, array_ports: Optional[Dict[str, int]],
     specs: List[_Spec] = []
     port_configs = (1, 2, 4)  # single-port, dual-port, 2x-banked dual-port
     for unroll in unroll_options:
-        shared_body: Optional[List[Statement]] = None
-        shared_graph: Optional[DataflowGraph] = None
-        digest = ""
-        lb_latency = 0
-        if options.reuse_graphs:
+        if not seed_equivalent:
             shared_body = _unrolled_body(loop.body, loop.var, unroll, loop.step)
             shared_graph = DFGBuilder().build(shared_body)
-            if options.memoize:
-                digest = graph_signature(shared_graph)
-            if options.prune:
-                lb_latency = _asap_latency(shared_graph)
+            lb_latency = _asap_latency(shared_graph)
         for port_scale in port_configs:
             scaled_ports = {name: ports * port_scale
                             for name, ports in (array_ports or {}).items()}
-            if options.reuse_graphs:
-                body, graph = shared_body, shared_graph
-                min_ii_graph = shared_graph
-            else:
-                # Seed-faithful: rebuild the body and graph per port config
-                # (and let schedule_loop rebuild again per design point).
+            if seed_equivalent:
+                # Rebuild the body and graph per port config (and let
+                # schedule_loop rebuild again per design point).
                 body = _unrolled_body(loop.body, loop.var, unroll, loop.step)
                 min_ii_graph = DFGBuilder().build(body)
-                graph = None
+                graph, lb_latency, attempt_cache = None, 0, None
+            else:
+                body, graph = shared_body, shared_graph
+                min_ii_graph = shared_graph
+                attempt_cache = {}
             min_ii = max(resource_min_ii(min_ii_graph, scaled_ports),
                          recurrence_min_ii(min_ii_graph))
             if pragmas.pipeline:
@@ -299,12 +188,11 @@ def _enumerate_specs(loop: For, array_ports: Optional[Dict[str, int]],
                                       max(min_ii, requested) + II_SEARCH_WINDOW)
             else:
                 ii_candidates = [0]  # sentinel: sequential schedule
-            attempt_cache: Dict[int, object] = {}
             for ii in ii_candidates:
                 pipelined = pragmas.pipeline and ii > 0
                 specs.append(_Spec(len(specs), unroll, ii, pipelined,
-                                   scaled_ports, body, graph, digest,
-                                   lb_latency, attempt_cache))
+                                   scaled_ports, body, graph, lb_latency,
+                                   attempt_cache))
     return specs
 
 
@@ -354,53 +242,54 @@ class _Incumbent:
         return spec.lb_cost > self.best_cost
 
 
-def _evaluate_spec(spec: _Spec, exploration: LoopExploration,
-                   memoize: bool) -> Candidate:
-    memoize = memoize and spec.graph is not None
-    key = spec.memo_key() if memoize else None
-    value = _memo_get(key) if memoize else None
-    if value is not None:
-        exploration.memo_hits += 1
-    else:
-        with TRACER.span("dse.candidate", cat="dse", order=spec.order,
-                         unroll=spec.unroll, ii=spec.requested_ii):
-            value = _evaluate_point(spec.body, spec.pipelined,
-                                    spec.requested_ii, spec.ports, spec.graph,
-                                    spec.attempt_cache if memoize else None)
-        exploration.scheduled += 1
-        if memoize:
-            _memo_put(key, value)
-    schedule, registers, memory_ops = value
+def _evaluate_spec(spec: _Spec, exploration: LoopExploration) -> Candidate:
+    """Schedule, bind and cost one design point."""
+    with TRACER.span("dse.candidate", cat="dse", order=spec.order,
+                     unroll=spec.unroll, ii=spec.requested_ii):
+        schedule = schedule_loop(
+            spec.body, pipeline=spec.pipelined,
+            requested_ii=spec.requested_ii if spec.pipelined else None,
+            array_ports=spec.ports, graph=spec.graph,
+            attempt_cache=spec.attempt_cache)
+        binding = bind_loop(schedule)
+    exploration.scheduled += 1
+    registers = binding.total_register_bits // 32 + 1
+    memory_ops = sum(
+        1 for node in schedule.graph.nodes if node.kind in ("load", "store")
+    )
     return Candidate(schedule.initiation_interval, spec.unroll,
                      schedule.latency, registers, memory_ops, schedule)
 
 
 def explore_loop(loop: For,
                  array_ports: Optional[Dict[str, int]] = None,
-                 options: Optional[HLSOptions] = None) -> LoopExploration:
-    """Schedule, bind and cost every candidate design point for one loop."""
-    options = options if options is not None else HLSOptions()
+                 seed_equivalent: bool = False) -> LoopExploration:
+    """Schedule, bind and cost every candidate design point for one loop.
+
+    ``seed_equivalent`` reproduces the seed compiler's sweep exactly: every
+    design point is scheduled (no pruning) on a graph rebuilt for it, with
+    the seed's O(E) dependence scans.  The chosen candidate is the same.
+    """
     exploration = LoopExploration(loop)
     pragmas = loop.pragmas
-    specs = _enumerate_specs(loop, array_ports, options)
     directive = bool(pragmas.pipeline and pragmas.initiation_interval is not None)
     incumbent = _Incumbent(directive)
 
-    with TRACER.span("dse.explore_loop", cat="dse", var=loop.var,
-                     specs=len(specs)):
-        exploration.candidates = _explore_serial(specs, exploration,
-                                                 incumbent, options)
+    with legacy_scan_mode(seed_equivalent):
+        specs = _enumerate_specs(loop, array_ports, seed_equivalent)
+        with TRACER.span("dse.explore_loop", cat="dse", var=loop.var,
+                         specs=len(specs)):
+            exploration.candidates = _explore_serial(
+                specs, exploration, incumbent, prune=not seed_equivalent)
     exploration.chosen = _select(exploration.candidates, pragmas)
     TRACER.count("dse.sweeps")
     TRACER.count("dse.pruned", exploration.pruned)
-    TRACER.count("dse.memo_hits", exploration.memo_hits)
     TRACER.count("dse.scheduled", exploration.scheduled)
     return exploration
 
 
 def _explore_serial(specs: List[_Spec], exploration: LoopExploration,
-                    incumbent: _Incumbent,
-                    options: HLSOptions) -> List[Candidate]:
+                    incumbent: _Incumbent, prune: bool) -> List[Candidate]:
     """Evaluate (or prune) every spec; the candidates keep enumeration order.
 
     With pruning on, the spec with the most promising lower bound under the
@@ -411,20 +300,20 @@ def _explore_serial(specs: List[_Spec], exploration: LoopExploration,
     :func:`_select`'s tie-breaks do not move.
     """
     seed: Optional[_Spec] = None
-    if options.prune and specs:
+    if prune and specs:
         seed = min(specs, key=(lambda spec: (spec.requested_ii, spec.lb_cost))
                    if incumbent.directive else (lambda spec: spec.lb_cost))
-        seeded = _evaluate_spec(seed, exploration, options.memoize)
+        seeded = _evaluate_spec(seed, exploration)
         incumbent.observe(seeded)
     candidates: List[Candidate] = []
     for spec in specs:
         if spec is seed:
             candidates.append(seeded)
             continue
-        if options.prune and incumbent.can_prune(spec):
+        if prune and incumbent.can_prune(spec):
             exploration.pruned += 1
             continue
-        candidate = _evaluate_spec(spec, exploration, options.memoize)
+        candidate = _evaluate_spec(spec, exploration)
         candidates.append(candidate)
         incumbent.observe(candidate)
     return candidates

@@ -9,8 +9,8 @@ The observability layer the rest of the toolchain reports into:
   CLI with ``--trace out.json``.
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto) and the
   human stats tree.
-* :mod:`~repro.obs.cachestats` — one registry enumerating every in-memory
-  cache (sim compile cache, DSE memo, Flow stages) with capacity/size/
+* :mod:`~repro.obs.cachestats` — one registry enumerating every cache
+  (sim compile cache, Flow stages, the artifact store) with capacity/size/
   hit-rate; the substrate of ``python -m repro stats``.
 * :mod:`~repro.obs.simprofile` — opt-in per-run simulation profiles
   (op firings, per-cycle events, port occupancy, memory/stream-buffer

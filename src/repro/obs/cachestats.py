@@ -1,17 +1,13 @@
-"""One registry for every in-memory cache in the toolchain.
+"""One registry for every cache in the toolchain.
 
-The toolchain keeps three bounded/unbounded caches, each of which used to be
-tuned and inspected through its own ad-hoc knob.  They now all report through
-this module's provider registry, so ``python -m repro stats`` (and tests) can
-enumerate every cache with its capacity, current size, and hit rate:
+Each cache reports through this module's provider registry, so
+``python -m repro stats`` (and tests) can enumerate every one with its
+capacity, current size, and hit rate:
 
 ``sim.compile``
     The per-design simulator compile cache
     (:mod:`repro.sim.engine.cache`).  Capacity: the ``REPRO_SIM_CACHE_SIZE``
     environment variable (default 64), read at call time.
-``dse.memo``
-    The DSE scheduling memo (:mod:`repro.hls.dse`).  Capacity:
-    ``REPRO_DSE_MEMO_SIZE`` (default 512), read at call time.
 ``flow.stages``
     The per-session Flow stage caches (:mod:`repro.flow`), summed over every
     live :class:`~repro.flow.Flow`.  Unbounded: one artifact per stage per
@@ -81,10 +77,8 @@ def registered_caches() -> List[str]:
 
 def ensure_builtin_caches() -> None:
     """Import the modules whose caches self-register, so the report always
-    covers the builtin set (sim.compile, dse.memo, flow.stages,
-    store.blobs)."""
+    covers the builtin set (sim.compile, flow.stages, store.blobs)."""
     import repro.flow  # noqa: F401
-    import repro.hls.dse  # noqa: F401
     import repro.sim.engine.cache  # noqa: F401
     import repro.store.store  # noqa: F401
 

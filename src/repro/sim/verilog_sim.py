@@ -130,6 +130,9 @@ class _Elaborator:
     # -- flattening --------------------------------------------------------------
     def _inline(self, module: Module, prefix: str,
                 port_bindings: Dict[str, Expr]) -> None:
+        # The top module (no prefix) keeps its names, so its frozen
+        # expressions and its statements are reused, not copied: nothing
+        # mutates a flat design's statements.
         rename = lambda name: f"{prefix}{name}" if prefix else name  # noqa: E731
 
         # Port aliasing for non-top modules: inputs are driven by the parent's
@@ -165,12 +168,12 @@ class _Elaborator:
             elif isinstance(item, MemoryDecl):
                 self.flat.memories[rename(item.name)] = (item.width, item.depth)
             elif isinstance(item, Assign):
-                self.flat.assigns.append(
-                    Assign(rename(item.target), self._rename_expr(item.expr, rename))
-                )
+                expr = self._rename_expr(item.expr, rename) if prefix else item.expr
+                self.flat.assigns.append(Assign(rename(item.target), expr))
             elif isinstance(item, AlwaysFF):
-                for stmt in item.body:
-                    self.flat.clocked.append(self._rename_stmt(stmt, rename))
+                self.flat.clocked.extend(
+                    [self._rename_stmt(stmt, rename) for stmt in item.body]
+                    if prefix else item.body)
             elif isinstance(item, Instance):
                 self._inline_instance(item, prefix, rename)
             else:  # pragma: no cover - defensive
@@ -180,7 +183,7 @@ class _Elaborator:
         child = self.design.modules.get(instance.module_name)
         child_prefix = f"{prefix}{instance.instance_name}__"
         bindings = {
-            port: self._rename_expr(expr, rename)
+            port: self._rename_expr(expr, rename) if prefix else expr
             for port, expr in instance.connections.items()
         }
         if child is None or child.external:

@@ -9,8 +9,8 @@ one place (:meth:`ArtifactStore.blob_path`), so a store shared between
 checkouts never serves one checkout's output to another: a blob made by
 other sources is an ordinary miss, and ``gc`` evicts it first as least
 recently used.  The store layers *under* the in-memory tiers (Flow stage
-cache, simulator compile cache, DSE memo): memory first, then disk, then
-build — and a disk hit is always re-verified.
+cache, simulator compile cache): memory first, then disk, then build — and
+a disk hit is always re-verified.
 
 Robustness model (every clause is fault-injectable and tested):
 

@@ -468,6 +468,9 @@ class FunctionLowering:
 def _default_top(functions: List[FuncOp]) -> str:
     """The last internal function no other function calls."""
     internal = [f for f in functions if not f.is_external]
+    if not internal:
+        raise LoweringError("every hir.func in the module is external; "
+                            "pass top= to name the top module")
     called: set[str] = set()
     for func in internal:
         for op in func.walk():

@@ -39,7 +39,6 @@ class TestValidateEnvironment:
         assert environment_error({}) is None
 
     @pytest.mark.parametrize("name,value", [
-        ("REPRO_DSE_MEMO_SIZE", "-1"),
         ("REPRO_SIM_CACHE_SIZE", "many"),
         ("REPRO_SIM_ENGINE", "verilator"),
         ("REPRO_FAULT_PLAN", "store.write:frobnicate"),
@@ -56,7 +55,6 @@ class TestValidateEnvironment:
         assert problems[0].startswith(f"{name}:")
 
     @pytest.mark.parametrize("name,value", [
-        ("REPRO_DSE_MEMO_SIZE", "0"),
         ("REPRO_SIM_CACHE_SIZE", "16"),
         ("REPRO_SIM_ENGINE", "compiled"),
         ("REPRO_FAULT_PLAN", "store.write:io_error@2*3"),

@@ -5,6 +5,8 @@ assert the qualitative "shape" the paper reports (who wins, what matches
 exactly, which diagnostics appear).
 """
 
+import re
+
 import pytest
 
 from repro.evaluation import figures, paper_data, runner, table4, table5, table6
@@ -162,19 +164,18 @@ class TestCompileTimeBypassesTheStore:
         assert store_counters() == before
 
     def test_timing_breakdown_times_a_sweep_not_the_memo(self):
-        """A compile earlier in the process (Tables 4 and 5 in ``repro
-        report``) filled the schedule memo; the breakdown still times a
-        sweep that schedules its design points."""
-        from repro.hls import HLSOptions, compile_program
+        """A compile of the same program earlier in the process (Tables 4
+        and 5 in ``repro report``) does not shorten the breakdown's sweep:
+        it schedules its design points again."""
+        from repro.hls import compile_program
         from repro.kernels import build_kernel
         artifacts = build_kernel("gemm", size=4)
-        compile_program(artifacts.hls_program, artifacts.hls_function,
-                        options=HLSOptions())
+        compile_program(artifacts.hls_program, artifacts.hls_function)
         (line,) = [line for line in
                    runner.render_compile_timing(quick=True).splitlines()
                    if line.startswith("DSE design points:")]
-        assert ", 0 memoized, " in line
-        assert not line.endswith(" 0 scheduled")
+        assert re.fullmatch(r"DSE design points: \d+ examined, \d+ pruned, "
+                            r"[1-9]\d* scheduled", line)
 
 
 class TestFigures:

@@ -2,8 +2,8 @@
 
 Precedence (highest wins): per-call kwarg > FlowConfig field > environment
 (``REPRO_SIM_ENGINE`` / ``REPRO_STORE_DIR``, read at call time) > built-in
-(the ``vector`` engine).  The DSE is not config: its one environment knob,
-``REPRO_DSE_MEMO_SIZE``, is read by the schedule memo at call time.
+(the ``vector`` engine).  The baseline HLS compiler's DSE is not config:
+it reads no environment variable.
 """
 
 from dataclasses import fields
@@ -11,7 +11,7 @@ from dataclasses import fields
 import pytest
 
 from repro.flow import ENV_VARS, Flow, FlowConfig, FlowError
-from repro.hls import HLSOptions
+from repro.hls import compile_program
 from repro.kernels import build_kernel
 
 
@@ -65,11 +65,13 @@ class TestValidation:
 
     def test_bad_jobs_rejected(self):
         # The DSE is serial: a caller still passing a job count, to the
-        # config or to the HLS options, fails loudly instead of being ignored.
+        # config or to the HLS compiler, fails loudly instead of being ignored.
         with pytest.raises(TypeError, match="dse_jobs"):
             FlowConfig(dse_jobs=2)
+        artifacts = build_kernel("transpose", size=4)
         with pytest.raises(TypeError, match="jobs"):
-            HLSOptions(jobs=2)
+            compile_program(artifacts.hls_program, artifacts.hls_function,
+                            jobs=2)
 
     def test_with_returns_modified_copy(self):
         base = FlowConfig()

@@ -1,8 +1,8 @@
-"""Golden tests for the DSE fast path: memoization and pruning.
+"""Golden tests for the DSE fast path: pruning on shared graphs.
 
-Every combination of :class:`HLSOptions` must pick the same schedules and
-emit byte-identical Verilog as the seed-equivalent (unpruned, unmemoized)
-sweep — that is the fast path's contract.
+The default compile must pick the same schedules and emit byte-identical
+Verilog as the seed-equivalent (unpruned, graph-rebuilding) sweep — that is
+the fast path's contract.
 """
 
 import os
@@ -11,27 +11,21 @@ import sys
 
 import pytest
 
-import repro.hls.dse as dse
-
-from repro.hls import (
-    HLSOptions,
-    clear_schedule_memo,
-    compile_program,
-    explore_loop,
-    graph_signature,
-    schedule_memo_size,
-)
+from repro.hls import compile_program, explore_loop
 from repro.hls.dse import collect_innermost_loops
-from repro.hls.scheduling import DFGBuilder
-from repro.kernels import build_kernel
+from repro.kernels import build_kernel, kernel_names
 from repro.verilog.emitter import emit_design
 
+#: Every kernel with an HLS program, at small sizes.
 KERNEL_PARAMS = {
     "transpose": {"size": 8},
     "stencil_1d": {"size": 32},
     "histogram": {"pixels": 64, "bins": 64},
     "gemm": {"size": 4},
     "convolution": {"size": 8},
+    "matvec": {"size": 6},
+    "prefix_sum": {"size": 16},
+    "spmv": {"rows": 6, "nnz": 3},
 }
 
 #: ``benchmarks/bench_compile_time.py``'s smoke sweep, in its order.
@@ -44,21 +38,58 @@ SMOKE_SWEEP = {
 }
 
 
-def _compile(kernel, options):
-    clear_schedule_memo()
+def _compile(kernel, seed_equivalent=False):
     artifacts = build_kernel(kernel, **KERNEL_PARAMS[kernel])
     result = compile_program(artifacts.hls_program, artifacts.hls_function,
-                             options=options)
+                             seed_equivalent=seed_equivalent)
     return emit_design(result.design), result.report
+
+
+def test_every_hls_kernel_is_covered():
+    assert set(KERNEL_PARAMS) == {
+        name for name in kernel_names()
+        if build_kernel(name).hls_builder is not None}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_PARAMS))
 def test_fast_path_matches_seed_bit_for_bit(kernel):
-    seed_text, _ = _compile(kernel, HLSOptions.seed_equivalent())
-    fast_text, fast_report = _compile(kernel, HLSOptions())
+    seed_text, seed_report = _compile(kernel, seed_equivalent=True)
+    fast_text, fast_report = _compile(kernel)
     assert fast_text == seed_text
+    assert fast_report.estimated_resources == seed_report.estimated_resources
     # The fast path really did less work.
     assert fast_report.dse_scheduled < fast_report.dse_evaluations
+    assert seed_report.dse_scheduled == seed_report.dse_evaluations
+
+
+def test_only_a_seed_equivalent_compile_runs_the_seed_scans(monkeypatch):
+    """The seed-equivalent compiler switches the O(E) dependence scans on
+    for its own duration; a default compile never sees them."""
+    from repro.hls import scheduling
+    seen = set()
+    list_schedule = scheduling.list_schedule
+
+    def spy(*args, **kwargs):
+        seen.add(scheduling.LEGACY_SCANS)
+        return list_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(scheduling, "list_schedule", spy)
+    _compile("transpose", seed_equivalent=True)
+    assert seen == {True}
+    assert scheduling.LEGACY_SCANS is False
+    seen.clear()
+    _compile("transpose")
+    assert seen == {False}
+
+
+def test_a_second_compile_in_one_process_schedules_again():
+    """Compiling one program twice repeats the sweep: nothing carries
+    schedules from one compile to the next, so both compiles schedule the
+    same design points and emit the same Verilog."""
+    first_text, first = _compile("gemm")
+    second_text, second = _compile("gemm")
+    assert second_text == first_text
+    assert second.dse_scheduled == first.dse_scheduled > 0
 
 
 def test_import_chain_loads_no_pool_modules():
@@ -86,10 +117,8 @@ class TestPruning:
         program = artifacts.hls_program
         loop, _ = collect_innermost_loops(
             program.function(artifacts.hls_function).body)[0]
-        clear_schedule_memo()
-        full = explore_loop(loop, options=HLSOptions.seed_equivalent())
-        clear_schedule_memo()
-        pruned = explore_loop(loop, options=HLSOptions())
+        full = explore_loop(loop, seed_equivalent=True)
+        pruned = explore_loop(loop)
         assert pruned.pruned > 0
         assert pruned.evaluations == full.evaluations  # points examined
         assert len(pruned.candidates) < len(full.candidates)
@@ -100,19 +129,18 @@ class TestPruning:
                                       chosen_fast.cost)
 
     def test_the_best_bound_seeds_the_incumbent(self):
-        """The Table 6 smoke sweep (one memo, the benchmark's sizes)
-        examines 240 design points and schedules only 57: the spec with the
-        lowest lower bound is evaluated first, so the incumbent prunes 183
-        (seeded in enumeration order, it scheduled 70).  The Verilog is the
-        unpruned sweep's."""
-        def sweep(options):
-            clear_schedule_memo()
+        """The Table 6 smoke sweep (the benchmark's sizes) examines 240
+        design points and schedules only 57: the spec with the lowest lower
+        bound is evaluated first, so the incumbent prunes 183 (seeded in
+        enumeration order, it scheduled 70).  The Verilog is the unpruned
+        sweep's."""
+        def sweep(seed_equivalent):
             texts, counts = [], [0, 0, 0]
             for kernel, params in SMOKE_SWEEP.items():
                 artifacts = build_kernel(kernel, **params)
                 result = compile_program(artifacts.hls_program,
                                          artifacts.hls_function,
-                                         options=options)
+                                         seed_equivalent=seed_equivalent)
                 texts.append(emit_design(result.design))
                 report = result.report
                 counts[0] += report.dse_evaluations
@@ -120,105 +148,17 @@ class TestPruning:
                 counts[2] += report.dse_scheduled
             return texts, counts
 
-        fast, counts = sweep(HLSOptions())
+        fast, counts = sweep(seed_equivalent=False)
         assert counts == [240, 183, 57]
-        assert fast == sweep(HLSOptions.seed_equivalent())[0]
+        assert fast == sweep(seed_equivalent=True)[0]
 
     def test_directive_loops_prune_safely(self):
         artifacts = build_kernel("histogram", **KERNEL_PARAMS["histogram"])
         program = artifacts.hls_program
         for loop, _ in collect_innermost_loops(
                 program.function(artifacts.hls_function).body):
-            clear_schedule_memo()
-            full = explore_loop(loop, options=HLSOptions.seed_equivalent())
-            clear_schedule_memo()
-            fast = explore_loop(loop, options=HLSOptions())
+            full = explore_loop(loop, seed_equivalent=True)
+            fast = explore_loop(loop)
             assert (full.chosen.initiation_interval
                     == fast.chosen.initiation_interval)
             assert full.chosen.cost == fast.chosen.cost
-
-
-class TestMemoization:
-    def test_identical_loops_hit_the_memo(self):
-        artifacts = build_kernel("gemm", **KERNEL_PARAMS["gemm"])
-        program = artifacts.hls_program
-        loops = collect_innermost_loops(
-            program.function(artifacts.hls_function).body)
-        clear_schedule_memo()
-        first = explore_loop(loops[0][0], options=HLSOptions())
-        # Without port pragmas the three port scalings are identical design
-        # points, so even the first sweep hits its own memo entries.
-        assert first.scheduled > 0 and schedule_memo_size() > 0
-        # Re-exploring the same loop answers everything from the cache.
-        again = explore_loop(loops[0][0], options=HLSOptions())
-        assert again.scheduled == 0
-        assert again.memo_hits == len(again.candidates)
-        assert (again.chosen.initiation_interval
-                == first.chosen.initiation_interval)
-
-    def test_memo_capacity_is_bounded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_MEMO_SIZE", "2")
-        clear_schedule_memo()
-        artifacts = build_kernel("gemm", **KERNEL_PARAMS["gemm"])
-        program = artifacts.hls_program
-        for loop, _ in collect_innermost_loops(
-                program.function(artifacts.hls_function).body):
-            explore_loop(loop, options=HLSOptions())
-        assert schedule_memo_size() <= 2
-        clear_schedule_memo()
-
-    def test_memo_can_be_disabled(self):
-        clear_schedule_memo()
-        artifacts = build_kernel("transpose", **KERNEL_PARAMS["transpose"])
-        program = artifacts.hls_program
-        loop, _ = collect_innermost_loops(
-            program.function(artifacts.hls_function).body)[0]
-        explore_loop(loop, options=HLSOptions(memoize=False))
-        assert schedule_memo_size() == 0
-
-    def test_interrupted_sweep_keeps_the_memo_sound(self, monkeypatch):
-        # A sweep interrupted mid-way has memoized only the points it
-        # finished, so a rerun over that memo emits what a clean compile does.
-        clean_text, clean_report = _compile("gemm", HLSOptions())
-        evaluate = dse._evaluate_point
-        calls = []
-
-        def interrupt_third(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 3:
-                raise KeyboardInterrupt()
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(dse, "_evaluate_point", interrupt_third)
-        with pytest.raises(KeyboardInterrupt):
-            _compile("gemm", HLSOptions())
-        assert schedule_memo_size() == 2
-        monkeypatch.undo()
-
-        artifacts = build_kernel("gemm", **KERNEL_PARAMS["gemm"])
-        rerun = compile_program(artifacts.hls_program, artifacts.hls_function,
-                                options=HLSOptions())
-        assert emit_design(rerun.design) == clean_text
-        # The two finished points were answered from the memo.
-        assert rerun.report.dse_scheduled == clean_report.dse_scheduled - 2
-
-
-class TestGraphSignature:
-    def test_equal_bodies_share_a_signature(self):
-        artifacts = build_kernel("transpose", **KERNEL_PARAMS["transpose"])
-        loop, _ = collect_innermost_loops(
-            artifacts.hls_program.function(artifacts.hls_function).body)[0]
-        a = DFGBuilder().build(loop.body)
-        b = DFGBuilder().build(loop.body)
-        assert a is not b
-        assert graph_signature(a) == graph_signature(b)
-
-    def test_different_bodies_differ(self):
-        t = build_kernel("transpose", **KERNEL_PARAMS["transpose"])
-        s = build_kernel("stencil_1d", **KERNEL_PARAMS["stencil_1d"])
-        t_loop, _ = collect_innermost_loops(
-            t.hls_program.function(t.hls_function).body)[0]
-        s_loop, _ = collect_innermost_loops(
-            s.hls_program.function(s.hls_function).body)[0]
-        assert (graph_signature(DFGBuilder().build(t_loop.body))
-                != graph_signature(DFGBuilder().build(s_loop.body)))

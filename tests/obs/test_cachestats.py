@@ -35,7 +35,7 @@ class TestRegistry:
     def test_builtin_trio_is_registered(self):
         all_cache_stats()  # force-registers the builtins
         names = registered_caches()
-        assert {"dse.memo", "flow.stages", "sim.compile"} <= set(names)
+        assert {"flow.stages", "sim.compile", "store.blobs"} <= set(names)
 
     def test_custom_provider_appears_and_is_replaceable(self):
         register_cache("test.custom", lambda: CacheStats(
@@ -51,7 +51,6 @@ class TestRegistry:
     def test_report_renders_every_cache_with_capacity(self):
         report = render_cache_report()
         assert "sim.compile" in report
-        assert "dse.memo" in report
         assert "flow.stages" in report
         assert "hit rate" in report
 
@@ -101,30 +100,9 @@ class TestLiveCounters:
         del flow
         assert size() <= with_session - 3
 
-    def test_dse_memo_counts_through_a_compile(self):
-        from repro.hls import compile_program
-        from repro.hls.dse import clear_schedule_memo
-
-        artifacts = build_kernel("gemm", size=3)
-        clear_schedule_memo()   # other tests may have memoized this program
-
-        def snapshot():
-            return {s.name: s for s in all_cache_stats()}["dse.memo"]
-
-        before = snapshot()
-        compile_program(artifacts.hls_program, artifacts.hls_function)
-        after_cold = snapshot()
-        compile_program(artifacts.hls_program, artifacts.hls_function)
-        after_warm = snapshot()
-        assert after_cold.misses > before.misses
-        # The second compile re-schedules identical design points.
-        assert after_warm.hits > after_cold.hits
-
 
 class TestConfiguredCapacity:
     def test_env_capacity_is_visible_in_stats(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "5")
-        monkeypatch.setenv("REPRO_DSE_MEMO_SIZE", "11")
         stats = {s.name: s for s in all_cache_stats()}
         assert stats["sim.compile"].capacity == 5
-        assert stats["dse.memo"].capacity == 11

@@ -89,7 +89,7 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert code == 0
         out = captured.out
-        for cache in ("flow.stages", "sim.compile", "dse.memo"):
+        for cache in ("flow.stages", "sim.compile"):
             assert cache in out
         assert "hit rate" in out
         assert "dse." in out

@@ -106,6 +106,14 @@ class TestCallsAndExternals:
         result = generate_verilog_impl(self.build_mac_design())
         assert result.design.top == "mac"
 
+    def test_all_external_module_needs_an_explicit_top(self):
+        design = DesignBuilder("ext")
+        design.extern_func("mult", [I32, I32], [I32])
+        with pytest.raises(LoweringError, match="pass top="):
+            generate_verilog_impl(design.module)
+        result = generate_verilog_impl(design.module, top="mult")
+        assert result.design.module("mult").external
+
 
 class TestCodegenOptions:
     def test_location_comments_emitted(self):
