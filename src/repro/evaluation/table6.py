@@ -65,7 +65,8 @@ def measure_kernel(name: str,
     """
     params = params if params is not None else DEFAULT_PARAMS[name]
     artifacts = build_kernel(name, **params)
-    # Persistence off: time the pass pipeline, not blob reads and IR parses.
+    # Persistence off: time the pass pipeline inside its stage, not blob
+    # reads.
     hir_config = FlowConfig(pipeline="optimize", verify_each=False,
                             verify_structure=False, store_dir="")
 

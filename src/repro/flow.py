@@ -22,12 +22,12 @@ content fingerprint of the source module, so mutating the module after a
 compile transparently invalidates every downstream artifact — there is no
 stale-design hazard.
 
-With a persistent store (:attr:`FlowConfig.store_dir`), a store hit
-decodes, analyzes and imports nothing until something reads it: the
-``optimized`` stage parses its stored IR on the first read of the value
-(:class:`Artifact`), the ``verilog`` stage lowers only when its design is
-read (:class:`VerilogArtifact`), and a ``vector`` simulate takes the static
-done cycle it checks its run against from the stored simulator image.
+With a persistent store (:attr:`FlowConfig.store_dir`), a stage builds
+nothing the store serves: the ``optimized`` stage runs its passes on the
+first read of the value (:class:`Artifact`), the ``verilog`` stage lowers
+only when its design is read (:class:`VerilogArtifact`), and a ``vector``
+simulate takes the static done cycle it checks its run against from the
+stored simulator image.
 
 Configuration lives in one place, :class:`FlowConfig`, with a single
 documented precedence (highest wins):
@@ -131,14 +131,13 @@ class FlowConfig:
     verify_each: bool = True
     #: Persistent artifact store root (:mod:`repro.store`): ``None`` inherits
     #: ``REPRO_STORE_DIR``, ``""`` disables persistence explicitly.  When a
-    #: store resolves, the optimized IR, the Verilog text, the resource
-    #: report and the compiled simulator code (with the fused run's
-    #: simulator image) read through to disk and publish their results, so
-    #: a cold process re-running a warm design skips the pass pipeline,
-    #: Verilog lowering and emission, the resource estimate and simulator
-    #: codegen; a ``vector`` simulate then neither parses the stored IR
-    #: nor lowers the design (the laziness rules are on :class:`Artifact`
-    #: and :class:`VerilogArtifact`).
+    #: store resolves, the Verilog text, the resource report and the
+    #: compiled simulator code (with the fused run's simulator image) read
+    #: through to disk and publish their results, so a cold process
+    #: re-running a warm design skips the pass pipeline, Verilog lowering
+    #: and emission, the resource estimate and simulator codegen; a
+    #: ``vector`` simulate then neither optimizes nor lowers the design (the
+    #: laziness rules are on :class:`Artifact` and :class:`VerilogArtifact`).
     store_dir: Optional[str] = None
     #: Observability: enable the process tracer (:data:`repro.obs.TRACER`)
     #: for the duration of every stage build and simulation of this flow.
@@ -212,24 +211,31 @@ class FlowConfig:
 # --------------------------------------------------------------------------- #
 
 
-class _Stored:
-    """A stage value the store served undecoded: decoded on first read.
+class _Deferred:
+    """A stage value built on its first read (the ``optimized`` stage's
+    passes, with a store).
 
-    ``load`` comes from :meth:`repro.store.ArtifactStore.read_later`; it runs
-    once (decoding, or rebuilding an undecodable blob) and is then dropped
-    with the payload it holds.
+    ``build`` runs once.  An exception it raises is kept and raised again
+    by every later read: the build may have half-mutated what it holds.
     """
 
-    __slots__ = ("_load", "_value")
+    __slots__ = ("_build", "_value", "_error")
 
-    def __init__(self, load: Callable[[], Any]) -> None:
-        self._load: Optional[Callable[[], Any]] = load
+    def __init__(self, build: Callable[[], Any]) -> None:
+        self._build: Optional[Callable[[], Any]] = build
         self._value: Any = None
+        self._error: Optional[BaseException] = None
 
     def get(self) -> Any:
-        if self._load is not None:
-            self._value = self._load()
-            self._load = None
+        if self._error is not None:
+            raise self._error
+        if self._build is not None:
+            try:
+                self._value = self._build()
+            except BaseException as error:
+                self._error = error
+                raise
+            self._build = None
         return self._value
 
 
@@ -244,10 +250,10 @@ class Artifact(Generic[T]):
     original build time and reports the (tiny) cache lookup separately in
     ``fetch_seconds``.
 
-    A value the store served is decoded on the first read of ``value``, so
-    on a store hit the ``optimized`` stage's IR is parsed only when a caller
-    reads the module.  ``repr``, :meth:`Flow.report` and a stage-cache
-    re-fetch never decode it.
+    A deferred value is built on the first read of ``value``, so with a
+    store the ``optimized`` stage runs its passes only when a caller reads
+    the module.  ``repr``, :meth:`Flow.report` and a stage-cache re-fetch
+    never build it.
     """
 
     __slots__ = ("stage", "_value", "seconds", "fingerprint", "provenance",
@@ -259,7 +265,7 @@ class Artifact(Generic[T]):
                  cached: bool = False,
                  fetch_seconds: Optional[float] = None) -> None:
         self.stage = stage
-        #: The value, or the :class:`_Stored` blob it is decoded from.
+        #: The value, or the :class:`_Deferred` build that makes it.
         self._value = value
         self.seconds = seconds
         self.fingerprint = fingerprint
@@ -272,7 +278,7 @@ class Artifact(Generic[T]):
     @property
     def value(self) -> T:
         value = self._value
-        return value.get() if isinstance(value, _Stored) else value
+        return value.get() if isinstance(value, _Deferred) else value
 
     def fetched(self, seconds: float) -> "Artifact[T]":
         """This artifact as served from the stage cache in ``seconds``."""
@@ -280,11 +286,11 @@ class Artifact(Generic[T]):
                         self.fingerprint, self.provenance, True, seconds)
 
     def value_type(self) -> str:
-        """The value's type name; a stored value still undecoded says so."""
+        """The value's type name; a deferred value not yet built says so."""
         value = self._value
-        if isinstance(value, _Stored):
-            if value._load is not None:
-                return "stored, not decoded"
+        if isinstance(value, _Deferred):
+            if value._build is not None:
+                return "not built"
             value = value.get()
         return type(value).__name__
 
@@ -314,7 +320,7 @@ class VerilogArtifact:
     miss lowers and emits inside the stage.  Only a warm store defers
     lowering, possibly forever: a ``vector`` simulate then runs from the
     stored simulator image (:mod:`repro.sim.engine.vector`) and never reads
-    ``design``, nor ``module``, which the store serves undecoded (see
+    ``design``, nor ``module``, whose passes then never run (see
     :class:`Artifact`).
     """
 
@@ -472,12 +478,6 @@ def _pass_manager(config: FlowConfig):
                                  legacy=(config.pipeline == "legacy"))
 
 
-def _parse_stored_ir(payload: bytes) -> ModuleOp:
-    """Decode an ``ir`` blob (only a read of the module gets here)."""
-    from repro.ir.parser import parse_module
-    return parse_module(payload.decode(), filename="<store:ir>")
-
-
 class Flow:
     """A session over one design: staged, cached, invalidation-aware.
 
@@ -613,18 +613,11 @@ class Flow:
     # -- stage cache --------------------------------------------------------
     def _stage(self, stage: str, fingerprint: str,
                provenance: Tuple[Tuple[str, str], ...],
-               build: Callable[[], Any], tier: Optional[tuple] = None
-               ) -> Artifact:
+               build: Callable[[], Any]) -> Artifact:
         """The one stage runner: cache lookup, timing, span, hit/miss count.
 
         ``provenance`` is the stage-cache key: a cached artifact is served
-        only while its provenance equals the new one.  ``tier`` — ``(kind,
-        store key, encode, decode, decode errors)`` — reads ``build()``
-        through the configured store (``ArtifactStore.read_later``): a miss
-        builds and publishes inside the stage, and a hit is decoded on the
-        first read of the artifact's value.  A ``build`` with a tier must not
-        reference the Flow: a stored artifact keeps it for a rebuild until
-        its value is read.
+        only while its provenance equals the new one.
         """
         fetch_start = _time.perf_counter()
         cached = self._stages.get(stage)
@@ -643,12 +636,7 @@ class Flow:
                              fingerprint=fingerprint[:12],
                              provenance=dict(provenance)):
                 start = _time.perf_counter()
-                store = None if tier is None else self.config.resolve_store()
-                if store is None:
-                    value = build()
-                else:
-                    kind, key, *codec = tier
-                    value = _Stored(store.read_later(kind, key, build, *codec))
+                value = build()
                 seconds = _time.perf_counter() - start
         artifact = Artifact(stage=stage, value=value, seconds=seconds,
                             fingerprint=fingerprint, provenance=provenance,
@@ -728,45 +716,42 @@ class Flow:
         """The module after the configured pass pipeline.
 
         ``pipeline="none"`` returns the source module untouched (what
-        ``generate_verilog_impl`` compiles); the optimizing pipelines run on a
-        clone, so the source module is never mutated by a Flow.  On a store
-        hit the stored module is parsed on the first read of the value.
+        ``generate_verilog_impl`` compiles).  The optimizing pipelines run on
+        a clone taken inside the stage, so a Flow never mutates the source
+        module and a later edit of it cannot reach this artifact.  With a
+        store the passes run on the first read of the value: a warm store
+        serves the Verilog, the resource report and a ``vector`` run without
+        it.
         """
         parent = self.hir()
         pipeline = self.config.pipeline
         provenance = (("module", parent.fingerprint),
                       ("pipeline", pipeline),
                       ("verify_each", str(self.config.verify_each)))
+        # The deferred build must not reference the Flow: an unread artifact
+        # keeps it alive.
         module, config, report = self.module, self.config, self._pass_report
 
         def build():
             if pipeline == "none":
                 return module
-            manager = _pass_manager(config)
             if pipeline == "verify":
                 # Verification does not mutate; run it on the source module.
-                manager.run(module)
+                _pass_manager(config).run(module)
                 return module
             clone = module.clone()
-            manager.run(clone)
-            report[:] = [manager.timing_report()]
-            return clone
 
-        tier = None
-        if pipeline not in ("none", "verify"):
-            # Disk tier: an optimizing pipeline's output is a deterministic,
-            # round-trippable function of (source content, pipeline config),
-            # so a store hit replaces the whole pass pipeline with a parse.
-            # Blobs are printed with_locations so the parsed module carries
-            # the original source locations — Verilog regenerated from it is
-            # byte-identical, location comments included.
-            from repro.ir.printer import print_module
-            tier = ("ir", f"{parent.fingerprint}-{pipeline}-"
-                          f"{int(self.config.verify_each)}",
-                    lambda module: print_module(module, with_locations=True),
-                    _parse_stored_ir, IRError)
-        return self._stage("optimized", parent.fingerprint, provenance,
-                           build, tier)
+            def optimize() -> ModuleOp:
+                manager = _pass_manager(config)
+                manager.run(clone)
+                report[:] = [manager.timing_report()]
+                return clone
+
+            if config.resolve_store() is None:
+                return optimize()
+            return _Deferred(optimize)
+
+        return self._stage("optimized", parent.fingerprint, provenance, build)
 
     def pass_report(self) -> Optional[str]:
         """Per-pass timing report of the last optimize run (None before)."""
@@ -822,15 +807,22 @@ class Flow:
             raw = json.loads(payload)
             return ResourceReport(**{name: raw[name] for name in names})
 
-        tier = ("resources", self._design_key(parent.fingerprint),
+        def estimate() -> ResourceReport:
+            return estimate_resources(parent.value.design)
+
+        def build() -> ResourceReport:
+            store = self.config.resolve_store()
+            if store is None:
+                return estimate()
+            return store.read_through(
+                "resources", self._design_key(parent.fingerprint), estimate,
                 lambda report: json.dumps(
                     {name: getattr(report, name) for name in names},
                     sort_keys=True),
                 decode, (ValueError, KeyError, TypeError))
+
         return self._stage("resources", parent.fingerprint,
-                           (("verilog", parent.fingerprint),),
-                           lambda: estimate_resources(parent.value.design),
-                           tier)
+                           (("verilog", parent.fingerprint),), build)
 
     # -- simulation ---------------------------------------------------------
     @property
@@ -1030,9 +1022,7 @@ class Flow:
                         fingerprint=design_artifact.fingerprint,
                         provenance=provenance)
 
-    def validate(self, seed: int = 0, *, engine: Optional[str] = None,
-                 drain_cycles: int = 16,
-                 max_cycles: int = 100000,
+    def validate(self, seed: int = 0, *, engine: Optional[str] = None
                  ) -> Artifact[ValidationOutcome]:
         """Simulate ``seed`` and compare every output to the numpy reference."""
         if self.reference is None:
@@ -1040,9 +1030,7 @@ class Flow:
                 f"flow '{self.name}' has no reference model; construct it "
                 "from KernelArtifacts or pass reference="
             )
-        simulated = self.simulate(seed=seed, engine=engine,
-                                  drain_cycles=drain_cycles,
-                                  max_cycles=max_cycles)
+        simulated = self.simulate(seed=seed, engine=engine)
         outcome = simulated.value
         ok = self._check_outputs(outcome.run, outcome.inputs)
         value = ValidationOutcome(name=self.name, engine=outcome.engine,

@@ -448,8 +448,8 @@ def _hint_from_name(name: str) -> Optional[str]:
 
     The printer names hint-less values ``%0, %1, ...``; restoring those
     digits as hints would change downstream hint-derived names (e.g.
-    Verilog signals ``sig0`` vs ``v_0``), breaking the byte-identical
-    round-trip the artifact store depends on.  Real hints survive.
+    Verilog signals ``sig0`` vs ``v_0``), so Verilog generated from a
+    re-parsed module would differ.  Real hints survive.
     """
     return None if name.isdigit() else name
 

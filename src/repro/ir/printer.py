@@ -11,11 +11,10 @@ The output of :func:`print_module` parses back with
 :func:`repro.ir.parser.parse_module` into structurally identical IR, which the
 round-trip property tests exercise.  ``with_locations=True`` additionally
 prints each operation's source location as a trailing ``loc(...)`` clause
-(MLIR's generic-form location syntax) which the parser restores — the
-persistent artifact store uses this so a module rebuilt from an ``ir`` blob
-reproduces byte-identical Verilog, location comments included.  A separate
-pretty printer for the HIR dialect (closer to the listings in the paper)
-lives in :mod:`repro.hir.pretty`.
+(MLIR's generic-form location syntax) which the parser restores, so a
+re-parsed module reproduces byte-identical Verilog, location comments
+included.  A separate pretty printer for the HIR dialect (closer to the
+listings in the paper) lives in :mod:`repro.hir.pretty`.
 """
 
 from __future__ import annotations

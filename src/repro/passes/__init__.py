@@ -1,7 +1,7 @@
 """Verification and optimization passes of the HIR compiler (Sections 6 and 7).
 
-The names below are re-exported lazily, so a process that reads optimized
-IR from the store never loads a pass.
+The names below are re-exported lazily, so a process that a warm store
+serves never loads a pass.
 """
 
 from repro._lazy import lazy_exports

@@ -12,7 +12,7 @@ no wall-clock data (the envelope does), why arrays are rendered through
 
 Because the Flow underneath reads through :mod:`repro.store`, a warm store
 makes `execute` cheap even when the serve-level payload blob is absent: the
-optimized-IR/Verilog/resource blobs still short-circuit the expensive
+Verilog, resource and simulator-code blobs still short-circuit the expensive
 stages.  The serve tier above this module only adds the final step —
 memoizing the *whole response*.
 """

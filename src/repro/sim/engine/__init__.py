@@ -95,7 +95,6 @@ def available_engines() -> list:
 
 def create_simulator(
     design: Design,
-    top: Optional[str] = None,
     external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None,
     *,
     engine: str,
@@ -114,4 +113,4 @@ def create_simulator(
         )
     module, name = entry
     simulator_class = getattr(importlib.import_module(module), name)
-    return simulator_class(design, top=top, external_models=external_models)
+    return simulator_class(design, external_models=external_models)

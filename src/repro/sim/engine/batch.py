@@ -38,13 +38,12 @@ from repro.verilog.ast import Design
 class BatchedSimulator:
     """Executes a compiled design over N stimulus lanes in lockstep."""
 
-    def __init__(self, design: Design, lanes: int, top: Optional[str] = None,
+    def __init__(self, design: Design, lanes: int,
                  external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None):
         if lanes < 1:
             raise SimulationError(f"need at least one lane, got {lanes}")
         self.lanes = lanes
-        artifacts = compiled_artifacts(design, top, external_models,
-                                       vector=True)
+        artifacts = compiled_artifacts(design, external_models, vector=True)
         self.flat = artifacts.flat
         self.lowered = artifacts.lowered
         for width in (list(self.lowered.mem_widths)
@@ -304,7 +303,6 @@ def run_design_batch_impl(
     memories: Optional[Dict[str, tuple]] = None,
     scalar_inputs: Optional[Dict[str, object]] = None,
     lanes: Optional[int] = None,
-    top: Optional[str] = None,
     external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None,
     max_cycles: int = 100000,
     drain_cycles: int = 4,
@@ -331,7 +329,7 @@ def run_design_batch_impl(
             "run_design_batch_impl needs `lanes` when no memory provides "
             "per-lane initial data"
         )
-    simulator = BatchedSimulator(design, lanes, top=top,
+    simulator = BatchedSimulator(design, lanes,
                                  external_models=external_models)
     if profiler is not None:
         profiler.bind(simulator)

@@ -1,12 +1,12 @@
 """Per-design compilation cache.
 
 Elaboration, levelization and Python code generation are pure functions of
-the design AST (plus the ``top`` override), so their results are shared
-across simulator instances: re-running the same generated design — a
-multi-seed sweep, a batched run after a single run, the differential
-harness's second engine — pays compilation once.  Entries are keyed weakly on
-the :class:`~repro.verilog.ast.Design` object, so a design's artifacts die
-with it.  The fused run (:mod:`repro.sim.engine.vector`) is cached the same
+the design AST, so their results are shared across simulator instances:
+re-running the same generated design — a multi-seed sweep, a batched run
+after a single run, the differential harness's second engine — pays
+compilation once.  Entries are keyed weakly on the
+:class:`~repro.verilog.ast.Design` object, so a design's artifacts die with
+it.  The fused run (:mod:`repro.sim.engine.vector`) is cached the same
 way (:func:`memoized`) on what it was given: a Design, or a Flow's lazily
 lowered :class:`repro.flow.VerilogArtifact`, which a warm store never lowers.
 
@@ -136,7 +136,7 @@ def memoized(design: Any, key: Any, build: Callable[[], Any]) -> Any:
 
 @dataclass
 class CompiledArtifacts:
-    """Everything shareable between simulators of one (design, top) pair."""
+    """Everything shareable between simulators of one design."""
 
     flat: _FlatDesign
     lowered: LoweredDesign
@@ -191,8 +191,7 @@ def _code_object(payload: bytes) -> CodeType:
     return code
 
 
-def compiled_program(top: Optional[str], name: str,
-                     generate: Callable[[], Any],
+def compiled_program(name: str, generate: Callable[[], Any],
                      load: Callable[[Any], Tuple[Any, Any]],
                      unpack: Callable[[bytes], Any] = _code_object) -> Any:
     """What ``load`` (a ``compile_*`` call) builds from one generated
@@ -214,27 +213,23 @@ def compiled_program(top: Optional[str], name: str,
     if context is None:
         return load(generate())[1]
     store, base = context
-    tag = "top" if top is None else top
     return store.read_through(
-        "simcode", f"{base}-{tag}-{name}-{_BYTECODE}",
+        "simcode", f"{base}-{name}-{_BYTECODE}",
         lambda: load(generate()),
         lambda built: marshal.dumps(built[0]),
         lambda payload: load(unpack(payload)),
         _UNMARSHALABLE)[1]
 
 
-def _elaborate(design: Design, top: Optional[str],
+def _elaborate(design: Design,
                external_models) -> Tuple[_FlatDesign, LoweredDesign]:
     # Local: a warm store runs the fused engine without the interpreter.
     from repro.sim.verilog_sim import _Elaborator
-    if top is not None:
-        design = Design(top=top, modules=design.modules)
     flat = _Elaborator(design, external_models).elaborate()
     return flat, lower_design(flat)
 
 
-def base_artifacts(design: Design, top: Optional[str],
-                   external_models) -> CompiledArtifacts:
+def base_artifacts(design: Design, external_models) -> CompiledArtifacts:
     """Elaborate + levelize ``design``, reusing cached artifacts when safe.
 
     The elaboration/levelization pair is shared by every generated dialect
@@ -242,12 +237,12 @@ def base_artifacts(design: Design, top: Optional[str],
     hang their functions off the returned artifacts.
     """
     def build() -> CompiledArtifacts:
-        return CompiledArtifacts(*_elaborate(design, top, external_models))
+        return CompiledArtifacts(*_elaborate(design, external_models))
 
-    return build() if external_models else memoized(design, top, build)
+    return build() if external_models else memoized(design, "base", build)
 
 
-def compiled_artifacts(design: Design, top: Optional[str], external_models,
+def compiled_artifacts(design: Design, external_models,
                        vector: bool) -> CompiledArtifacts:
     """Elaborate + compile ``design`` for a per-cycle engine, reusing cached
     artifacts when safe.
@@ -257,25 +252,25 @@ def compiled_artifacts(design: Design, top: Optional[str], external_models,
     step functions are the ones the fused vector engine also runs
     (:mod:`repro.sim.engine.vector`), from the same ``simcode`` blob.
     """
-    artifacts = base_artifacts(design, top, external_models)
+    artifacts = base_artifacts(design, external_models)
     lowered = artifacts.lowered
     if not vector:
         if artifacts.step_fns is None:
             artifacts.step_fns = compiled_program(
-                top, "comb-scalar", lambda: comb_source(lowered),
+                "comb-scalar", lambda: comb_source(lowered),
                 lambda source: compile_comb(lowered.num_assigns, source))
         if artifacts.clock_fn is None:
             artifacts.clock_fn = compiled_program(
-                top, "clock-scalar", lambda: clock_source(lowered),
+                "clock-scalar", lambda: clock_source(lowered),
                 lambda source: compile_clock(lowered, source))
         return artifacts
     if artifacts.comb_vector_fn is None:
         artifacts.comb_vector_fn = compiled_program(
-            top, "comb-vector", lambda: comb_vector_source(lowered),
+            "comb-vector", lambda: comb_vector_source(lowered),
             lambda source: compile_comb_vector(lowered, source))
     if artifacts.clock_vector_fn is None:
         artifacts.clock_vector_fn = compiled_program(
-            top, "clock-vector", lambda: clock_source(lowered, vector=True),
+            "clock-vector", lambda: clock_source(lowered, vector=True),
             lambda source: compile_clock(lowered, source))
     return artifacts
 

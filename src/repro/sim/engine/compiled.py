@@ -35,10 +35,9 @@ FULL_EVAL_FRACTION = 0.25
 class CompiledSimulator:
     """Executes a compiled, levelized design cycle by cycle."""
 
-    def __init__(self, design: Design, top: Optional[str] = None,
+    def __init__(self, design: Design,
                  external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None):
-        artifacts = compiled_artifacts(design, top, external_models,
-                                       vector=False)
+        artifacts = compiled_artifacts(design, external_models, vector=False)
         self.flat = artifacts.flat
         self.lowered = artifacts.lowered
         self._step_fns = artifacts.step_fns

@@ -29,13 +29,12 @@ class DivergenceError(SimulationError):
 class DifferentialSimulator:
     """Drives an interpreted reference and a compiled engine in lockstep."""
 
-    def __init__(self, design: Design, top: Optional[str] = None,
+    def __init__(self, design: Design,
                  external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None):
         # Each engine gets its own behavioural-model instances (the factories
         # are called once per elaboration), so stateful models stay in sync.
-        self.reference = Simulator(design, top=top,
-                                   external_models=external_models)
-        self.compiled = CompiledSimulator(design, top=top,
+        self.reference = Simulator(design, external_models=external_models)
+        self.compiled = CompiledSimulator(design,
                                           external_models=external_models)
         self.flat = self.reference.flat
         self._check("elaboration")

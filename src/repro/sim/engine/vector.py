@@ -27,7 +27,7 @@ that is event-driven on *both* sides of the clock:
 Like the step functions, the clocked processes are generated as shapes plus
 an instance table (:mod:`repro.sim.engine.codegen`): gemm-16's 2527
 processes compile as 8 function bodies.  The generated function is cached
-per ``(design, top, interface signature)`` in the engine compile cache.  Its
+per ``(design, interface signature)`` in the engine compile cache.  Its
 code object is persisted through :mod:`repro.store` together with the run's
 *simulator image*: the plain tables the program and :func:`run_design_vector`
 read (assignment targets, fanout and mark lists, process sensitivity, counts,
@@ -573,23 +573,22 @@ class _FusedRun:
                 for index, name in enumerate(self.image["mem_names"])}
 
 
-def _static_done(source: Any, top: Optional[str]) -> Optional[int]:
-    """The static done cycle of ``@top`` in ``source``'s optimized module,
+def _static_done(source: Any) -> Optional[int]:
+    """The static done cycle of ``source``'s top in its optimized module,
     or ``None``.
 
     ``source`` is a :class:`repro.flow.VerilogArtifact`, whose optimized
-    module :func:`steady_state_of` analyzes (``top`` defaults to the
-    artifact's), or a bare Design, which carries no HIR to analyze.
+    module :func:`steady_state_of` analyzes, or a bare Design, which
+    carries no HIR to analyze.
     """
     if isinstance(source, Design):
         return None
-    timing = steady_state_of(source.module,
-                             source.top if top is None else top)
+    timing = steady_state_of(source.module, source.top)
     return None if timing is None else timing.done
 
 
-def _load_run(source: Any, top: Optional[str],
-              specs: Tuple[_InterfaceSpec, ...], signature: str) -> _FusedRun:
+def _load_run(source: Any, specs: Tuple[_InterfaceSpec, ...],
+              signature: str) -> _FusedRun:
     """Load the fused run of ``source`` through the store, lowering only
     when a blob misses.
 
@@ -607,32 +606,32 @@ def _load_run(source: Any, top: Optional[str],
         if artifacts is None:
             # A VerilogArtifact lowers its design on first access.
             design = source if isinstance(source, Design) else source.design
-            artifacts = cache.base_artifacts(design, top, None)
+            artifacts = cache.base_artifacts(design, None)
         return artifacts.lowered
 
     image, run = compiled_program(
-        top, f"run-vector-{signature}",
+        f"run-vector-{signature}",
         lambda: (lowered(), vector_run_source(lowered(), specs),
-                 _static_done(source, top)),
+                 _static_done(source)),
         lambda program: compile_vector_run(*program), unpack=_stored_run)
     steps = None if artifacts is None else artifacts.step_fns
     if steps is None:
         steps = compiled_program(
-            top, "comb-scalar", lambda: cache.comb_source(lowered()),
+            "comb-scalar", lambda: cache.comb_source(lowered()),
             lambda program: cache.compile_comb(image["assigns"], program))
         if artifacts is not None:
             artifacts.step_fns = steps
     return _FusedRun(image, run, steps)
 
 
-def _cached_run(source: Any, top: Optional[str], memories) -> _FusedRun:
+def _cached_run(source: Any, memories) -> _FusedRun:
     """The fused run of ``source`` (a Design, or a lazily lowered
     :class:`repro.flow.VerilogArtifact`) for this interface signature,
     through the engine compile cache (:func:`_load_run` on a miss)."""
     specs = _interface_specs(memories)
     signature = vector_signature(specs)
-    return cache.memoized(source, (top, signature),
-                          lambda: _load_run(source, top, specs, signature))
+    return cache.memoized(source, f"run-vector-{signature}",
+                          lambda: _load_run(source, specs, signature))
 
 
 # --------------------------------------------------------------------------- #
@@ -672,7 +671,6 @@ def run_design_vector(
     design: Any,
     memories=None,
     scalar_inputs=None,
-    top: Optional[str] = None,
     external_models=None,
     max_cycles: int = 100000,
     drain_cycles: int = 4,
@@ -701,7 +699,7 @@ def run_design_vector(
             "per-cycle profiling is not observable from a fused run; "
             "profile with the compiled engine")
 
-    fused = _cached_run(design, top, memories)
+    fused = _cached_run(design, memories)
     image = fused.image
     values = list(image["reset"])
     mems = [[0] * depth for depth in image["mem_depths"]]

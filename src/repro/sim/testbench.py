@@ -127,7 +127,6 @@ def run_design_impl(
     design: Design,
     memories: Optional[Dict[str, tuple]] = None,
     scalar_inputs: Optional[Dict[str, int]] = None,
-    top: Optional[str] = None,
     external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None,
     max_cycles: int = 100000,
     drain_cycles: int = 4,
@@ -161,15 +160,14 @@ def run_design_impl(
         from repro.sim.engine.vector import run_design_vector
         return run_design_vector(
             design, memories=memories, scalar_inputs=scalar_inputs,
-            top=top, external_models=external_models,
+            external_models=external_models,
             max_cycles=max_cycles, drain_cycles=drain_cycles,
             profiler=profiler)
 
     source = design
     if not isinstance(design, Design):
         design = design.design
-    simulator = create_simulator(design, top=top,
-                                 external_models=external_models,
+    simulator = create_simulator(design, external_models=external_models,
                                  engine=engine)
     if profiler is not None:
         profiler.bind(simulator)
@@ -228,13 +226,13 @@ def run_design_impl(
         engine=engine,
     )
     if engine == "differential" and profiler is None and not external_models:
-        _vector_leg(run, source, memories, scalar_inputs, top,
-                    max_cycles, drain_cycles)
+        _vector_leg(run, source, memories, scalar_inputs, max_cycles,
+                    drain_cycles)
     return run
 
 
 def _vector_leg(run: SimulationRun, design, memories, scalar_inputs,
-                top, max_cycles: int, drain_cycles: int) -> None:
+                max_cycles: int, drain_cycles: int) -> None:
     """The differential engine's third leg: replay the run through the fused
     vector engine and require bit-exactness against the lockstep pair.
 
@@ -249,7 +247,7 @@ def _vector_leg(run: SimulationRun, design, memories, scalar_inputs,
 
     try:
         replay = run_design_vector(
-            design, memories=memories, scalar_inputs=scalar_inputs, top=top,
+            design, memories=memories, scalar_inputs=scalar_inputs,
             max_cycles=max_cycles, drain_cycles=drain_cycles)
     except SimulationTimeout as error:
         raise DivergenceError(

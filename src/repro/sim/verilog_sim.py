@@ -267,10 +267,8 @@ class _Elaborator:
 class Simulator:
     """Executes a flattened design cycle by cycle."""
 
-    def __init__(self, design: Design, top: Optional[str] = None,
+    def __init__(self, design: Design,
                  external_models: Optional[Dict[str, Callable[[], ExternalModel]]] = None):
-        if top is not None:
-            design = Design(top=top, modules=design.modules)
         self.flat = _Elaborator(design, external_models).elaborate()
         self.signals: Dict[str, int] = {}
         self.memories: Dict[str, List[int]] = {}

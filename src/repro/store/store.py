@@ -1,7 +1,7 @@
 """A crash-safe, content-addressed, on-disk artifact store.
 
-``ArtifactStore`` persists toolchain artifacts — optimized IR text, emitted
-Verilog, resource reports, compiled-simulator code objects — keyed by
+``ArtifactStore`` persists toolchain artifacts — emitted Verilog, resource
+reports, compiled-simulator code objects — keyed by
 ``(kind, key)`` where ``key`` folds in the content fingerprint of everything
 the artifact was built from.  Every key is also folded with the
 :func:`toolchain_digest` of the ``repro`` sources that made the bytes, in
@@ -22,11 +22,9 @@ Robustness model (every clause is fault-injectable and tested):
   its payload; :meth:`get` verifies it on every read.  Bit-rot or torn
   bytes are detected, never served.
 * **Quarantine + rebuild.**  A corrupt blob — or one that passes its
-  checksum but fails to decode (:meth:`ArtifactStore.read_through`, or
-  :meth:`ArtifactStore.read_later` when the decode is put off until the
-  value is read) — moves atomically into ``quarantine/`` and the read
-  reports a miss; the caller rebuilds from source and re-publishes, so the
-  store self-heals.
+  checksum but fails to decode (:meth:`ArtifactStore.read_through`) — moves
+  atomically into ``quarantine/`` and the read reports a miss; the caller
+  rebuilds from source and re-publishes, so the store self-heals.
 * **Advisory locking.**  Writers serialize on a store-wide advisory lock
   with bounded exponential-backoff retry; a wedged writer cannot deadlock
   readers (reads are lockless — atomic publish makes them safe), and lock
@@ -458,26 +456,8 @@ class ArtifactStore:
         rebuilt and re-published.  Any other exception propagates — a
         decoder bug is a finding, not a miss.
         """
-        return self.read_later(kind, key, build, encode, decode, errors)()
-
-    def read_later(self, kind: str, key: str, build: Callable[[], Any],
-                   encode: Callable[[Any], Any] = str,
-                   decode: Callable[[bytes], Any] = bytes.decode,
-                   errors: Tuple[type, ...] = ()) -> Callable[[], Any]:
-        """:meth:`read_through`, with a hit's decode put off.
-
-        Returns a function to call once for the value.  A miss builds and
-        publishes before returning.  A hit (already counted) returns the
-        checksum-verified payload undecoded: the call decodes it, and a
-        ``decode`` that raises one of ``errors`` then re-counts the blob as
-        corrupt, quarantines it, rebuilds and re-publishes.
-        """
         payload = self.get(kind, key)
-        if payload is None:
-            value = self._publish(kind, key, build, encode)
-            return lambda: value
-
-        def load() -> Any:
+        if payload is not None:
             try:
                 return decode(payload)
             except errors:
@@ -486,12 +466,6 @@ class ArtifactStore:
                 _bump("misses")
                 _bump("corrupt")
                 self._quarantine(kind, key, self.blob_path(kind, key))
-            return self._publish(kind, key, build, encode)
-
-        return load
-
-    def _publish(self, kind: str, key: str, build: Callable[[], Any],
-                 encode: Callable[[Any], Any]) -> Any:
         value = build()
         self.put(kind, key, encode(value))
         return value

@@ -62,7 +62,7 @@ class TestWarmStoreReproduction:
         first = _flow(root)
         verilog = first.verilog().value.text
         resources = first.resources().value
-        assert ArtifactStore(root).blob_count() >= 3   # ir, verilog, resources
+        assert ArtifactStore(root).blob_count() >= 2   # verilog, resources
 
         hits_before = store_counters()["hits"]
         second = _flow(root)                # a brand-new session, warm store
@@ -86,7 +86,7 @@ class TestWarmStoreReproduction:
         flow.verilog()
         assert flow.config.resolve_store() is None
 
-    @pytest.mark.parametrize("kind", ["ir", "verilog", "resources", "simcode"])
+    @pytest.mark.parametrize("kind", ["verilog", "resources", "simcode"])
     def test_corrupt_ir_blob_rebuilds_identically(self, tmp_path, kind):
         root = str(tmp_path / "store")
         baseline = _artifacts(_flow(root))
@@ -104,9 +104,8 @@ class TestWarmStoreReproduction:
         assert store_counters()["quarantined"] == quarantined_before + 1
         assert store.verify().ok            # self-healed on the rebuild
 
-    @pytest.mark.parametrize("kind, payload", [("ir", "this is not IR"),
-                                               ("resources", "{}")],
-                             ids=["ir", "resources"])
+    @pytest.mark.parametrize("kind, payload", [("resources", "{}")],
+                             ids=["resources"])
     def test_undecodable_blob_rebuilds_identically(self, tmp_path, kind,
                                                    payload):
         root = str(tmp_path / "store")
@@ -308,13 +307,14 @@ class TestWarmStoreNeverLowers:
 
 
 class TestWarmStoreNeverParses:
-    """A warm store serves every stage without parsing the stored IR or
-    analyzing its timing: ``optimized`` decodes on first read, and the
-    static done cycle comes from the fused run's simulator image."""
+    """A warm store serves every stage without running a pass, parsing IR
+    or analyzing its timing: ``optimized`` runs its passes on first read,
+    and the static done cycle comes from the fused run's simulator image."""
 
     def test_warm_session_never_parses(self, tmp_path, monkeypatch):
         import repro.graph.timing as timing
         import repro.ir.parser as parser
+        from repro.ir.pass_manager import PassManager
         from repro.sim.engine import clear_compile_cache
         root = str(tmp_path / "store")
         clear_compile_cache()
@@ -325,29 +325,14 @@ class TestWarmStoreNeverParses:
         with monkeypatch.context() as patch:
             patch.setattr(parser, "parse_module", _refuse_parsing)
             patch.setattr(timing, "analyze_function", _refuse_parsing)
+            patch.setattr(PassManager, "run", _refuse_parsing)
             assert _session(flow) == cold
             flow.report()
             repr(flow.optimized())
         assert cold[2] == "vector" and cold[3]
-        # Unpatched, the first read of the module parses it.
+        # Unpatched, the first read of the module runs the passes.
         assert isinstance(flow.optimized().value, ModuleOp)
-        assert "stored, not decoded" not in flow.report()
-
-    def test_a_fresh_process_reads_typed_ops(self, tmp_path):
-        """The lazy packages keep the HIR dialect registered: a new process
-        parses the stored module into HIR op classes, not generic ops."""
-        root = str(tmp_path / "store")
-        _flow(root).verilog()
-        names = _in_fresh_process(
-            "from repro.flow import Flow, FlowConfig\n"
-            "from repro.kernels import build_kernel\n"
-            f"config = FlowConfig(verify_each=False, store_dir={root!r})\n"
-            "flow = Flow(build_kernel('matvec', size=4), config=config)\n"
-            "assert flow.optimized().value_type() == 'stored, not decoded'\n"
-            "module = flow.optimized().value\n"
-            "print(sorted({type(op).__name__ for op in module.walk()}))")
-        assert "ForOp" in names and "FuncOp" in names
-        assert "'Operation'" not in names
+        assert "not built" not in flow.report()
 
     def test_a_warm_validate_loads_only_what_runs(self, tmp_path):
         """A cold process on a warm store imports no pass, no HLS compiler,
@@ -375,7 +360,68 @@ class TestWarmStoreNeverParses:
 
 
 def _refuse_parsing(*args, **kwargs):
-    raise AssertionError("parsed or analyzed stored IR on a warm store")
+    raise AssertionError("optimized, parsed or analyzed IR on a warm store")
+
+
+class TestDeferredPasses:
+    """With a store, the ``optimized`` stage clones the source at once and
+    runs its passes on the first read of the value."""
+
+    def test_passes_run_on_first_read(self, tmp_path, monkeypatch):
+        from repro.ir.pass_manager import PassManager
+        pass_runs = []
+        run = PassManager.run
+
+        def spy(manager, module):
+            pass_runs.append(module)
+            return run(manager, module)
+
+        monkeypatch.setattr(PassManager, "run", spy)
+        flow = _flow(str(tmp_path / "store"))
+        artifact = flow.optimized()
+        assert pass_runs == []
+        assert artifact.value_type() == "not built"
+        assert flow.pass_report() is None
+        module = artifact.value
+        assert len(pass_runs) == 1 and pass_runs[0] is module
+        assert flow.optimized().value is module     # built once
+        assert len(pass_runs) == 1
+        assert artifact.value_type() == "ModuleOp"
+        assert flow.pass_report() is not None
+
+    def test_a_failed_build_is_not_retried(self, tmp_path, monkeypatch):
+        """A pass that raises may have half-mutated the clone, so a later
+        read raises the same error instead of optimizing it again."""
+        from repro.ir.pass_manager import PassManager
+        calls = []
+
+        def crash(manager, module):
+            calls.append(module)
+            raise RuntimeError("pass crashed")
+
+        monkeypatch.setattr(PassManager, "run", crash)
+        artifact = _flow(str(tmp_path / "store")).optimized()
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="pass crashed"):
+                artifact.value
+        assert len(calls) == 1
+        assert artifact.value_type() == "not built"
+
+    def test_a_later_edit_cannot_reach_the_clone(self, tmp_path):
+        from repro.hir.ops import ConstantOp
+        from repro.ir.printer import print_module
+        expected = print_module(_flow("").optimized().value,
+                                with_locations=True)
+        flow = _flow(str(tmp_path / "store"))
+        artifact = flow.optimized()
+        constant = next(op for op in flow.module.walk()
+                        if isinstance(op, ConstantOp))
+        constant.set_attr("value", constant.value + 1)
+        assert print_module(artifact.value, with_locations=True) == expected
+        edited = Flow(flow.module, top=flow.top, config=FlowConfig(
+            pipeline="optimize", verify_each=False, store_dir=""))
+        assert print_module(edited.optimized().value,
+                            with_locations=True) != expected
 
 
 def _in_fresh_process(code):
@@ -459,8 +505,7 @@ class TestToolchainDigest:
         assert session(root) == expected + ("built",)
         assert session(root) == expected + ("store-hit",)
         filled = kinds(store)
-        assert set(filled) == {"ir", "verilog", "resources", "simcode",
-                               "serve"}
+        assert set(filled) == {"verilog", "resources", "simcode", "serve"}
 
         # A hit refreshes its blob's mtime (gc recency): age every blob, so
         # one the other toolchain served would show.

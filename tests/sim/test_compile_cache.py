@@ -18,8 +18,8 @@ class TestCompileCacheEviction:
     def test_cache_hit_reuses_artifacts(self):
         clear_compile_cache()
         design = _design(4)
-        first = compiled_artifacts(design, None, {}, vector=False)
-        second = compiled_artifacts(design, None, {}, vector=False)
+        first = compiled_artifacts(design, {}, vector=False)
+        second = compiled_artifacts(design, {}, vector=False)
         assert first is second
         assert compile_cache_size() == 1
 
@@ -28,11 +28,11 @@ class TestCompileCacheEviction:
         clear_compile_cache()
         designs = [_design(size) for size in (2, 3, 4)]
         for design in designs:
-            compiled_artifacts(design, None, {}, vector=False)
+            compiled_artifacts(design, {}, vector=False)
         assert compile_cache_size() == 2
         # The oldest design was evicted; recompiling it is a fresh entry
         # (and evicts the next-oldest in turn).
-        oldest = compiled_artifacts(designs[0], None, {}, vector=False)
+        oldest = compiled_artifacts(designs[0], {}, vector=False)
         assert oldest is not None
         assert compile_cache_size() == 2
         clear_compile_cache()
@@ -41,20 +41,20 @@ class TestCompileCacheEviction:
         monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "2")
         clear_compile_cache()
         a, b, c = (_design(size) for size in (2, 3, 4))
-        first_a = compiled_artifacts(a, None, {}, vector=False)
-        compiled_artifacts(b, None, {}, vector=False)
+        first_a = compiled_artifacts(a, {}, vector=False)
+        compiled_artifacts(b, {}, vector=False)
         # Touch ``a`` so ``b`` is the least recently used when ``c`` lands.
-        compiled_artifacts(a, None, {}, vector=False)
-        compiled_artifacts(c, None, {}, vector=False)
-        assert compiled_artifacts(a, None, {}, vector=False) is first_a
+        compiled_artifacts(a, {}, vector=False)
+        compiled_artifacts(c, {}, vector=False)
+        assert compiled_artifacts(a, {}, vector=False) is first_a
         clear_compile_cache()
 
     def test_zero_capacity_disables_caching(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_CACHE_SIZE", "0")
         clear_compile_cache()
         design = _design(4)
-        first = compiled_artifacts(design, None, {}, vector=False)
-        second = compiled_artifacts(design, None, {}, vector=False)
+        first = compiled_artifacts(design, {}, vector=False)
+        second = compiled_artifacts(design, {}, vector=False)
         assert first is not second
         assert compile_cache_size() == 0
 

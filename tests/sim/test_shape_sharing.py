@@ -55,10 +55,10 @@ def test_gemm16_step_functions_share_their_code(monkeypatch):
 
     # The in-process hit of the fused run the validation loaded.
     fused = vector._cached_run(
-        flow.verilog().value, None,
+        flow.verilog().value,
         {name: (memref_type, None)
          for name, memref_type in flow.interfaces.items()})
-    artifacts = cache.base_artifacts(flow.design, None, None)
+    artifacts = cache.base_artifacts(flow.design, None)
     steps = fused.steps
     processes = fused.run.__globals__["_PROCS"]
     assert len(steps) == len(artifacts.lowered.ordered) > 3000
@@ -189,7 +189,7 @@ def _run(design, engine):
 ], ids=["no-assign", "one-process", "no-process"])
 def test_edge_designs_match_the_interpreter(make, assigns, processes):
     from repro.sim.engine.cache import base_artifacts
-    artifacts = base_artifacts(make(), None, None)
+    artifacts = base_artifacts(make(), None)
     assert len(artifacts.lowered.ordered) == assigns
     assert len(artifacts.flat.clocked) == processes
 

@@ -52,7 +52,7 @@ def record(kernel, params, pipeline):
     """The six digests of one kernel's simulator build, in field order."""
     flow = Flow(build_kernel(kernel, **params),
                 config=FlowConfig(pipeline=pipeline, store_dir=""))
-    lowered = base_artifacts(flow.design, None, None).lowered
+    lowered = base_artifacts(flow.design, None).lowered
     specs = _interface_specs({name: (memref_type, None) for name, memref_type
                               in flow.interfaces.items()})
     return tuple(_sha256(text) for text in (

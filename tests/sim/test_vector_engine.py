@@ -129,12 +129,12 @@ def test_fused_program_is_cached_per_interface_signature():
     design = artifacts.flow().design
     memories = {name: (memref_type, inputs.get(name))
                 for name, memref_type in artifacts.interfaces.items()}
-    first = _cached_run(design, None, memories).run
-    second = _cached_run(design, None, memories).run
+    first = _cached_run(design, memories).run
+    second = _cached_run(design, memories).run
     assert first is second
     # ...and the scalar step functions are the compiled engine's.
-    shared = compiled_artifacts(design, None, None, vector=False)
-    cached = _cached_run(design, None, memories)
+    shared = compiled_artifacts(design, None, vector=False)
+    cached = _cached_run(design, memories)
     assert cached.steps is shared.step_fns
 
 
@@ -151,7 +151,7 @@ class TestImageValidation:
             vector_run_source,
         )
         artifacts = build_kernel("histogram", pixels=64, bins=32)
-        lowered = base_artifacts(artifacts.flow().design, None, None).lowered
+        lowered = base_artifacts(artifacts.flow().design, None).lowered
         specs = _interface_specs({name: (memref_type, None) for name, memref_type
                                   in artifacts.interfaces.items()})
         (code, image), _ = compile_vector_run(
